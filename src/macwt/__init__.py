@@ -5,26 +5,22 @@ high-SNR scaling experiments."""
 from .channel import (ChannelState, FadingParams, PairingReport,
                       QuantizedState, SbaBlock, StateBatch,
                       ergodic_pairing_demo, esa_partner, quantize,
-                      sample_batch, sample_state, sba_block_gains,
-                      sba_expand, simulate_repetition)
+                      sample_batch, sba_block_gains, simulate_repetition)
 from .config import ConfigError, ExperimentConfig, load_config
 from .dof import (SumRateCurve, dominated_bound_esa, dominated_bound_sba,
                   estimate_dof, gs_cj_upper_bound, sum_rate_curve)
 from .montecarlo import (ESA, ESA_CJ, GS_CJ, SBA, SCHEMES,
-                         MonteCarloEstimate, ergodic_region, spawn_rngs,
-                         worker_count)
-from .powerctl import (CaseSolverError, DualSearchResult, DualVars,
-                       EffectiveState, GsCjBaselinePolicy, KktEsaCjPolicy,
-                       KktEsaPolicy, RootSolveError, closed_form_p1,
-                       closed_form_p2, dual_search, effective_state,
-                       esa_case_id, esa_case_policy, esa_cj_case_label,
-                       esa_cj_case_policy, esa_cj_kkt_residual,
-                       esa_kkt_residual, grid_oracle, gs_cj_baseline_policy,
-                       solve_common_root, solve_p1q2, solve_p2q1)
+                         MonteCarloEstimate, ergodic_region, scheme_rates,
+                         spawn_rngs, worker_count)
+from .powerctl import (CaseSolverError, DualPolicy, DualSearchResult,
+                       DualVars, EffectiveState, RootSolveError,
+                       cj_case_label, closed_form_p1, closed_form_p2,
+                       dual_search, effective_state, esa_case_id,
+                       esa_cj_case_label, esa_cj_kkt_residual,
+                       esa_kkt_residual, grid_oracle, solve_common_root,
+                       solve_p1q2, solve_p2q1)
 from .rates import (ConstantPolicy, PowerBudget, PowerDecision, RateTriple,
-                    RudimentaryEsaPolicy, RudimentarySbaPolicy, ZeroPolicy,
-                    rates_esa, rates_esa_cj, rates_esa_general, rates_gs_cj,
-                    rates_sba, rudimentary_policy_esa, rudimentary_policy_sba)
+                    RudimentaryEsaPolicy, RudimentarySbaPolicy)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

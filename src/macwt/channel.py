@@ -87,6 +87,12 @@ class StateBatch:
             complex(self.g1[i]), complex(self.g2[i]),
         )
 
+    @classmethod
+    def of(cls, *states: ChannelState) -> "StateBatch":
+        """Batch of the given states, in order (the inverse of :meth:`state`)."""
+        return cls(*(np.array([getattr(s, k) for s in states], dtype=complex)
+                     for k in ("h1", "h2", "g1", "g2")))
+
 
 def _complex_gaussian(rng: np.random.Generator, var: float, n: int) -> np.ndarray:
     # real/imag each N(0, var/2) -> circularly symmetric, E|x|^2 = var
@@ -102,11 +108,6 @@ def sample_batch(params: FadingParams, n: int, rng: np.random.Generator) -> Stat
         g1=_complex_gaussian(rng, params.var_g1, n),
         g2=_complex_gaussian(rng, params.var_g2, n),
     )
-
-
-def sample_state(params: FadingParams, rng: np.random.Generator) -> ChannelState:
-    """Draw a single channel state."""
-    return sample_batch(params, 1, rng).state(0)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +159,6 @@ class SbaBlock:
     def eavesdropper_matrix(self) -> np.ndarray:
         """The (rank-1) two-slot eavesdropper channel matrix [[c, c], [d, d]]."""
         return np.array([[self.c, self.c], [self.d, self.d]])
-
-
-def sba_expand(odd: ChannelState, even: ChannelState) -> SbaBlock:
-    """Build the scaled two-slot block from an odd/even state pair."""
-    return SbaBlock(odd=odd, even=even)
 
 
 def sba_block_gains(odd: StateBatch, even: StateBatch):

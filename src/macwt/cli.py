@@ -10,25 +10,24 @@ variable.
 from __future__ import annotations
 
 import csv
+import math
 import sys
 
 import click
 import numpy as np
 
-from .channel import ChannelState, FadingParams, sba_expand
+from .channel import ChannelState, FadingParams, StateBatch, sba_block_gains
 from .config import ConfigError, ExperimentConfig, load_config
 from .dof import estimate_dof, sum_rate_curve
-from .montecarlo import ESA, ESA_CJ, GS_CJ, SBA, ergodic_region
-from .powerctl import (DualVars, EffectiveState, GsCjBaselinePolicy,
-                       KktEsaCjPolicy, KktEsaPolicy, RootSolveError,
-                       effective_state, esa_case_id, esa_case_policy,
-                       esa_cj_case_label, esa_cj_case_policy,
-                       esa_cj_kkt_residual, esa_kkt_residual, dual_search,
-                       gs_cj_baseline_policy)
-from .rates import (ConstantPolicy, PowerBudget, PowerDecision, RateTriple,
-                    RudimentaryEsaPolicy, RudimentarySbaPolicy, esa_cj_triple,
-                    esa_triple, rates_esa, rates_esa_cj, rates_gs_cj,
-                    rates_sba)
+from .montecarlo import (ESA, ESA_CJ, GS_CJ, SBA, ergodic_region,
+                         scheme_rates)
+from .powerctl import (DualPolicy, DualVars, EffectiveState, RootSolveError,
+                       cj_case_label, dual_search, effective_state,
+                       esa_cj_kkt_residual, esa_cj_policy_batch,
+                       esa_kkt_residual, esa_policy_batch,
+                       gs_cj_baseline_batch)
+from .rates import (ConstantPolicy, PowerBudget, PowerDecision,
+                    RudimentaryEsaPolicy, RudimentarySbaPolicy)
 
 
 def _fmt(v):
@@ -88,95 +87,82 @@ def main():
     """Ergodic secrecy-rate experiments for the two-user fading wiretap MAC."""
 
 
-@main.command()
-@_common
-def figure1(config, seed, samples, out, snr_db, schemes):
-    """Secrecy sum rate vs SNR: rudimentary two-slot policies + baseline."""
-    cfg = _load(config, seed=seed, samples=samples, out=out,
-                snr_db=_parse_grid(snr_db), schemes=_parse_schemes(schemes))
-    wanted = [s for s in (SBA, ESA, GS_CJ) if s in cfg.schemes]
-    rows = []
-    for vi, var_g in enumerate((cfg.var_g, cfg.var_g_alt)):
-        params = FadingParams.symmetric(cfg.var_h, var_g)
-        for si, scheme in enumerate(wanted):
-            for pi, db in enumerate(cfg.snr_db):
-                p = 10.0 ** (db / 10.0)
-                budget = PowerBudget(p, p)
-                pseed = _point_seed(cfg.seed, 1, vi, si, pi)
-                status = "ok"
-                if scheme == SBA:
-                    policy = RudimentarySbaPolicy(
-                        budget, params, m_inner=cfg.inner_samples,
-                        seed=_point_seed(cfg.seed, 1, vi, si, pi, 7))
-                elif scheme == ESA:
-                    policy = RudimentaryEsaPolicy(budget)
-                else:
-                    search = dual_search(params, budget, GS_CJ,
-                                         cfg.dual_samples,
-                                         _point_seed(cfg.seed, 1, vi, si, pi, 9),
-                                         tol=0.02)
-                    policy = GsCjBaselinePolicy(search.duals)
-                    if not search.converged:
-                        status = "dual-not-converged"
-                est = ergodic_region(scheme, policy, params, cfg.samples, pseed)
-                rows.append([db, var_g, scheme, est.mean.rsum,
-                             est.stderr.rsum, est.n, status])
-    path = cfg.out or "figure1.csv"
-    _write_csv(path, ["snr_db", "var_g", "scheme", "rsum_bits", "stderr",
-                      "n", "status"], rows)
-    click.echo(f"wrote {len(rows)} rows to {path}")
-
-
+# Figure variants: (row name, scheme, policy kind)
+CONSTANT, RUDIMENTARY, DUAL = "constant", "rudimentary", "dual"
+_FIG1_VARIANTS = (
+    (SBA, SBA, RUDIMENTARY),
+    (ESA, ESA, RUDIMENTARY),
+    (GS_CJ, GS_CJ, DUAL),
+)
 _FIG2_VARIANTS = (
-    ("esa_const", ESA),
-    ("esa_kkt", ESA),
-    ("esa_cj_kkt", ESA_CJ),
-    ("gs_cj", GS_CJ),
+    ("esa_const", ESA, CONSTANT),
+    ("esa_kkt", ESA, DUAL),
+    ("esa_cj_kkt", ESA_CJ, DUAL),
+    ("gs_cj", GS_CJ, DUAL),
 )
 
 
-@main.command()
-@_common
-def figure2(config, seed, samples, out, snr_db, schemes):
-    """Secrecy sum rate vs SNR: constant vs KKT power control, with jamming."""
+def _figure(tag, variants, default_out, config, seed, samples, out, snr_db,
+            schemes):
+    """Secrecy sum rate per (var_g, variant, SNR) grid point, one CSV row
+    each.  ``tag`` keeps the two figures' point seeds apart."""
     cfg = _load(config, seed=seed, samples=samples, out=out,
                 snr_db=_parse_grid(snr_db), schemes=_parse_schemes(schemes))
-    variants = [(name, s) for name, s in _FIG2_VARIANTS if s in cfg.schemes]
+    variants = [v for v in variants if v[1] in cfg.schemes]
     rows = []
     for vi, var_g in enumerate((cfg.var_g, cfg.var_g_alt)):
         params = FadingParams.symmetric(cfg.var_h, var_g)
-        for si, (name, scheme) in enumerate(variants):
+        for si, (name, scheme, kind) in enumerate(variants):
             for pi, db in enumerate(cfg.snr_db):
                 p = 10.0 ** (db / 10.0)
                 budget = PowerBudget(p, p)
-                pseed = _point_seed(cfg.seed, 2, vi, si, pi)
+                point = (cfg.seed, tag, vi, si, pi)
                 status = "ok"
-                if name == "esa_const":
+                if kind == CONSTANT:
                     policy = ConstantPolicy(p, p)
+                elif kind == RUDIMENTARY and scheme == SBA:
+                    policy = RudimentarySbaPolicy(
+                        budget, params, m_inner=cfg.inner_samples,
+                        seed=_point_seed(*point, 7))
+                elif kind == RUDIMENTARY:
+                    policy = RudimentaryEsaPolicy(budget)
                 else:
-                    dseed = _point_seed(cfg.seed, 2, vi, si, pi, 9)
                     try:
                         search = dual_search(params, budget, scheme,
-                                             cfg.dual_samples, dseed, tol=0.02)
+                                             cfg.dual_samples,
+                                             _point_seed(*point, 9), tol=0.02)
                     except RootSolveError as exc:
                         rows.append([db, var_g, name, float("nan"),
                                      float("nan"), 0, f"dual-failed:{exc}"])
                         continue
                     if not search.converged:
                         status = "dual-not-converged"
-                    if scheme == ESA:
-                        policy = KktEsaPolicy(search.duals)
-                    elif scheme == ESA_CJ:
-                        policy = KktEsaCjPolicy(search.duals)
-                    else:
-                        policy = GsCjBaselinePolicy(search.duals)
-                est = ergodic_region(scheme, policy, params, cfg.samples, pseed)
+                    policy = DualPolicy(scheme, search.duals)
+                est = ergodic_region(scheme, policy, params, cfg.samples,
+                                     _point_seed(*point))
+                if not (math.isfinite(est.mean.rsum)
+                        and math.isfinite(est.stderr.rsum)):
+                    status = "non-finite"
                 rows.append([db, var_g, name, est.mean.rsum,
                              est.stderr.rsum, est.n, status])
-    path = cfg.out or "figure2.csv"
+    path = cfg.out or default_out
     _write_csv(path, ["snr_db", "var_g", "scheme", "rsum_bits", "stderr",
                       "n", "status"], rows)
     click.echo(f"wrote {len(rows)} rows to {path}")
+
+
+@main.command()
+@_common
+def figure1(**opts):
+    """Secrecy sum rate vs SNR: rudimentary two-slot policies + baseline."""
+    _figure(1, _FIG1_VARIANTS, "figure1.csv", **opts)
+
+
+@main.command()
+@_common
+def figure2(**opts):
+    """Secrecy sum rate vs SNR: constant vs KKT power control, with jamming."""
+    _figure(2, _FIG2_VARIANTS, "figure2.csv", **opts)
 
 
 @main.command()
@@ -212,6 +198,11 @@ def dof(config, seed, samples, out, snr_db, schemes, powers):
 # query: single-shot policy / rate report
 # ---------------------------------------------------------------------------
 
+def _column(values):
+    """Length-1 arrays, one per value: a single state as a batch."""
+    return [np.array([v]) for v in values]
+
+
 def _parse_values(text, conv, name, counts):
     parts = text.split(",")
     if len(parts) not in counts:
@@ -246,10 +237,10 @@ def query(scheme, state, even, effective, powers, duals):
         raise click.ClickException("provide exactly one of --state / --effective")
     if (powers is None) == (duals is None):
         raise click.ClickException("provide exactly one of --powers / --duals")
-    st = eff = None
+    eff = None
     if state is not None:
-        h1, h2, g1, g2 = _parse_values(state, complex, "--state", {4})
-        st = ChannelState(h1, h2, g1, g2)
+        st = ChannelState(*_parse_values(state, complex, "--state", {4}))
+        sq = (st.h1_sq, st.h2_sq, st.g1_sq, st.g2_sq)
         if scheme in (ESA, ESA_CJ):
             eff = effective_state(st)
     else:
@@ -257,6 +248,7 @@ def query(scheme, state, even, effective, powers, duals):
         if min(vals) < 0:
             raise click.ClickException("--effective: gains must be nonnegative")
         eff = EffectiveState(*vals)
+        sq = tuple(v / 2 for v in vals)
         if scheme in (GS_CJ, SBA):
             raise click.ClickException(
                 f"--effective is only meaningful for {ESA}/{ESA_CJ}")
@@ -269,64 +261,46 @@ def query(scheme, state, even, effective, powers, duals):
             raise click.ClickException("--powers: values must be nonnegative")
         if len(vals) == 2:
             vals += [0.0, 0.0]
-        d = PowerDecision(*vals)
+        gains = sq
         if scheme == SBA:
             if even is None:
                 raise click.ClickException(
                     "the two-slot scaled scheme needs --even")
-            e1, e2, e3, e4 = _parse_values(even, complex, "--even", {4})
-            block = sba_expand(st, ChannelState(e1, e2, e3, e4))
-            t = rates_sba(block, d.p1, d.p2)
-        elif scheme == GS_CJ:
-            t = rates_gs_cj(st, d)
-        elif scheme == ESA:
-            if st is not None:
-                t = rates_esa(st, d.p1, d.p2)
-            else:
-                r1, r2, rsum = esa_triple(eff.h1 / 2, eff.h2 / 2, eff.g1 / 2,
-                                          eff.g2 / 2, d.p1, d.p2)
-                t = RateTriple(float(r1), float(r2), float(rsum))
-        else:
-            if st is not None:
-                t = rates_esa_cj(st, d)
-            else:
-                r1, r2, rsum = esa_cj_triple(eff.h1 / 2, eff.h2 / 2,
-                                             eff.g1 / 2, eff.g2 / 2,
-                                             d.p1, d.p2, d.q1, d.q2)
-                t = RateTriple(float(r1), float(r2), float(rsum))
-        lines.append(f"r1    = {_fmt(float(t.r1))} bits")
-        lines.append(f"r2    = {_fmt(float(t.r2))} bits")
-        lines.append(f"rsum  = {_fmt(float(t.rsum))} bits")
+            ev = ChannelState(*_parse_values(even, complex, "--even", {4}))
+            gains = [float(a[0]) for a in
+                     sba_block_gains(StateBatch.of(st), StateBatch.of(ev))]
+        t = [float(v) for v in scheme_rates(scheme, gains, *vals)]
+        lines.append(f"r1    = {_fmt(t[0])} bits")
+        lines.append(f"r2    = {_fmt(t[1])} bits")
+        lines.append(f"rsum  = {_fmt(t[2])} bits")
     else:
         l1, l2 = _parse_values(duals, float, "--duals", {2})
         if min(l1, l2) <= 0:
             raise click.ClickException("--duals: values must be positive")
         dv = DualVars(l1, l2)
+        res = ()
+        if scheme in (ESA, ESA_CJ):
+            one = _column((eff.h1, eff.h2, eff.g1, eff.g2))
         if scheme == ESA:
-            p1, p2 = esa_case_policy(eff, dv)
-            case = esa_case_id(eff, dv)
-            r1, r2 = esa_kkt_residual(eff, p1, p2, dv)
-            lines.append(f"branch    = A.{case}")
-            lines.append(f"powers    = P1={_fmt(p1)} P2={_fmt(p2)}")
-            lines.append(f"residuals = {_fmt(r1)} {_fmt(r2)}")
+            *p, case = esa_policy_batch(*one, l1, l2)
+            p = [float(v[0]) for v in p]
+            lines.append(f"branch    = A.{int(case[0])}")
+            res = esa_kkt_residual(eff, *p, dv)
         elif scheme == ESA_CJ:
-            d = esa_cj_case_policy(eff, dv)
-            label = esa_cj_case_label(eff, dv)
-            res = esa_cj_kkt_residual(eff, d, dv)
-            lines.append(f"branch    = {label}")
-            lines.append(f"powers    = P1={_fmt(d.p1)} P2={_fmt(d.p2)} "
-                         f"Q1={_fmt(d.q1)} Q2={_fmt(d.q2)}")
-            lines.append("residuals = " + " ".join(_fmt(r) for r in res))
+            *p, case = esa_cj_policy_batch(*one, l1, l2)
+            p = [float(v[0]) for v in p]
+            lines.append(f"branch    = {cj_case_label(int(case[0]))}")
+            res = esa_cj_kkt_residual(eff, PowerDecision(*p), dv)
         elif scheme == GS_CJ:
-            if st is None:
-                raise click.ClickException(
-                    "the single-slot baseline needs --state")
-            d = gs_cj_baseline_policy(st, dv)
-            lines.append(f"powers    = P1={_fmt(d.p1)} P2={_fmt(d.p2)} "
-                         f"Q1={_fmt(d.q1)} Q2={_fmt(d.q2)}")
+            p = [float(v[0])
+                 for v in gs_cj_baseline_batch(*_column(sq), l1, l2)]
         else:
             raise click.ClickException(
                 "no dual-variable policy for the two-slot scaled scheme")
+        lines.append("powers    = " + " ".join(
+            f"{k}={_fmt(v)}" for k, v in zip(("P1", "P2", "Q1", "Q2"), p)))
+        if res:
+            lines.append("residuals = " + " ".join(_fmt(r) for r in res))
     click.echo("\n".join(lines))
 
 

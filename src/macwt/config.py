@@ -7,7 +7,7 @@ fully determines the outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .montecarlo import SCHEMES
 
@@ -29,7 +29,6 @@ class ExperimentConfig:
     dual_samples: int = 20000    # frozen-batch size for the dual search
     inner_samples: int = 200     # inner expectation size, two-slot scaled policy
     seed: int = 12345
-    policy: str = "rudimentary"  # constant | rudimentary | kkt-dual
     out: str | None = None
 
     def __post_init__(self):
@@ -45,14 +44,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{v} must be positive")
         if self.samples < 2 or self.dual_samples < 2 or self.inner_samples < 1:
             raise ConfigError("sample counts too small")
-        if self.policy not in ("constant", "rudimentary", "kkt-dual"):
-            raise ConfigError(f"unknown policy {self.policy!r}")
 
 
 _FLOAT_KEYS = {"var_h", "var_g", "var_g_alt"}
 _INT_KEYS = {"samples", "dual_samples", "inner_samples", "seed"}
 _LIST_KEYS = {"snr_db", "schemes"}
-_STR_KEYS = {"policy", "out"}
+_STR_KEYS = {"out"}
 
 
 def parse_config_text(text: str) -> dict:

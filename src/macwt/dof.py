@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelState, FadingParams, SbaBlock, sample_batch
 from .montecarlo import ESA, GS_CJ, SBA, ergodic_region
-from .powerctl import GsCjBaselinePolicy, dual_search
+from .powerctl import DualPolicy, dual_search
 from .rates import ConstantPolicy, PowerBudget
 
 LOG2 = math.log(2.0)
@@ -75,7 +75,7 @@ def sum_rate_curve(scheme: str, params: FadingParams, powers, n: int,
         elif scheme == GS_CJ:
             search = dual_search(params, PowerBudget(p, p), GS_CJ,
                                  dual_n, point_seed ^ 0x5F5F, tol=0.02)
-            policy = GsCjBaselinePolicy(search.duals)
+            policy = DualPolicy(GS_CJ, search.duals)
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
         est = ergodic_region(scheme, policy, params, n, point_seed)

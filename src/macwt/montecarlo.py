@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FadingParams, StateBatch, sample_batch, sba_block_gains
+from .channel import FadingParams, sample_batch, sba_block_gains
 from .rates import RateTriple, esa_cj_triple, esa_triple, gs_cj_triple, sba_triple
 
 SHARDS = 16
@@ -62,6 +62,24 @@ def _shard_sizes(n: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(SHARDS)]
 
 
+def scheme_rates(scheme: str, gains, p1, p2, q1, q2):
+    """Per-state rate triple ``(r1, r2, rsum)`` of ``scheme`` (bits).
+
+    ``gains`` is ``batch.sq()`` for the single-slot and repetition
+    schemes and ``sba_block_gains(odd, even)`` for the two-slot scaled
+    scheme; the schemes without jamming ignore ``q1``/``q2``.
+    """
+    if scheme == SBA:
+        return sba_triple(*gains, p1, p2)
+    if scheme == ESA:
+        return esa_triple(*gains, p1, p2)
+    if scheme == ESA_CJ:
+        return esa_cj_triple(*gains, p1, p2, q1, q2)
+    if scheme == GS_CJ:
+        return gs_cj_triple(*gains, p1, p2, q1, q2)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 def _eval_shard(scheme: str, policy, params: FadingParams, m: int, rng) -> np.ndarray:
     """Returns [sum, sumsq] for (r1, r2, rsum, p1+q1, p2+q2) over m states."""
     if m == 0:
@@ -71,20 +89,11 @@ def _eval_shard(scheme: str, policy, params: FadingParams, m: int, rng) -> np.nd
     for arr, name in ((p1, "p1"), (p2, "p2"), (q1, "q1"), (q2, "q2")):
         if np.any(arr < 0):
             raise ValueError(f"policy returned negative {name}")
-    if scheme == SBA:
-        even = sample_batch(params, m, rng)
-        A1, A2, C, Dsq = sba_block_gains(batch, even)
-        r1, r2, rsum = sba_triple(A1, A2, C, Dsq, p1, p2)
+    if scheme == SBA:  # the even slot is drawn after the policy has decided
+        gains = sba_block_gains(batch, sample_batch(params, m, rng))
     else:
-        h1, h2, g1, g2 = batch.sq()
-        if scheme == GS_CJ:
-            r1, r2, rsum = gs_cj_triple(h1, h2, g1, g2, p1, p2, q1, q2)
-        elif scheme == ESA:
-            r1, r2, rsum = esa_triple(h1, h2, g1, g2, p1, p2)
-        elif scheme == ESA_CJ:
-            r1, r2, rsum = esa_cj_triple(h1, h2, g1, g2, p1, p2, q1, q2)
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+        gains = batch.sq()
+    r1, r2, rsum = scheme_rates(scheme, gains, p1, p2, q1, q2)
     cols = np.stack([r1, r2, rsum, p1 + q1, p2 + q2], axis=1)
     return np.stack([cols.sum(axis=0), (cols * cols).sum(axis=0)])
 

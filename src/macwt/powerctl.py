@@ -14,10 +14,17 @@ tree first splits on which user's receiver gain beats its eavesdropper
 gain, then resolves transmit-vs-jam roles per branch; power splitting
 (P_k > 0 and Q_k > 0 for the same user) never occurs.
 
-The coupled quadratics are eliminated to a scalar quartic (a resultant)
-and solved batched via companion-matrix eigenvalues, then polished with a
-damped two-dimensional Newton iteration.  The scalar entry points run the
-multi-start Newton first and fall back to the resultant enumeration.
+The coupled quadratics are eliminated to a scalar cubic in P1 (a
+resultant whose quartic term cancels) and solved batched in closed form
+(Cardano plus deflation; rows with a vanishing leading coefficient go to
+``np.roots``).  Every real root is polished with a damped two-dimensional
+Newton iteration and kept only if its residual is small; rows without a
+root get a few dual-scaled Newton starts.  The scalar ``solve_*`` entry
+points run this on one row and fall back to a 5x5 multi-start Newton grid.
+
+The dual policies of the three schemes with a multiplier search (``esa``,
+``esa_cj`` and the ``gs_cj`` baseline) are dispatched in one place,
+:func:`_dual_powers`, shared by :func:`dual_search` and :class:`DualPolicy`.
 """
 
 from __future__ import annotations
@@ -139,15 +146,13 @@ def esa_cj_kkt_residual(s: EffectiveState, d: PowerDecision,
     denq = 1.0 + s.g1 * d.q1 + s.g2 * d.q2
     res1 = s.h1 / (1.0 + s.h1 * t1) - s.g1 / den - duals.lambda1
     res2 = s.h2 / (1.0 + s.h2 * t2) - s.g2 / den - duals.lambda2
-    res3 = res1 + duals.lambda1 + s.g1 / denq - s.h1 / (1.0 + s.h1 * d.q1) \
-        - duals.lambda1
-    res4 = res2 + duals.lambda2 + s.g2 / denq - s.h2 / (1.0 + s.h2 * d.q2) \
-        - duals.lambda2
+    res3 = res1 + s.g1 / denq - s.h1 / (1.0 + s.h1 * d.q1)
+    res4 = res2 + s.g2 / denq - s.h2 / (1.0 + s.h2 * d.q2)
     return res1, res2, res3, res4
 
 
 # ---------------------------------------------------------------------------
-# Batched resultant quartic + Newton polish for the coupled quadratics
+# Batched resultant cubic + Newton polish for the coupled quadratics
 # ---------------------------------------------------------------------------
 
 def _polymul(a, b):
@@ -572,14 +577,6 @@ def esa_policy_batch(h1, h2, g1, g2, l1, l2):
     return p1, p2, case
 
 
-def esa_case_policy(s: EffectiveState, duals: DualVars) -> tuple:
-    """Per-state allocation (P1, P2) without jamming."""
-    p1, p2, _ = esa_policy_batch(np.array([s.h1]), np.array([s.h2]),
-                                 np.array([s.g1]), np.array([s.g2]),
-                                 duals.lambda1, duals.lambda2)
-    return float(p1[0]), float(p2[0])
-
-
 def esa_case_id(s: EffectiveState, duals: DualVars) -> int:
     """Which of the seven cases the state falls in (1..7)."""
     _, _, case = esa_policy_batch(np.array([s.h1]), np.array([s.h2]),
@@ -728,28 +725,25 @@ def esa_cj_policy_batch(h1, h2, g1, g2, l1, l2):
     return p1, p2, q1, q2, case
 
 
-def esa_cj_case_policy(s: EffectiveState, duals: DualVars) -> PowerDecision:
-    """Per-state allocation (P1, P2, Q1, Q2) with jamming."""
-    p1, p2, q1, q2, _ = esa_cj_policy_batch(
-        np.array([s.h1]), np.array([s.h2]), np.array([s.g1]),
-        np.array([s.g2]), duals.lambda1, duals.lambda2)
-    return PowerDecision(float(p1[0]), float(p2[0]), float(q1[0]), float(q2[0]))
+def cj_case_label(code: int) -> str:
+    """Human-readable branch label of a jamming-tree case code, e.g.
+    'B.2c' or 'B.4d-A'."""
+    if 11 <= code <= 17:
+        return f"B.1/A.{code - 10}"
+    if code == 45:
+        return "B.4d-A"
+    if code == 46:
+        return "B.4d-B"
+    branch, sub = divmod(code, 10)
+    return f"B.{branch}{'abcd'[sub - 1]}"
 
 
 def esa_cj_case_label(s: EffectiveState, duals: DualVars) -> str:
-    """Human-readable branch label, e.g. 'B.2c' or 'B.4d-A'."""
+    """Branch label of one state under the jamming tree."""
     _, _, _, _, case = esa_cj_policy_batch(
         np.array([s.h1]), np.array([s.h2]), np.array([s.g1]),
         np.array([s.g2]), duals.lambda1, duals.lambda2)
-    c = int(case[0])
-    if 11 <= c <= 17:
-        return f"B.1/A.{c - 10}"
-    branch, sub = divmod(c, 10)
-    if c == 45:
-        return "B.4d-A"
-    if c == 46:
-        return "B.4d-B"
-    return f"B.{branch}{'abcd'[sub - 1]}"
+    return cj_case_label(int(case[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -796,14 +790,6 @@ def gs_cj_baseline_batch(h1, h2, g1, g2, l1, l2):
                   _closed_form_root(np.where(j1, g1, 1.0),
                                     np.where(j1, h1, 0.0), l1a), 0.0)
     return p1, p2, q1, q2
-
-
-def gs_cj_baseline_policy(state: ChannelState, duals: DualVars) -> PowerDecision:
-    p1, p2, q1, q2 = gs_cj_baseline_batch(
-        np.array([state.h1_sq]), np.array([state.h2_sq]),
-        np.array([state.g1_sq]), np.array([state.g2_sq]),
-        duals.lambda1, duals.lambda2)
-    return PowerDecision(float(p1[0]), float(p2[0]), float(q1[0]), float(q2[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -881,19 +867,21 @@ class DualSearchResult:
     sweeps: int
 
 
-def _policy_totals(scheme: str, sq, lam):
+def _dual_powers(scheme: str, sq, l1, l2):
+    """Per-state powers (p1, p2, q1, q2) of ``scheme``'s dual policy.
+
+    ``sq`` holds the squared gains ``batch.sq()``; the repetition schemes'
+    case trees run on the effective gains ``2 * sq``.
+    """
     h1, h2, g1, g2 = sq
     if scheme == "esa":
-        p1, p2, _ = esa_policy_batch(2 * h1, 2 * h2, 2 * g1, 2 * g2,
-                                     lam[0], lam[1])
-        return p1, p2
+        p1, p2, _ = esa_policy_batch(2 * h1, 2 * h2, 2 * g1, 2 * g2, l1, l2)
+        z = np.zeros_like(p1)
+        return p1, p2, z, z
     if scheme == "esa_cj":
-        p1, p2, q1, q2, _ = esa_cj_policy_batch(2 * h1, 2 * h2, 2 * g1,
-                                                2 * g2, lam[0], lam[1])
-        return p1 + q1, p2 + q2
+        return esa_cj_policy_batch(2 * h1, 2 * h2, 2 * g1, 2 * g2, l1, l2)[:4]
     if scheme == "gs_cj":
-        p1, p2, q1, q2 = gs_cj_baseline_batch(h1, h2, g1, g2, lam[0], lam[1])
-        return p1 + q1, p2 + q2
+        return gs_cj_baseline_batch(h1, h2, g1, g2, l1, l2)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -916,8 +904,8 @@ def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
     slack = [False, False]
 
     def realized(cur):
-        t1, t2 = _policy_totals(scheme, sq, cur)
-        return float(t1.mean()), float(t2.mean())
+        p1, p2, q1, q2 = _dual_powers(scheme, sq, cur[0], cur[1])
+        return float((p1 + q1).mean()), float((p2 + q2).mean())
 
     sweeps = 0
     converged = False
@@ -964,53 +952,15 @@ def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
                             converged=converged, sweeps=sweeps)
 
 
-# Policy adapters for the Monte Carlo engine ---------------------------------
+class DualPolicy:
+    """Batched dual policy of ``scheme`` at fixed multipliers, for the
+    Monte Carlo engine: the KKT case tree (``esa``, ``esa_cj``) or the
+    structural single-slot baseline (``gs_cj``)."""
 
-class KktEsaPolicy:
-    """Batched allocation from the seven-case tree (no jamming)."""
-
-    def __init__(self, duals: DualVars):
+    def __init__(self, scheme: str, duals: DualVars):
+        self.scheme = scheme
         self.duals = duals
 
-    def decide(self, state: ChannelState) -> PowerDecision:
-        p1, p2 = esa_case_policy(effective_state(state), self.duals)
-        return PowerDecision(p1, p2, 0.0, 0.0)
-
     def decide_batch(self, batch):
-        h1, h2, g1, g2 = batch.sq()
-        p1, p2, _ = esa_policy_batch(2 * h1, 2 * h2, 2 * g1, 2 * g2,
-                                     self.duals.lambda1, self.duals.lambda2)
-        z = np.zeros_like(p1)
-        return p1, p2, z, z
-
-
-class KktEsaCjPolicy:
-    """Batched allocation from the jamming case tree."""
-
-    def __init__(self, duals: DualVars):
-        self.duals = duals
-
-    def decide(self, state: ChannelState) -> PowerDecision:
-        return esa_cj_case_policy(effective_state(state), self.duals)
-
-    def decide_batch(self, batch):
-        h1, h2, g1, g2 = batch.sq()
-        p1, p2, q1, q2, _ = esa_cj_policy_batch(
-            2 * h1, 2 * h2, 2 * g1, 2 * g2,
-            self.duals.lambda1, self.duals.lambda2)
-        return p1, p2, q1, q2
-
-
-class GsCjBaselinePolicy:
-    """Batched structural baseline for single-slot signaling with jamming."""
-
-    def __init__(self, duals: DualVars):
-        self.duals = duals
-
-    def decide(self, state: ChannelState) -> PowerDecision:
-        return gs_cj_baseline_policy(state, self.duals)
-
-    def decide_batch(self, batch):
-        h1, h2, g1, g2 = batch.sq()
-        return gs_cj_baseline_batch(h1, h2, g1, g2,
-                                    self.duals.lambda1, self.duals.lambda2)
+        return _dual_powers(self.scheme, batch.sq(), self.duals.lambda1,
+                            self.duals.lambda2)

@@ -6,19 +6,21 @@ not for single-slot Gaussian signaling with jamming.  All rates are in
 bits per channel use (base-2 logs); integrands may be negative.
 
 The ``*_triple`` functions are the vectorized kernels operating on squared
-magnitudes; the public operations wrap them for single states.
+magnitudes; :func:`macwt.montecarlo.scheme_rates` picks the kernel of a
+scheme.  The policy classes map a batch of states to per-state powers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelState, SbaBlock, FadingParams, StateBatch, sample_batch, sba_block_gains
+from .channel import FadingParams, StateBatch, sample_batch, sba_block_gains
 
 LOG2 = math.log(2.0)
+SBA_CHUNK = 4096  # odd-slot states per block of the two-slot inner expectation
 
 
 def _log2p1(x):
@@ -125,90 +127,6 @@ def esa_cj_triple(h1, h2, g1, g2, p1, p2, q1, q2):
     return r1, r2, rsum
 
 
-# ---------------------------------------------------------------------------
-# Single-state operations
-# ---------------------------------------------------------------------------
-
-def rates_gs_cj(state: ChannelState, d: PowerDecision) -> RateTriple:
-    r1, r2, rsum = gs_cj_triple(state.h1_sq, state.h2_sq, state.g1_sq,
-                                state.g2_sq, d.p1, d.p2, d.q1, d.q2)
-    return RateTriple(float(r1), float(r2), float(rsum))
-
-
-def rates_sba(block: SbaBlock, p1: float, p2: float) -> RateTriple:
-    if p1 < 0 or p2 < 0:
-        raise ValueError("powers must be nonnegative")
-    A1 = abs(block.a1) ** 2 + abs(block.b1) ** 2
-    A2 = abs(block.a2) ** 2 + abs(block.b2) ** 2
-    C = abs(block.c) ** 2 + abs(block.d) ** 2
-    Dsq = abs(block.det) ** 2
-    r1, r2, rsum = sba_triple(A1, A2, C, Dsq, p1, p2)
-    return RateTriple(float(r1), float(r2), float(rsum))
-
-
-def rates_esa(state: ChannelState, p1: float, p2: float) -> RateTriple:
-    if p1 < 0 or p2 < 0:
-        raise ValueError("powers must be nonnegative")
-    r1, r2, rsum = esa_triple(state.h1_sq, state.h2_sq, state.g1_sq,
-                              state.g2_sq, p1, p2)
-    return RateTriple(float(r1), float(r2), float(rsum))
-
-
-def rates_esa_general(state: ChannelState, theta: float, omega: float,
-                      p1: float, p2: float) -> RateTriple:
-    if p1 < 0 or p2 < 0:
-        raise ValueError("powers must be nonnegative")
-    r1, r2, rsum = esa_general_triple(state.h1_sq, state.h2_sq, state.g1_sq,
-                                      state.g2_sq, theta, omega, p1, p2)
-    return RateTriple(float(r1), float(r2), float(rsum))
-
-
-def rates_esa_cj(state: ChannelState, d: PowerDecision) -> RateTriple:
-    r1, r2, rsum = esa_cj_triple(state.h1_sq, state.h2_sq, state.g1_sq,
-                                 state.g2_sq, d.p1, d.p2, d.q1, d.q2)
-    return RateTriple(float(r1), float(r2), float(rsum))
-
-
-# ---------------------------------------------------------------------------
-# Rudimentary on/off power policies
-# ---------------------------------------------------------------------------
-
-def rudimentary_policy_esa(state: ChannelState, budget: PowerBudget) -> PowerDecision:
-    """Full budget power if the sum-rate integrand at full power is
-    nonnegative, otherwise silent."""
-    t = rates_esa(state, budget.pbar1, budget.pbar2)
-    if t.rsum >= 0.0:
-        return PowerDecision(budget.pbar1, budget.pbar2, 0.0, 0.0)
-    return PowerDecision(0.0, 0.0, 0.0, 0.0)
-
-
-def rudimentary_policy_sba(odd_state: ChannelState, budget: PowerBudget,
-                           params: FadingParams, m_inner: int,
-                           rng: np.random.Generator) -> PowerDecision:
-    """On/off policy driven by the inner expectation over the even slot.
-
-    Candidate powers ``P1 = pbar1 / (2 var_g2)`` and
-    ``P2 = pbar2 / (2 var_g1)`` satisfy the scaled-scheme average power
-    constraints; they are applied only when the inner Monte Carlo mean of
-    the sum-rate integrand (over ``m_inner`` even-slot draws) is
-    nonnegative.  Powers depend on the odd-slot state only.
-    """
-    if m_inner < 1:
-        raise ValueError("m_inner must be >= 1")
-    p1 = budget.pbar1 / (2.0 * params.var_g2)
-    p2 = budget.pbar2 / (2.0 * params.var_g1)
-    odd = StateBatch(
-        h1=np.full(m_inner, odd_state.h1), h2=np.full(m_inner, odd_state.h2),
-        g1=np.full(m_inner, odd_state.g1), g2=np.full(m_inner, odd_state.g2),
-    )
-    even = sample_batch(params, m_inner, rng)
-    A1, A2, C, Dsq = sba_block_gains(odd, even)
-    _, _, rsum = sba_triple(A1, A2, C, Dsq, p1, p2)
-    if float(np.mean(rsum)) >= 0.0:
-        return PowerDecision(p1, p2, 0.0, 0.0)
-    return PowerDecision(0.0, 0.0, 0.0, 0.0)
-
-
 # Batched policy objects used by the Monte Carlo engine.  Each policy maps
 # a batch of states to per-state power arrays; all are deterministic given
 # their construction arguments, so sharded evaluation stays reproducible.
@@ -219,9 +137,6 @@ class ConstantPolicy:
     def __init__(self, p1: float, p2: float, q1: float = 0.0, q2: float = 0.0):
         self.decision = PowerDecision(p1, p2, q1, q2)
 
-    def decide(self, state: ChannelState) -> PowerDecision:
-        return self.decision
-
     def decide_batch(self, batch: StateBatch):
         n = len(batch)
         d = self.decision
@@ -229,19 +144,11 @@ class ConstantPolicy:
                 np.full(n, d.q1), np.full(n, d.q2))
 
 
-class ZeroPolicy(ConstantPolicy):
-    def __init__(self):
-        super().__init__(0.0, 0.0, 0.0, 0.0)
-
-
 class RudimentaryEsaPolicy:
     """On/off at full budget based on the sign of the sum-rate integrand."""
 
     def __init__(self, budget: PowerBudget):
         self.budget = budget
-
-    def decide(self, state: ChannelState) -> PowerDecision:
-        return rudimentary_policy_esa(state, self.budget)
 
     def decide_batch(self, batch: StateBatch):
         h1, h2, g1, g2 = batch.sq()
@@ -262,30 +169,23 @@ class RudimentarySbaPolicy:
     """
 
     def __init__(self, budget: PowerBudget, params: FadingParams,
-                 m_inner: int = 1000, seed: int = 0, chunk: int = 4096):
+                 m_inner: int = 1000, seed: int = 0):
         if m_inner < 1:
             raise ValueError("m_inner must be >= 1")
         self.budget = budget
         self.params = params
         self.m_inner = m_inner
-        self.chunk = chunk
         self.p1 = budget.pbar1 / (2.0 * params.var_g2)
         self.p2 = budget.pbar2 / (2.0 * params.var_g1)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         self._inner = sample_batch(params, m_inner, rng)
 
-    def decide(self, state: ChannelState) -> PowerDecision:
-        batch = StateBatch(h1=np.array([state.h1]), h2=np.array([state.h2]),
-                           g1=np.array([state.g1]), g2=np.array([state.g2]))
-        p1, p2, q1, q2 = self.decide_batch(batch)
-        return PowerDecision(float(p1[0]), float(p2[0]), 0.0, 0.0)
-
     def decide_batch(self, batch: StateBatch):
         n = len(batch)
         on = np.empty(n, dtype=bool)
         ev = self._inner
-        for lo in range(0, n, self.chunk):
-            hi = min(lo + self.chunk, n)
+        for lo in range(0, n, SBA_CHUNK):
+            hi = min(lo + SBA_CHUNK, n)
             odd = StateBatch(h1=batch.h1[lo:hi, None], h2=batch.h2[lo:hi, None],
                              g1=batch.g1[lo:hi, None], g2=batch.g2[lo:hi, None])
             even = StateBatch(h1=ev.h1[None, :], h2=ev.h2[None, :],

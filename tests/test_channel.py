@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macwt.channel import (ChannelState, FadingParams, ergodic_pairing_demo,
-                           esa_partner, quantize, sample_batch, sample_state,
-                           sba_block_gains, sba_expand, simulate_repetition)
+from macwt.channel import (ChannelState, FadingParams, SbaBlock, StateBatch,
+                           ergodic_pairing_demo, esa_partner, quantize,
+                           sample_batch, sba_block_gains, simulate_repetition)
 
 finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False,
                                     max_magnitude=1e6)
@@ -48,8 +48,18 @@ def test_sample_mean_squared_magnitudes(rng):
 
 def test_tiny_variance_degenerates_to_zero(rng):
     params = FadingParams(1e-30, 1.0, 1.0, 1.0)
-    s = sample_state(params, rng)
+    s = sample_batch(params, 1, rng).state(0)
     assert s.h1_sq < 1e-20
+
+
+def test_state_batch_of_inverts_state(rng):
+    batch = sample_batch(FadingParams.symmetric(1.0, 0.75), 3, rng)
+    states = [batch.state(i) for i in range(3)]
+    again = StateBatch.of(*states)
+    assert len(again) == 3
+    assert [again.state(i) for i in range(3)] == states
+    one = StateBatch.of(ChannelState(1, 2j, 3, 4))
+    assert one.h1.dtype == complex and one.state(0) == ChannelState(1, 2j, 3, 4)
 
 
 def test_sampled_gains_uncorrelated(rng):
@@ -67,7 +77,7 @@ def test_sampled_gains_uncorrelated(rng):
 def test_sba_block_derived_gains_by_hand():
     odd = ChannelState(1, 2, 1, 1)
     even = ChannelState(2, 1, 1, 1)
-    block = sba_expand(odd, even)
+    block = SbaBlock(odd, even)
     assert block.a1 == 1 and block.a2 == 2
     assert block.b1 == 2 and block.b2 == 1
     assert block.c == 1 and block.d == 1
@@ -77,16 +87,17 @@ def test_sba_block_derived_gains_by_hand():
 
 def test_sba_identical_slots_zero_determinant():
     s = ChannelState(0.3 + 1j, -2.0, 1j, 0.5 - 0.5j)
-    assert sba_expand(s, s).det == 0
+    assert SbaBlock(s, s).det == 0
     ones = ChannelState(1, 1, 1, 1)
-    b = sba_expand(ones, ones)
+    b = SbaBlock(ones, ones)
     assert (b.a1, b.a2, b.b1, b.b2, b.c, b.d, b.det) == (1, 1, 1, 1, 1, 1, 0)
 
 
 def test_sba_eavesdropper_matrix_exact_rank_one(rng):
     params = FadingParams.symmetric(1.0, 0.75)
     for _ in range(50):
-        block = sba_expand(sample_state(params, rng), sample_state(params, rng))
+        odd = sample_batch(params, 1, rng).state(0)
+        block = SbaBlock(odd, sample_batch(params, 1, rng).state(0))
         m = block.eavesdropper_matrix()
         # columns identical by construction, hence rank 1 exactly
         assert np.array_equal(m[:, 0], m[:, 1])
@@ -99,7 +110,7 @@ def test_sba_block_gains_matches_scalar_blocks(rng):
     even = sample_batch(params, 64, rng)
     A1, A2, C, Dsq = sba_block_gains(odd, even)
     for i in (0, 17, 63):
-        b = sba_expand(odd.state(i), even.state(i))
+        b = SbaBlock(odd.state(i), even.state(i))
         assert A1[i] == pytest.approx(abs(b.a1) ** 2 + abs(b.b1) ** 2)
         assert A2[i] == pytest.approx(abs(b.a2) ** 2 + abs(b.b2) ** 2)
         assert C[i] == pytest.approx(abs(b.c) ** 2 + abs(b.d) ** 2)
@@ -136,7 +147,7 @@ def test_repetition_zero_noise_hand_values():
 def test_repetition_identities_random(rng):
     params = FadingParams.symmetric(1.0, 0.75)
     for _ in range(2000):
-        s = sample_state(params, rng)
+        s = sample_batch(params, 1, rng).state(0)
         x1, x2 = rng.normal(size=2) + 1j * rng.normal(size=2)
         noise = tuple(rng.normal(size=4) + 1j * rng.normal(size=4))
         n1, n2, n1p, n2p = noise
@@ -179,7 +190,7 @@ def test_quantize_magnitude_clamp():
 @settings(max_examples=50, deadline=None)
 def test_quantize_bins_in_range(mag_bins, phase_bins, seed):
     g = np.random.default_rng(seed)
-    s = sample_state(FadingParams.symmetric(1.0, 1.0), g)
+    s = sample_batch(FadingParams.symmetric(1.0, 1.0), 1, g).state(0)
     q = quantize(s, mag_bins, phase_bins, 2.5)
     for mb, pb in (q.h1, q.h2, q.g1, q.g2):
         assert 0 <= mb < mag_bins

@@ -3,7 +3,10 @@ import math
 import pytest
 from click.testing import CliRunner
 
+import macwt.cli
 from macwt.cli import main
+from macwt.montecarlo import MonteCarloEstimate
+from macwt.rates import RateTriple
 from macwt.config import ConfigError, ExperimentConfig, load_config, parse_config_text
 
 
@@ -40,8 +43,6 @@ def test_config_validation():
         ExperimentConfig(snr_db=())
     with pytest.raises(ConfigError):
         ExperimentConfig(var_g=-1.0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(policy="optimal")
     cfg = ExperimentConfig()
     assert cfg.seed == 12345  # explicit default, never wall-clock
 
@@ -181,3 +182,20 @@ def test_csv_determinism_same_seed(tmp_path):
         assert res.exit_code == 0, res.output
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("cmd", ["figure1", "figure2"])
+def test_figure_non_finite_row_is_not_ok(tmp_path, monkeypatch, cmd):
+    nan = float("nan")
+    est = MonteCarloEstimate(mean=RateTriple(nan, nan, nan),
+                             stderr=RateTriple(nan, nan, nan), n=2000,
+                             avg_power=(nan, nan), avg_power_stderr=(nan, nan))
+    monkeypatch.setattr(macwt.cli, "ergodic_region", lambda *a, **kw: est)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("samples = 2000\ndual_samples = 2000\n")
+    out = tmp_path / f"{cmd}.csv"
+    res = _run(cmd, "--config", str(cfg), "--snr-db", "0", "--scheme", "esa",
+               "--out", str(out))
+    assert res.exit_code == 0, res.output
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert rows and all(row.endswith(",non-finite") for row in rows)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from macwt.channel import ChannelState, FadingParams, sample_state, sba_expand
+from macwt.channel import (ChannelState, FadingParams, SbaBlock, sample_batch,
+                           sba_block_gains)
 from macwt.dof import (SumRateCurve, dominated_bound_esa, dominated_bound_sba,
                        estimate_dof, gs_cj_upper_bound, sum_rate_curve)
-from macwt.montecarlo import ESA, SBA, ergodic_region
-from macwt.rates import ConstantPolicy, rates_esa, rates_sba
+from macwt.montecarlo import ESA, SBA, ergodic_region, scheme_rates
+from macwt.rates import ConstantPolicy
 
 UNIT_PARAMS = FadingParams.symmetric(1.0, 1.0)
 
@@ -95,8 +96,9 @@ def test_dominated_bound_esa_hand_values():
 def test_dominated_bound_esa_majorizes(rng):
     for power in (1e4, 1e5, 1e6):
         for _ in range(2000):
-            s = sample_state(UNIT_PARAMS, rng)
-            f = rates_esa(s, power, power).rsum
+            s = sample_batch(UNIT_PARAMS, 1, rng).state(0)
+            _, _, f = scheme_rates(ESA, (s.h1_sq, s.h2_sq, s.g1_sq, s.g2_sq),
+                                   power, power, 0.0, 0.0)
             bound = dominated_bound_esa(s, UNIT_PARAMS)
             assert f / math.log2(power) <= bound + 1e-12
 
@@ -105,12 +107,14 @@ def test_dominated_bound_sba_majorizes(rng):
     params = UNIT_PARAMS
     for power in (1e4, 1e5, 1e6):
         for _ in range(2000):
-            odd = sample_state(params, rng)
-            even = sample_state(params, rng)
-            block = sba_expand(odd, even)
+            odd = sample_batch(params, 1, rng)
+            even = sample_batch(params, 1, rng)
+            block = SbaBlock(odd.state(0), even.state(0))
             p1 = power / (2.0 * params.var_g2)
             p2 = power / (2.0 * params.var_g1)
-            f = rates_sba(block, p1, p2).rsum
+            _, _, f = scheme_rates(SBA, sba_block_gains(odd, even),
+                                   p1, p2, 0.0, 0.0)
+            f = float(f[0])
             bound = dominated_bound_sba(block, params)
             assert f / math.log2(power) <= bound + 1e-12
 

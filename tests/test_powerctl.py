@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macwt.channel import ChannelState, FadingParams
-from macwt.powerctl import (DualSearchResult, DualVars, EffectiveState,
-                            GsCjBaselinePolicy, KktEsaCjPolicy, KktEsaPolicy,
-                            closed_form_p1, closed_form_p2, dual_search,
-                            effective_state, esa_case_id, esa_case_policy,
-                            esa_cj_case_label, esa_cj_case_policy,
+from macwt.channel import ChannelState, FadingParams, StateBatch, sample_batch
+from macwt.powerctl import (DualPolicy, DualSearchResult, DualVars,
+                            EffectiveState, cj_case_label, closed_form_p1,
+                            closed_form_p2, dual_search, effective_state,
+                            esa_case_id, esa_cj_case_label,
                             esa_cj_kkt_residual, esa_cj_policy_batch,
-                            esa_kkt_residual, esa_policy_batch, grid_oracle,
-                            gs_cj_baseline_policy, lagrangian_esa,
+                            esa_kkt_residual, esa_policy_batch,
+                            gs_cj_baseline_batch, grid_oracle, lagrangian_esa,
                             lagrangian_esa_cj, solve_common_root, solve_p1q2,
                             solve_p2q1, stationary_candidates)
 from macwt.rates import PowerBudget, PowerDecision
@@ -24,6 +23,27 @@ PARAMS = FadingParams.symmetric(1.0, 0.75)
 def _random_states(rng, n, mean=2.0):
     # effective gains of unit-variance fading are exponential with mean 2
     return tuple(rng.exponential(mean, n) for _ in range(4))
+
+
+def _one(s: EffectiveState):
+    return [np.array([v]) for v in (s.h1, s.h2, s.g1, s.g2)]
+
+
+def _esa(s: EffectiveState, duals: DualVars) -> tuple:
+    """(P1, P2) of one state under the seven-case tree."""
+    p1, p2, _ = esa_policy_batch(*_one(s), duals.lambda1, duals.lambda2)
+    return float(p1[0]), float(p2[0])
+
+
+def _cj(s: EffectiveState, duals: DualVars) -> PowerDecision:
+    """(P1, P2, Q1, Q2) of one state under the jamming tree."""
+    *p, _ = esa_cj_policy_batch(*_one(s), duals.lambda1, duals.lambda2)
+    return PowerDecision(*(float(v[0]) for v in p))
+
+
+def _gs(state: ChannelState, duals: DualVars) -> PowerDecision:
+    p = DualPolicy("gs_cj", duals).decide_batch(StateBatch.of(state))
+    return PowerDecision(*(float(v[0]) for v in p))
 
 
 def test_effective_state_doubles_squared_magnitudes():
@@ -176,18 +196,18 @@ def test_esa_case_examples():
     # h1 <= lambda1 and h2 - g2 <= lambda2 -> silent
     s = EffectiveState(0.4, 0.6, 0.5, 0.5)
     assert esa_case_id(s, duals) == 1
-    assert esa_case_policy(s, duals) == (0.0, 0.0)
+    assert _esa(s, duals) == (0.0, 0.0)
     # single-user closed form (case 3)
     s3 = EffectiveState(2.0, 0.3, 1.0, 0.5)
     assert esa_case_id(s3, duals) == 3
-    p1, p2 = esa_case_policy(s3, duals)
+    p1, p2 = _esa(s3, duals)
     assert p1 == pytest.approx(0.2807764064044151, abs=1e-10)
     assert p2 == 0.0
     # symmetric interior root (case 7)
     s7 = EffectiveState(3.0, 3.0, 1.0, 1.0)
     duals7 = DualVars(0.1, 0.1)
     assert esa_case_id(s7, duals7) == 7
-    p1, p2 = esa_case_policy(s7, duals7)
+    p1, p2 = _esa(s7, duals7)
     assert p1 == pytest.approx(4.8232137037956, rel=1e-8)
     assert p2 == pytest.approx(p1, rel=1e-8)
 
@@ -219,14 +239,12 @@ def test_esa_policy_batch_invariants(rng):
 
 
 def test_esa_scalar_matches_batch(rng):
+    # the one-state case id is the batch's code for that row
     h1, h2, g1, g2 = _random_states(rng, 64)
     duals = DualVars(0.1, 0.2)
-    p1, p2, case = esa_policy_batch(h1, h2, g1, g2, 0.1, 0.2)
+    _, _, case = esa_policy_batch(h1, h2, g1, g2, 0.1, 0.2)
     for i in (0, 13, 63):
         s = EffectiveState(h1[i], h2[i], g1[i], g2[i])
-        sp1, sp2 = esa_case_policy(s, duals)
-        assert sp1 == pytest.approx(p1[i], abs=1e-12)
-        assert sp2 == pytest.approx(p2[i], abs=1e-12)
         assert esa_case_id(s, duals) == case[i]
 
 
@@ -245,7 +263,7 @@ def test_esa_kkt_residual_boundary():
 def test_cj_branch1_delegates_to_no_jamming():
     s = EffectiveState(3.0, 3.0, 1.0, 1.0)
     duals = DualVars(0.1, 0.1)
-    d = esa_cj_case_policy(s, duals)
+    d = _cj(s, duals)
     assert d.q1 == 0.0 and d.q2 == 0.0
     assert d.p1 == pytest.approx(4.8232137037956, rel=1e-8)
     assert esa_cj_case_label(s, duals) == "B.1/A.7"
@@ -255,19 +273,19 @@ def test_cj_branch2_subcases():
     duals = DualVars(0.5, 0.5)
     # 2a: transmit user priced out -> everything off
     s = EffectiveState(0.4, 0.5, 0.3, 2.0)
-    d = esa_cj_case_policy(s, duals)
+    d = _cj(s, duals)
     assert (d.p1, d.p2, d.q1, d.q2) == (0.0, 0.0, 0.0, 0.0)
     assert esa_cj_case_label(s, duals) == "B.2a"
     # 2b: strong transmitter, jammer priced out (g2 <= lambda2)
     s = EffectiveState(2.0, 0.1, 1.0, 0.4)
-    d = esa_cj_case_policy(s, duals)
+    d = _cj(s, duals)
     assert d.p1 == pytest.approx(0.2807764064044151, abs=1e-10)
     assert d.q2 == 0.0 and d.p2 == 0.0
     assert esa_cj_case_label(s, duals) == "B.2b"
     # 2d: both transmit and jam (the grid-verified example)
     s = EffectiveState(5.0, 0.1, 1.0, 4.0)
     dd = DualVars(0.05, 0.05)
-    d = esa_cj_case_policy(s, dd)
+    d = _cj(s, dd)
     assert d.p1 > 0 and d.q2 > 0 and d.p2 == 0.0 and d.q1 == 0.0
     assert esa_cj_case_label(s, dd) == "B.2d"
     res = esa_cj_kkt_residual(s, d, dd)
@@ -276,8 +294,8 @@ def test_cj_branch2_subcases():
 
 def test_cj_branch3_mirrors_branch2():
     dd = DualVars(0.05, 0.05)
-    d2 = esa_cj_case_policy(EffectiveState(5.0, 0.1, 1.0, 4.0), dd)
-    d3 = esa_cj_case_policy(EffectiveState(0.1, 5.0, 4.0, 1.0), dd)
+    d2 = _cj(EffectiveState(5.0, 0.1, 1.0, 4.0), dd)
+    d3 = _cj(EffectiveState(0.1, 5.0, 4.0, 1.0), dd)
     assert d3.p2 == pytest.approx(d2.p1, rel=1e-9)
     assert d3.q1 == pytest.approx(d2.q2, rel=1e-9)
 
@@ -285,7 +303,7 @@ def test_cj_branch3_mirrors_branch2():
 def test_cj_branch4_both_weak_silent_when_priced_out():
     s = EffectiveState(0.5, 0.5, 1.0, 1.0)
     duals = DualVars(2.0, 2.0)
-    d = esa_cj_case_policy(s, duals)
+    d = _cj(s, duals)
     assert (d.p1, d.p2, d.q1, d.q2) == (0.0, 0.0, 0.0, 0.0)
     assert esa_cj_case_label(s, duals) == "B.4a"
 
@@ -304,7 +322,7 @@ def test_cj_branch4_two_root_tiebreak_prefers_larger_rsum(rng):
         if not label.startswith("B.4d"):
             continue
         hits += 1
-        d = esa_cj_case_policy(s, duals)
+        d = _cj(s, duals)
         assert (d.p1 > 0) != (d.p2 > 0) or (d.p1 == 0 and d.p2 == 0)
         if hits >= 5:
             break
@@ -335,14 +353,22 @@ def test_cj_batch_invariants(rng):
 
 
 def test_cj_scalar_matches_batch(rng):
+    # the one-state branch label is the label of the batch's code
     h1, h2, g1, g2 = _random_states(rng, 64)
     duals = DualVars(0.08, 0.3)
-    p1, p2, q1, q2, _ = esa_cj_policy_batch(h1, h2, g1, g2, 0.08, 0.3)
+    *_, case = esa_cj_policy_batch(h1, h2, g1, g2, 0.08, 0.3)
     for i in (0, 31, 63):
         s = EffectiveState(h1[i], h2[i], g1[i], g2[i])
-        d = esa_cj_case_policy(s, duals)
-        assert (d.p1, d.p2, d.q1, d.q2) == pytest.approx(
-            (p1[i], p2[i], q1[i], q2[i]), abs=1e-12)
+        assert esa_cj_case_label(s, duals) == cj_case_label(int(case[i]))
+
+
+def test_cj_case_labels():
+    assert cj_case_label(17) == "B.1/A.7"
+    assert cj_case_label(23) == "B.2c"
+    assert cj_case_label(31) == "B.3a"
+    assert cj_case_label(44) == "B.4d"
+    assert cj_case_label(45) == "B.4d-A"
+    assert cj_case_label(46) == "B.4d-B"
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +396,11 @@ def test_policy_beats_grid_oracle_at_unique_states(rng):
                 continue
             checked += 1
             if scheme == "esa":
-                p1, p2 = esa_case_policy(s, duals)
+                p1, p2 = _esa(s, duals)
                 val = float(lagrangian_esa(s, p1, p2, duals))
                 gmax = 2.0 * max(p1 + p2, 1.0)
             else:
-                d = esa_cj_case_policy(s, duals)
+                d = _cj(s, duals)
                 val = float(lagrangian_esa_cj(s, d, duals))
                 gmax = 2.0 * max(d.p1 + d.q1 + d.p2 + d.q2, 1.0)
             _, oracle_val = grid_oracle(s, duals, scheme, gmax, 150)
@@ -410,20 +436,19 @@ def test_grid_oracle_finds_symmetric_root():
 def test_gs_cj_baseline_regions():
     duals = DualVars(0.1, 0.1)
     # both receivers weak -> off
-    d = gs_cj_baseline_policy(ChannelState(0.5, 0.5, 1.0, 1.0), duals)
+    d = _gs(ChannelState(0.5, 0.5, 1.0, 1.0), duals)
     assert (d.p1, d.p2, d.q1, d.q2) == (0.0, 0.0, 0.0, 0.0)
     # both strong -> transmit only
-    d = gs_cj_baseline_policy(ChannelState(2.0, 2.0, 0.5, 0.5), duals)
+    d = _gs(ChannelState(2.0, 2.0, 0.5, 0.5), duals)
     assert d.p1 > 0 and d.p2 > 0 and d.q1 == 0 and d.q2 == 0
     # mixed -> strong transmits, weak jams
-    d = gs_cj_baseline_policy(ChannelState(2.0, 0.5, 0.5, 2.0), duals)
+    d = _gs(ChannelState(2.0, 0.5, 0.5, 2.0), duals)
     assert d.p1 > 0 and d.p2 == 0 and d.q1 == 0 and d.q2 > 0
 
 
 def test_gs_cj_baseline_no_splitting(rng):
     duals = DualVars(0.05, 0.2)
-    policy = GsCjBaselinePolicy(duals)
-    from macwt.channel import sample_batch
+    policy = DualPolicy("gs_cj", duals)
     batch = sample_batch(PARAMS, 5000, rng)
     p1, p2, q1, q2 = policy.decide_batch(batch)
     assert not np.any((p1 > 0) & (q1 > 0))
@@ -470,7 +495,6 @@ def test_dual_search_deterministic():
 
 def test_dual_search_monotone_in_lambda(rng):
     # empirical monotonicity that justifies the per-coordinate bisection
-    from macwt.channel import sample_batch
     sq = sample_batch(PARAMS, 4000, rng).sq()
     h1, h2, g1, g2 = sq
     prev = None
@@ -491,14 +515,19 @@ def test_dual_search_rejects_zero_budget():
 # policy adapters
 # ---------------------------------------------------------------------------
 
-def test_kkt_policy_adapters_match_scalar(rng):
-    from macwt.channel import sample_batch
+def test_dual_policy_runs_the_scheme_tree(rng):
     batch = sample_batch(PARAMS, 128, rng)
+    h1, h2, g1, g2 = batch.sq()
+    eff = (2 * h1, 2 * h2, 2 * g1, 2 * g2)
     duals = DualVars(0.1, 0.15)
-    for policy in (KktEsaPolicy(duals), KktEsaCjPolicy(duals),
-                   GsCjBaselinePolicy(duals)):
-        p1, p2, q1, q2 = policy.decide_batch(batch)
-        for i in (0, 64, 127):
-            d = policy.decide(batch.state(i))
-            assert (d.p1, d.p2, d.q1, d.q2) == pytest.approx(
-                (p1[i], p2[i], q1[i], q2[i]), abs=1e-12)
+    p1, p2, _ = esa_policy_batch(*eff, 0.1, 0.15)
+    zero = np.zeros_like(p1)
+    expect = {"esa": (p1, p2, zero, zero),
+              "esa_cj": esa_cj_policy_batch(*eff, 0.1, 0.15)[:4],
+              "gs_cj": gs_cj_baseline_batch(h1, h2, g1, g2, 0.1, 0.15)}
+    for scheme, want in expect.items():
+        got = DualPolicy(scheme, duals).decide_batch(batch)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    with pytest.raises(ValueError):
+        DualPolicy("sba", duals).decide_batch(batch)

@@ -5,22 +5,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macwt.channel import (ChannelState, FadingParams, sample_batch,
-                           sample_state, sba_expand)
-from macwt.montecarlo import (ESA, SBA, ergodic_region, spawn_rngs,
-                              worker_count)
+from macwt.channel import (ChannelState, FadingParams, SbaBlock, StateBatch,
+                           sample_batch, sba_block_gains)
+from macwt.montecarlo import (ESA, ESA_CJ, GS_CJ, SBA, ergodic_region,
+                              scheme_rates, spawn_rngs, worker_count)
 from macwt.rates import (ConstantPolicy, PowerBudget, PowerDecision,
                          RudimentaryEsaPolicy, RudimentarySbaPolicy,
-                         ZeroPolicy, rates_esa, rates_esa_cj,
-                         rates_esa_general, rates_gs_cj, rates_sba,
-                         rudimentary_policy_esa, rudimentary_policy_sba)
+                         esa_general_triple)
 
 UNIT = ChannelState(1, 1, 1, 1)
 PARAMS = FadingParams.symmetric(1.0, 0.75)
 
 
-def _t(triple):
-    return (triple.r1, triple.r2, triple.rsum)
+def _sq(state):
+    return (state.h1_sq, state.h2_sq, state.g1_sq, state.g2_sq)
+
+
+def _rates(scheme, state, d):
+    """Rate triple of one state (a SbaBlock for the two-slot scheme)."""
+    if scheme == SBA:
+        gains = sba_block_gains(StateBatch.of(state.odd),
+                                StateBatch.of(state.even))
+        return tuple(float(v[0]) for v in
+                     scheme_rates(SBA, gains, d.p1, d.p2, 0.0, 0.0))
+    return tuple(float(v) for v in
+                 scheme_rates(scheme, _sq(state), d.p1, d.p2, d.q1, d.q2))
+
+
+def _rsum(scheme, state, d):
+    return _rates(scheme, state, d)[2]
+
+
+def _state(params, rng):
+    return sample_batch(params, 1, rng).state(0)
+
+
+def _decide(policy, state):
+    return tuple(float(v[0]) for v in policy.decide_batch(StateBatch.of(state)))
 
 
 def test_power_decision_validation():
@@ -37,58 +58,60 @@ def test_power_decision_validation():
 # ---------------------------------------------------------------------------
 
 def test_gs_cj_hand_values():
-    assert _t(rates_gs_cj(UNIT, PowerDecision(0, 0))) == pytest.approx(
+    assert _rates(GS_CJ, UNIT, PowerDecision(0, 0)) == pytest.approx(
         (0.0, 0.0, 0.0))
     # symmetric main/eve gains cancel in the sum rate
-    t = rates_gs_cj(UNIT, PowerDecision(1, 1))
-    assert t.rsum == pytest.approx(0.0, abs=1e-15)
+    assert _rsum(GS_CJ, UNIT, PowerDecision(1, 1)) == pytest.approx(
+        0.0, abs=1e-15)
     s = ChannelState(2.0, 0, 1.0, 0)   # |h1|^2 = 4, |g1|^2 = 1
-    t = rates_gs_cj(s, PowerDecision(1, 0))
-    assert t.r1 == pytest.approx(math.log2(5) - 1.0, abs=1e-12)
+    r1, _, _ = _rates(GS_CJ, s, PowerDecision(1, 0))
+    assert r1 == pytest.approx(math.log2(5) - 1.0, abs=1e-12)
 
 
 def test_sba_hand_values():
-    block = sba_expand(ChannelState(1, 2, 1, 1), ChannelState(2, 1, 1, 1))
-    assert _t(rates_sba(block, 0, 0)) == pytest.approx((0.0, 0.0, 0.0))
+    block = SbaBlock(ChannelState(1, 2, 1, 1), ChannelState(2, 1, 1, 1))
+    assert _rates(SBA, block, PowerDecision(0, 0)) == pytest.approx(
+        (0.0, 0.0, 0.0))
     # A1 = 5, A2 = 5, |D|^2 = 9, C = 2
-    t = rates_sba(block, 1, 1)
-    assert t.rsum == pytest.approx(
+    rsum = _rsum(SBA, block, PowerDecision(1, 1))
+    assert rsum == pytest.approx(
         0.5 * (math.log2(20) - math.log2(5)), abs=1e-12)
-    assert t.rsum == pytest.approx(1.0, abs=1e-12)
-    same = sba_expand(UNIT, UNIT)
-    assert rates_sba(same, 1, 1).rsum == pytest.approx(0.0, abs=1e-15)
+    assert rsum == pytest.approx(1.0, abs=1e-12)
+    same = SbaBlock(UNIT, UNIT)
+    assert _rsum(SBA, same, PowerDecision(1, 1)) == pytest.approx(
+        0.0, abs=1e-15)
 
 
 def test_esa_hand_values():
-    assert _t(rates_esa(UNIT, 0, 0)) == pytest.approx((0.0, 0.0, 0.0))
-    t = rates_esa(UNIT, 1, 1)
-    assert t.rsum == pytest.approx(0.5 * math.log2(9 / 5), abs=1e-12)
-    assert t.rsum == pytest.approx(0.42399845, abs=1e-6)
+    assert _rates(ESA, UNIT, PowerDecision(0, 0)) == pytest.approx(
+        (0.0, 0.0, 0.0))
+    rsum = _rsum(ESA, UNIT, PowerDecision(1, 1))
+    assert rsum == pytest.approx(0.5 * math.log2(9 / 5), abs=1e-12)
+    assert rsum == pytest.approx(0.42399845, abs=1e-6)
     no_eve = ChannelState(1, 1, 0, 0)
-    assert rates_esa(no_eve, 1, 1).rsum == pytest.approx(math.log2(3))
+    assert _rsum(ESA, no_eve, PowerDecision(1, 1)) == pytest.approx(
+        math.log2(3))
 
 
 def test_esa_cj_hand_values():
-    assert _t(rates_esa_cj(UNIT, PowerDecision(0, 0, 0, 0))) == pytest.approx(
+    assert _rates(ESA_CJ, UNIT, PowerDecision(0, 0, 0, 0)) == pytest.approx(
         (0.0, 0.0, 0.0))
-    t = rates_esa_cj(UNIT, PowerDecision(1, 0, 0, 1))
-    assert t.rsum == pytest.approx(0.5 * math.log2(9 / 5), abs=1e-12)
+    rsum = _rsum(ESA_CJ, UNIT, PowerDecision(1, 0, 0, 1))
+    assert rsum == pytest.approx(0.5 * math.log2(9 / 5), abs=1e-12)
 
 
 def test_esa_general_hand_values():
     # theta = omega = 0 kills both product terms at symmetric unit gains
-    t = rates_esa_general(UNIT, 0.0, 0.0, 1, 1)
-    assert t.rsum == pytest.approx(0.0, abs=1e-15)
-    z = rates_esa_general(ChannelState(0, 0, 1, 1), math.pi, 0.0, 1, 1)
-    assert z.rsum <= 0.0
+    _, _, rsum = esa_general_triple(*_sq(UNIT), 0.0, 0.0, 1, 1)
+    assert rsum == pytest.approx(0.0, abs=1e-15)
+    _, _, rsum = esa_general_triple(*_sq(ChannelState(0, 0, 1, 1)),
+                                    math.pi, 0.0, 1, 1)
+    assert rsum <= 0.0
 
 
-def test_negative_power_rejected():
-    for fn in (lambda: rates_esa(UNIT, -1, 0),
-               lambda: rates_sba(sba_expand(UNIT, UNIT), -1, 0),
-               lambda: rates_esa_general(UNIT, 1, 1, 0, -2)):
-        with pytest.raises(ValueError):
-            fn()
+def test_scheme_rates_rejects_unknown_scheme():
+    with pytest.raises(ValueError):
+        scheme_rates("nope", _sq(UNIT), 1.0, 1.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -97,30 +120,30 @@ def test_negative_power_rejected():
 
 def test_esa_general_reduces_to_esa(rng):
     for _ in range(1000):
-        s = sample_state(PARAMS, rng)
+        s = _state(PARAMS, rng)
         p1, p2 = rng.exponential(2.0, 2)
-        a = rates_esa(s, p1, p2)
-        b = rates_esa_general(s, math.pi, 0.0, p1, p2)
-        assert _t(a) == pytest.approx(_t(b), abs=1e-12)
+        a = _rates(ESA, s, PowerDecision(p1, p2))
+        b = esa_general_triple(*_sq(s), math.pi, 0.0, p1, p2)
+        assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_esa_cj_zero_jamming_reduces_to_esa(rng):
     for _ in range(1000):
-        s = sample_state(PARAMS, rng)
+        s = _state(PARAMS, rng)
         p1, p2 = rng.exponential(2.0, 2)
-        a = rates_esa(s, p1, p2)
-        b = rates_esa_cj(s, PowerDecision(p1, p2, 0.0, 0.0))
-        assert _t(a) == pytest.approx(_t(b), abs=1e-13)
+        a = _rates(ESA, s, PowerDecision(p1, p2))
+        b = _rates(ESA_CJ, s, PowerDecision(p1, p2, 0.0, 0.0))
+        assert a == pytest.approx(b, abs=1e-13)
 
 
 def test_gs_cj_no_jamming_no_eve_is_plain_mac(rng):
     for _ in range(200):
-        s = sample_state(PARAMS, rng)
+        s = _state(PARAMS, rng)
         s = ChannelState(s.h1, s.h2, 0.0, 0.0)
         p1, p2 = rng.exponential(2.0, 2)
-        t = rates_gs_cj(s, PowerDecision(p1, p2))
-        assert t.r1 == pytest.approx(math.log2(1 + s.h1_sq * p1), abs=1e-12)
-        assert t.rsum == pytest.approx(
+        r1, _, rsum = _rates(GS_CJ, s, PowerDecision(p1, p2))
+        assert r1 == pytest.approx(math.log2(1 + s.h1_sq * p1), abs=1e-12)
+        assert rsum == pytest.approx(
             math.log2(1 + s.h1_sq * p1 + s.h2_sq * p2), abs=1e-12)
 
 
@@ -137,7 +160,7 @@ def test_esa_rsum_monotone_in_gains(h1, h2, g1, g2, p1, p2, scale):
     def rsum(h1_, h2_, g1_, g2_):
         s = ChannelState(math.sqrt(h1_), math.sqrt(h2_), math.sqrt(g1_),
                          math.sqrt(g2_))
-        return rates_esa(s, p1, p2).rsum
+        return _rsum(ESA, s, PowerDecision(p1, p2))
 
     base = rsum(h1, h2, g1, g2)
     assert rsum(h1 * scale, h2, g1, g2) >= base - 1e-12
@@ -151,28 +174,28 @@ def test_esa_rsum_monotone_in_gains(h1, h2, g1, g2, p1, p2, scale):
 # ---------------------------------------------------------------------------
 
 def test_rudimentary_esa_policy_on_off(rng):
-    budget = PowerBudget(1.0, 1.0)
+    policy = RudimentaryEsaPolicy(PowerBudget(1.0, 1.0))
     strong = ChannelState(10.0, 10.0, 0.1, 0.1)
-    assert rudimentary_policy_esa(strong, budget) == PowerDecision(1.0, 1.0)
+    assert _decide(policy, strong) == (1.0, 1.0, 0.0, 0.0)
     silent = ChannelState(0.0, 0.0, 1.0, 1.0)
-    assert rudimentary_policy_esa(silent, budget) == PowerDecision(0, 0)
+    assert _decide(policy, silent) == (0.0, 0.0, 0.0, 0.0)
     # symmetric unit gains: integrand = log2(9/5)/2 > 0 -> on
-    assert rudimentary_policy_esa(UNIT, budget).p1 == 1.0
+    assert _decide(policy, UNIT)[0] == 1.0
 
 
 def test_rudimentary_sba_policy(rng):
     budget = PowerBudget(2.0, 3.0)
     params = FadingParams(1.0, 1.0, 0.5, 0.25)
+    policy = RudimentarySbaPolicy(budget, params, m_inner=64, seed=1)
     dead = ChannelState(0.0, 0.0, 1.0, 1.0)
-    d = rudimentary_policy_sba(dead, budget, params, 64, rng)
-    assert d == PowerDecision(0, 0)
+    assert _decide(policy, dead) == (0.0, 0.0, 0.0, 0.0)
     strong = ChannelState(50.0, 50.0, 0.01, 0.01)
-    d = rudimentary_policy_sba(strong, budget, params, 64, rng)
+    p1, p2, _, _ = _decide(policy, strong)
     # candidate powers pbar_k / (2 var_g_{3-k})
-    assert d.p1 == pytest.approx(2.0 / (2 * 0.25))
-    assert d.p2 == pytest.approx(3.0 / (2 * 0.5))
+    assert p1 == pytest.approx(2.0 / (2 * 0.25))
+    assert p2 == pytest.approx(3.0 / (2 * 0.5))
     with pytest.raises(ValueError):
-        rudimentary_policy_sba(strong, budget, params, 0, rng)
+        RudimentarySbaPolicy(budget, params, m_inner=0, seed=1)
 
 
 def test_sba_policy_decision_stable_across_inner_seeds():
@@ -180,26 +203,10 @@ def test_sba_policy_decision_stable_across_inner_seeds():
     favorable = ChannelState(5.0, 5.0, 0.3, 0.3)
     decisions = set()
     for seed in range(5):
-        g = np.random.default_rng(seed)
-        d = rudimentary_policy_sba(favorable, budget, PARAMS, 10_000, g)
-        decisions.add(d.p1 > 0)
+        policy = RudimentarySbaPolicy(budget, PARAMS, m_inner=10_000,
+                                      seed=seed)
+        decisions.add(_decide(policy, favorable)[0] > 0)
     assert decisions == {True}
-
-
-def test_batched_policies_match_scalar_decide(rng):
-    batch = sample_batch(PARAMS, 256, rng)
-    budget = PowerBudget(3.0, 3.0)
-    policies = [
-        RudimentaryEsaPolicy(budget),
-        RudimentarySbaPolicy(budget, PARAMS, m_inner=128, seed=5),
-        ConstantPolicy(1.0, 2.0, 0.5, 0.0),
-    ]
-    for policy in policies:
-        p1, p2, q1, q2 = policy.decide_batch(batch)
-        for i in (0, 100, 255):
-            d = policy.decide(batch.state(i))
-            assert (p1[i], p2[i], q1[i], q2[i]) == pytest.approx(
-                (d.p1, d.p2, d.q1, d.q2))
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +214,9 @@ def test_batched_policies_match_scalar_decide(rng):
 # ---------------------------------------------------------------------------
 
 def test_ergodic_region_zero_policy():
-    est = ergodic_region(ESA, ZeroPolicy(), PARAMS, 1000, seed=1)
-    assert _t(est.mean) == pytest.approx((0.0, 0.0, 0.0))
-    assert _t(est.stderr) == pytest.approx((0.0, 0.0, 0.0))
+    est = ergodic_region(ESA, ConstantPolicy(0.0, 0.0), PARAMS, 1000, seed=1)
+    assert (est.mean.r1, est.mean.r2, est.mean.rsum) == pytest.approx((0.0, 0.0, 0.0))
+    assert (est.stderr.r1, est.stderr.r2, est.stderr.rsum) == pytest.approx((0.0, 0.0, 0.0))
     assert est.avg_power == pytest.approx((0.0, 0.0))
 
 
