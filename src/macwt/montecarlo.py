@@ -87,8 +87,8 @@ def _eval_shard(scheme: str, policy, params: FadingParams, m: int, rng) -> np.nd
     batch = sample_batch(params, m, rng)
     p1, p2, q1, q2 = policy.decide_batch(batch)
     for arr, name in ((p1, "p1"), (p2, "p2"), (q1, "q1"), (q2, "q2")):
-        if np.any(arr < 0):
-            raise ValueError(f"policy returned negative {name}")
+        if not np.all(arr >= 0):  # also rejects NaN
+            raise ValueError(f"policy returned negative or NaN {name}")
     if scheme == SBA:  # the even slot is drawn after the policy has decided
         gains = sba_block_gains(batch, sample_batch(params, m, rng))
     else:

@@ -17,10 +17,15 @@ gain, then resolves transmit-vs-jam roles per branch; power splitting
 The coupled quadratics are eliminated to a scalar cubic in P1 (a
 resultant whose quartic term cancels) and solved batched in closed form
 (Cardano plus deflation; rows with a vanishing leading coefficient go to
-``np.roots``).  Every real root is polished with a damped two-dimensional
-Newton iteration and kept only if its residual is small; rows without a
-root get a few dual-scaled Newton starts.  The scalar ``solve_*`` entry
-points run this on one row and fall back to a 5x5 multi-start Newton grid.
+``np.roots``).  Every real root of every row is a Newton start, and all
+of them are polished in one stacked Newton pass (kept in the nonnegative
+quadrant) that stops each start on its own step, never on its
+batch-mates'; a root is kept only if it is strictly positive with a
+small residual.  Rows without a root get all dual-scaled Newton starts
+in a second stacked pass.  A state's powers therefore do not depend on
+the batch it is solved in.  The jamming tree gathers all of its
+transmit/jam solves into one such call.  The scalar ``solve_*`` entry points run this on one row and fall
+back to a 5x5 multi-start Newton grid, also polished as one stack.
 
 The dual policies of the three schemes with a multiplier search (``esa``,
 ``esa_cj`` and the ``gs_cj`` baseline) are dispatched in one place,
@@ -213,6 +218,7 @@ def _cubic_roots(coeffs):
 
 
 def _system_esa(h1, h2, g1, g2, l1, l2, x, y):
+    """Residuals and Jacobian of the two cleared no-jamming quadratics."""
     den = 1.0 + g1 * x + g2 * y
     f1 = h1 * (1.0 + g2 * y) - g1 - l1 * (1.0 + h1 * x) * den
     f2 = h2 * (1.0 + g1 * x) - g2 - l2 * (1.0 + h2 * y) * den
@@ -220,17 +226,12 @@ def _system_esa(h1, h2, g1, g2, l1, l2, x, y):
     j12 = h1 * g2 - l1 * (1.0 + h1 * x) * g2
     j21 = h2 * g1 - l2 * (1.0 + h2 * y) * g1
     j22 = -l2 * (h2 * den + (1.0 + h2 * y) * g2)
-    s1 = np.maximum.reduce([np.abs(h1 * (1.0 + g2 * y)), np.abs(g1),
-                            np.abs(l1 * (1.0 + h1 * x) * den),
-                            np.ones_like(f1)])
-    s2 = np.maximum.reduce([np.abs(h2 * (1.0 + g1 * x)), np.abs(g2),
-                            np.abs(l2 * (1.0 + h2 * y) * den),
-                            np.ones_like(f2)])
-    return f1, f2, j11, j12, j21, j22, s1, s2
+    return f1, f2, j11, j12, j21, j22
 
 
 def _system_p1q2(h1, h2, g1, g2, l1, l2, x, y):
-    # x = P1, y = Q2; user 2's equation trades its rate term for jamming.
+    """Residuals and Jacobian when user 1 transmits (x = P1) and user 2
+    jams (y = Q2): user 2's equation trades its rate term for jamming."""
     den = 1.0 + g1 * x + g2 * y
     f1 = h1 * (1.0 + g2 * y) - g1 - l1 * (1.0 + h1 * x) * den
     f2 = g1 * g2 * x - l2 * (1.0 + g2 * y) * den
@@ -238,38 +239,65 @@ def _system_p1q2(h1, h2, g1, g2, l1, l2, x, y):
     j12 = h1 * g2 - l1 * (1.0 + h1 * x) * g2
     j21 = g1 * g2 - l2 * (1.0 + g2 * y) * g1
     j22 = -l2 * (g2 * den + (1.0 + g2 * y) * g2)
-    s1 = np.maximum.reduce([np.abs(h1 * (1.0 + g2 * y)), np.abs(g1),
-                            np.abs(l1 * (1.0 + h1 * x) * den),
-                            np.ones_like(f1)])
-    s2 = np.maximum.reduce([np.abs(g1 * g2 * x),
-                            np.abs(l2 * (1.0 + g2 * y) * den),
-                            np.ones_like(f2)])
-    return f1, f2, j11, j12, j21, j22, s1, s2
+    return f1, f2, j11, j12, j21, j22
 
 
 def _newton_polish(system, h1, h2, g1, g2, l1, l2, x, y, iters=25):
-    """2-D Newton kept in the nonnegative quadrant, with early exit."""
+    """2-D Newton kept in the nonnegative quadrant, stopped per row.
+
+    A row stops once its own step moves neither coordinate by more than
+    1e-14 relative, or after ``iters`` steps; only the rows still moving
+    are evaluated.  Each row's result is therefore the one it would get
+    alone, whatever else shares the batch.
+    """
+    x = np.array(x, dtype=float)
+    y = np.array(y, dtype=float)
+    args = (h1, h2, g1, g2, l1, l2)
+    rows = np.arange(x.size)
+    xa, ya = x, y
     for _ in range(iters):
-        f1, f2, j11, j12, j21, j22, _, _ = system(h1, h2, g1, g2, l1, l2, x, y)
+        f1, f2, j11, j12, j21, j22 = system(*args, xa, ya)
         det = j11 * j22 - j12 * j21
         det = np.where(np.abs(det) < 1e-300, np.nan, det)
         dx = (f1 * j22 - f2 * j12) / det
         dy = (j11 * f2 - j21 * f1) / det
-        xn = x - dx
-        yn = y - dy
-        xn = np.where(np.isfinite(xn), np.maximum(xn, 0.0), x)
-        yn = np.where(np.isfinite(yn), np.maximum(yn, 0.0), y)
-        moved = np.maximum(np.abs(xn - x) / (1.0 + np.abs(xn)),
-                           np.abs(yn - y) / (1.0 + np.abs(yn)))
-        x, y = xn, yn
-        if not np.any(moved > 1e-14):
-            break
+        xn = xa - dx
+        yn = ya - dy
+        xn = np.where(np.isfinite(xn), np.maximum(xn, 0.0), xa)
+        yn = np.where(np.isfinite(yn), np.maximum(yn, 0.0), ya)
+        moved = np.maximum(np.abs(xn - xa) / (1.0 + np.abs(xn)),
+                           np.abs(yn - ya) / (1.0 + np.abs(yn)))
+        go = moved > 1e-14
+        if go.all():
+            xa, ya = xn, yn
+            continue
+        done = ~go
+        x[rows[done]] = xn[done]
+        y[rows[done]] = yn[done]
+        rows = rows[go]
+        if rows.size == 0:
+            return x, y
+        args = tuple(a[go] for a in args)
+        xa, ya = xn[go], yn[go]
+    x[rows] = xa
+    y[rows] = ya
     return x, y
 
 
 def _rel_residual(system, h1, h2, g1, g2, l1, l2, x, y):
-    f1, f2, *_rest = system(h1, h2, g1, g2, l1, l2, x, y)
-    s1, s2 = _rest[-2], _rest[-1]
+    """Largest residual of the two equations, each relative to its
+    largest term (and at least 1)."""
+    f1, f2, *_ = system(h1, h2, g1, g2, l1, l2, x, y)
+    den = 1.0 + g1 * x + g2 * y
+    one = np.ones_like(f1)
+    s1 = np.maximum.reduce([np.abs(h1 * (1.0 + g2 * y)), np.abs(g1),
+                            np.abs(l1 * (1.0 + h1 * x) * den), one])
+    if system is _system_esa:
+        s2 = np.maximum.reduce([np.abs(h2 * (1.0 + g1 * x)), np.abs(g2),
+                                np.abs(l2 * (1.0 + h2 * y) * den), one])
+    else:
+        s2 = np.maximum.reduce([np.abs(g1 * g2 * x),
+                                np.abs(l2 * (1.0 + g2 * y) * den), one])
     return np.maximum(np.abs(f1) / s1, np.abs(f2) / s2)
 
 
@@ -315,14 +343,25 @@ def _lagrangian_vals(which, h1, h2, g1, g2, l1, l2, x, y):
             + np.log1p(g2 * y) - l1 * x - l2 * y)
 
 
+# dual-scaled Newton starts (x0, y0) = (a/l1, b/l2) for rows whose cubic
+# candidates all fail, tried in this order
+_FALLBACK_STARTS = ((1.0, 1.0), (0.1, 0.1), (10.0, 10.0), (1.0, 0.01),
+                    (0.01, 1.0))
+
+
 def _common_root_batch(which, h1, h2, g1, g2, l1, l2):
     """Best positive common root per row, or NaN where none exists.
 
-    All real cubic-resultant roots are polished by Newton and checked
-    (relative residual <= RESIDUAL_TOL); if several positive common roots
-    survive, the one with the larger Lagrangian value wins.  Rows where
-    the resultant coefficients cancel badly (extreme gain ratios) get a
-    second chance from dual-scaled generic Newton starts.
+    Every real root of the resultant cubic, back-substituted, is a Newton
+    start; all of them are polished in one stacked Newton pass and
+    accepted when strictly positive with relative residual <=
+    RESIDUAL_TOL.  Taken in root order, a candidate replaces the row's
+    current best only if its Lagrangian value is strictly larger.  Rows
+    left without a root (the resultant coefficients cancel badly at
+    extreme gain ratios) get all dual-scaled starts in a second stacked
+    pass, where the first start in ``_FALLBACK_STARTS`` order that hits
+    wins.  Newton stops per row, so a row's result does not depend on the
+    other rows of the batch.
     """
     system = _system_esa if which == "esa" else _system_p1q2
     coeffs, N, D = _eliminated_cubic(which, h1, h2, g1, g2, l1, l2)
@@ -335,53 +374,59 @@ def _common_root_batch(which, h1, h2, g1, g2, l1, l2):
     best_y = np.full(m, np.nan)
     best_L = np.full(m, -np.inf)
 
-    def consider(u, xp, yp):
-        res = _rel_residual(system, h1[u], h2[u], g1[u], g2[u],
-                            l1b[u], l2b[u], xp, yp)
+    def polish(u, x0, y0, groups, first_wins):
+        """Polish the starts (x0, y0) of rows ``u`` in one Newton pass and
+        offer them group by group (``groups`` is nondecreasing): a hit
+        replaces the row's best if its Lagrangian is strictly larger or,
+        with ``first_wins``, only if the row has no root yet."""
+        a = (h1[u], h2[u], g1[u], g2[u], l1b[u], l2b[u])
+        xp, yp = _newton_polish(system, *a, x0, y0, iters=40)
+        res = _rel_residual(system, *a, xp, yp)
         # strictly positive common root only (zero components belong to
         # the single-user / silent cases of the tree)
         hit = (res <= RESIDUAL_TOL) & (xp > 0.0) & (yp > 0.0)
-        L = _lagrangian_vals(which, h1[u], h2[u], g1[u], g2[u],
-                             l1b[u], l2b[u], xp, yp)
-        better = hit & (L > best_L[u])
-        idx = u[better]
-        best_x[idx] = xp[better]
-        best_y[idx] = yp[better]
-        best_L[idx] = L[better]
+        L = _lagrangian_vals(which, *a, xp, yp)
+        bounds = np.searchsorted(groups, np.arange(groups[-1] + 2))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            r = u[lo:hi]
+            better = hit[lo:hi] & (L[lo:hi] > best_L[r])
+            if first_wins:
+                better &= ~np.isfinite(best_x[r])
+            idx = r[better]
+            best_x[idx] = xp[lo:hi][better]
+            best_y[idx] = yp[lo:hi][better]
+            best_L[idx] = L[lo:hi][better]
 
-    allrows = np.arange(m)
-    for k in range(roots.shape[1]):
-        r = roots[:, k]
-        real = np.abs(r.imag) <= 1e-6 * (1.0 + np.abs(r.real))
-        x = np.where(real, r.real, np.nan)
-        denD = D[0] + D[1] * x
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = (N[0] + N[1] * x + N[2] * x * x) / denD
-        ok = real & (x >= -CLAMP_TOL)
-        u = allrows[ok]
-        if u.size == 0:
-            continue
-        xs = np.maximum(x[u], 0.0)
-        ys = np.where(np.isfinite(y[u]), np.maximum(y[u], 0.0), 0.0)
-        xp, yp = _newton_polish(system, h1[u], h2[u], g1[u], g2[u],
-                                l1b[u], l2b[u], xs, ys, iters=40)
-        consider(u, xp, yp)
-    for s1, s2 in ((1.0, 1.0), (0.1, 0.1), (10.0, 10.0), (1.0, 0.01),
-                   (0.01, 1.0)):
-        u = allrows[~np.isfinite(best_x)]
-        if u.size == 0:
-            break
-        xp, yp = _newton_polish(system, h1[u], h2[u], g1[u], g2[u],
-                                l1b[u], l2b[u], s1 / l1b[u], s2 / l2b[u],
-                                iters=40)
-        consider(u, xp, yp)
+    # candidates in root order: k, then row
+    real = np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots.real))
+    x = np.where(real, roots.real, np.nan)
+    denD = D[0][:, None] + D[1][:, None] * x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = (N[0][:, None] + N[1][:, None] * x
+             + N[2][:, None] * x * x) / denD
+    k, u = np.nonzero((real & (x >= -CLAMP_TOL)).T)
+    if u.size:
+        ys = y[u, k]
+        polish(u, np.maximum(x[u, k], 0.0),
+               np.where(np.isfinite(ys), np.maximum(ys, 0.0), 0.0), k,
+               first_wins=False)
+    u = np.nonzero(~np.isfinite(best_x))[0]
+    if u.size:
+        a, b = np.array(_FALLBACK_STARTS).T
+        nf = len(_FALLBACK_STARTS)
+        rows = np.tile(u, nf)
+        polish(rows, np.repeat(a, u.size) / l1b[rows],
+               np.repeat(b, u.size) / l2b[rows],
+               np.repeat(np.arange(nf), u.size), first_wins=True)
     found = np.isfinite(best_x)
     return best_x, best_y, found
 
 
 def _scalar_common_root(which, s: EffectiveState, duals: DualVars):
     """Resultant enumeration (best root by Lagrangian value), with a
-    multi-start damped-Newton grid as a robustness fallback."""
+    5x5 multi-start Newton grid as a robustness fallback: the grid is
+    polished in one stacked pass and the first hit in row-major order
+    wins."""
     system = _system_esa if which == "esa" else _system_p1q2
     h1 = np.array([s.h1]); h2 = np.array([s.h2])
     g1 = np.array([s.g1]); g2 = np.array([s.g2])
@@ -393,15 +438,14 @@ def _scalar_common_root(which, s: EffectiveState, duals: DualVars):
     if bool(found[0]):
         return float(x[0]), float(y[0])
     lam_min = min(duals.lambda1, duals.lambda2)
-    hi = 10.0 / lam_min
-    grid = np.linspace(0.0, hi, 5)
-    for x0 in grid:
-        for y0 in grid:
-            x, y = _newton_polish(system, h1, h2, g1, g2, l1, l2,
-                                  np.array([x0]), np.array([y0]), iters=60)
-            res = _rel_residual(system, h1, h2, g1, g2, l1, l2, x, y)
-            if res[0] <= RESIDUAL_TOL and x[0] > 0.0 and y[0] > 0.0:
-                return float(x[0]), float(y[0])
+    grid = np.linspace(0.0, 10.0 / lam_min, 5)
+    a = [np.broadcast_to(v, (grid.size ** 2,)) for v in (h1, h2, g1, g2, l1, l2)]
+    x, y = _newton_polish(system, *a, np.repeat(grid, grid.size),
+                          np.tile(grid, grid.size), iters=60)
+    res = _rel_residual(system, *a, x, y)
+    hit = np.nonzero((res <= RESIDUAL_TOL) & (x > 0.0) & (y > 0.0))[0]
+    if hit.size:
+        return float(x[hit[0]]), float(y[hit[0]])
     return None
 
 
@@ -600,8 +644,33 @@ def _cj_rsum(h1, h2, g1, g2, p1, p2, q1, q2):
     return rsum
 
 
+def _transmit_jam_subcase(hT, gT, gJ, lT, lJ):
+    """Sub-case (1..4) and closed-form power of branches 2 and 3, where
+    one user transmits and the other can only jam.
+
+    Sub-cases are keyed by the transmit user's gain class and whether the
+    jammer's eavesdropper gain clears its dual price.
+    """
+    sub = np.zeros(hT.shape, dtype=int)
+    A = hT <= lT
+    C = hT - gT > lT
+    B = ~A & ~C
+    J = gJ > lJ
+    sub[A | (B & ~J)] = 1
+    sub[C & ~J] = 2
+    sub[B & J] = 3
+    sub[C & J] = 4
+    cf = np.where(C, _closed_form_root(hT, np.where(C, gT, 0.0), lT), 0.0)
+    return sub, cf
+
+
 def esa_cj_policy_batch(h1, h2, g1, g2, l1, l2):
-    """Vectorized allocation with jamming.  Returns (p1, p2, q1, q2, case)."""
+    """Vectorized allocation with jamming.  Returns (p1, p2, q1, q2, case).
+
+    Every transmit/jam common root the tree needs (branches 2 and 3, and
+    both orientations of branch 4) is solved in one
+    :func:`_common_root_batch` call.
+    """
     h1, h2, g1, g2 = (np.asarray(a, dtype=float) for a in (h1, h2, g1, g2))
     m = h1.shape[0]
     l1a = np.broadcast_to(np.asarray(l1, dtype=float), h1.shape)
@@ -624,104 +693,66 @@ def esa_cj_policy_batch(h1, h2, g1, g2, l1, l2):
         p2[idx] = pp2
         case[idx] = 10 + sub
 
-    def transmit_jam_branch(idx, hT, gT, gJ, lT, lJ, hJ):
-        """One user transmits, the other can only jam.
+    i2 = np.nonzero(br2)[0]
+    i3 = np.nonzero(br3)[0]
+    i4 = np.nonzero(br4)[0]
+    sub2, cf2 = _transmit_jam_subcase(h1[i2], g1[i2], g2[i2], l1a[i2], l2a[i2])
+    sub3, cf3 = _transmit_jam_subcase(h2[i3], g2[i3], g1[i3], l2a[i3], l1a[i3])
+    # branch 4 (both receivers weak): t1 -> user 1 may transmit while
+    # user 2 jams (solution A), t2 -> the mirror (solution B)
+    t1 = (h1[i4] > l1a[i4]) & (g2[i4] > l2a[i4])
+    t2 = (h2[i4] > l2a[i4]) & (g1[i4] > l1a[i4])
+    sub4 = 1 + t1 + 2 * t2
 
-        Returns (pT, qJ, subcase) with sub-cases keyed by the transmit
-        user's gain class and whether the jammer's eavesdropper gain
-        clears its dual price.
-        """
-        k = idx.size
-        pT = np.zeros(k); qJ = np.zeros(k)
-        sub = np.zeros(k, dtype=int)
-        A = hT <= lT
-        C = hT - gT > lT
-        B = ~A & ~C
-        J = gJ > lJ
-        sub[A | (B & ~J)] = 1
-        sub[C & ~J] = 2
-        sub[B & J] = 3
-        sub[C & J] = 4
-        cf = np.where(C, _closed_form_root(hT, np.where(C, gT, 0.0), lT), 0.0)
-        pT[sub == 2] = cf[sub == 2]
-        need = sub >= 3
-        if np.any(need):
-            j = np.nonzero(need)[0]
-            x, y, found = _common_root_batch("p1q2", hT[j], hJ[j], gT[j],
-                                             gJ[j], lT[j], lJ[j])
-            px = np.where(found, x, 0.0)
-            qy = np.where(found, y, 0.0)
-            px = np.where(~found & (sub[j] == 4), cf[j], px)
-            pT[j] = px
-            qJ[j] = qy
-        return pT, qJ, sub
+    # one solve: rows `ra` with user 1 transmitting, then rows `rb` with
+    # user 2 transmitting (the p1q2 system on swapped gains)
+    ra = np.concatenate([i2[sub2 >= 3], i4[t1]])
+    rb = np.concatenate([i3[sub3 >= 3], i4[t2]])
+    xa = np.zeros(m); ya = np.zeros(m); fa = np.zeros(m, dtype=bool)
+    xb = np.zeros(m); yb = np.zeros(m); fb = np.zeros(m, dtype=bool)
+    if ra.size + rb.size:
+        cat = lambda a, b: np.concatenate([a[ra], b[rb]])  # noqa: E731
+        x, y, found = _common_root_batch("p1q2", cat(h1, h2), cat(h2, h1),
+                                         cat(g1, g2), cat(g2, g1),
+                                         cat(l1a, l2a), cat(l2a, l1a))
+        x = np.where(found, x, 0.0)
+        y = np.where(found, y, 0.0)
+        na = ra.size
+        xa[ra], ya[ra], fa[ra] = x[:na], y[:na], found[:na]
+        xb[rb], yb[rb], fb[rb] = x[na:], y[na:], found[na:]
 
-    if np.any(br2):
-        idx = np.nonzero(br2)[0]
-        pT, qJ, sub = transmit_jam_branch(idx, h1[idx], g1[idx], g2[idx],
-                                          l1a[idx], l2a[idx], h2[idx])
-        p1[idx] = pT
-        q2[idx] = qJ
-        case[idx] = 20 + sub
+    # branches 2 and 3: the interior root, else the closed form where the
+    # transmit user is strong (sub-cases 2 and 4)
+    cfa = np.where((sub2 == 2) | (sub2 == 4), cf2, 0.0)
+    p1[i2] = np.where(fa[i2], xa[i2], cfa)
+    q2[i2] = ya[i2]
+    case[i2] = 20 + sub2
+    cfb = np.where((sub3 == 2) | (sub3 == 4), cf3, 0.0)
+    p2[i3] = np.where(fb[i3], xb[i3], cfb)
+    q1[i3] = yb[i3]
+    case[i3] = 30 + sub3
 
-    if np.any(br3):
-        idx = np.nonzero(br3)[0]
-        pT, qJ, sub = transmit_jam_branch(idx, h2[idx], g2[idx], g1[idx],
-                                          l2a[idx], l1a[idx], h1[idx])
-        p2[idx] = pT
-        q1[idx] = qJ
-        case[idx] = 30 + sub
-
-    if np.any(br4):
-        idx = np.nonzero(br4)[0]
-        t1 = (h1[idx] > l1a[idx]) & (g2[idx] > l2a[idx])
-        t2 = (h2[idx] > l2a[idx]) & (g1[idx] > l1a[idx])
-        sub = np.ones(idx.size, dtype=int)
-        sub[t1 & ~t2] = 2
-        sub[~t1 & t2] = 3
-        sub[t1 & t2] = 4
-        xa = np.zeros(idx.size); ya = np.zeros(idx.size)
-        fa = np.zeros(idx.size, dtype=bool)
-        xb = np.zeros(idx.size); yb = np.zeros(idx.size)
-        fb = np.zeros(idx.size, dtype=bool)
-        mA = (sub == 2) | (sub == 4)
-        if np.any(mA):
-            j = np.nonzero(mA)[0]
-            x, y, found = _common_root_batch("p1q2", h1[idx[j]], h2[idx[j]],
-                                             g1[idx[j]], g2[idx[j]],
-                                             l1a[idx[j]], l2a[idx[j]])
-            xa[j] = np.where(found, x, 0.0)
-            ya[j] = np.where(found, y, 0.0)
-            fa[j] = found
-        mB = (sub == 3) | (sub == 4)
-        if np.any(mB):
-            j = np.nonzero(mB)[0]
-            x, y, found = _common_root_batch("p1q2", h2[idx[j]], h1[idx[j]],
-                                             g2[idx[j]], g1[idx[j]],
-                                             l2a[idx[j]], l1a[idx[j]])
-            xb[j] = np.where(found, x, 0.0)
-            yb[j] = np.where(found, y, 0.0)
-            fb[j] = found
-        use_a = fa & ~fb
-        use_b = fb & ~fa
-        both = fa & fb
-        if np.any(both):
-            j = np.nonzero(both)[0]
-            ra = _cj_rsum(h1[idx[j]], h2[idx[j]], g1[idx[j]], g2[idx[j]],
-                          xa[j], np.zeros(j.size), np.zeros(j.size), ya[j])
-            rb = _cj_rsum(h1[idx[j]], h2[idx[j]], g1[idx[j]], g2[idx[j]],
-                          np.zeros(j.size), xb[j], yb[j], np.zeros(j.size))
-            pick_a = ra >= rb  # ties -> solution A
-            use_a[j] = pick_a
-            use_b[j] = ~pick_a
-        p1[idx] = np.where(use_a, xa, 0.0)
-        q2[idx] = np.where(use_a, ya, 0.0)
-        p2[idx] = np.where(use_b, xb, 0.0)
-        q1[idx] = np.where(use_b, yb, 0.0)
-        code = 40 + sub
-        code = np.where((sub == 4) & use_a, 45, code)
-        code = np.where((sub == 4) & use_b, 46, code)
-        case[idx] = code
+    # branch 4: the solution that exists, the larger sum rate if both do
+    fa4, fb4 = fa[i4], fb[i4]
+    use_a = fa4 & ~fb4
+    use_b = fb4 & ~fa4
+    both = fa4 & fb4
+    if np.any(both):
+        j = i4[both]
+        z = np.zeros(j.size)
+        ra_sum = _cj_rsum(h1[j], h2[j], g1[j], g2[j], xa[j], z, z, ya[j])
+        rb_sum = _cj_rsum(h1[j], h2[j], g1[j], g2[j], z, xb[j], yb[j], z)
+        pick_a = ra_sum >= rb_sum  # ties -> solution A
+        use_a[both] = pick_a
+        use_b[both] = ~pick_a
+    p1[i4] = np.where(use_a, xa[i4], 0.0)
+    q2[i4] = np.where(use_a, ya[i4], 0.0)
+    p2[i4] = np.where(use_b, xb[i4], 0.0)
+    q1[i4] = np.where(use_b, yb[i4], 0.0)
+    code = 40 + sub4
+    code = np.where((sub4 == 4) & use_a, 45, code)
+    code = np.where((sub4 == 4) & use_b, 46, code)
+    case[i4] = code
     return p1, p2, q1, q2, case
 
 

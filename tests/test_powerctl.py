@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macwt.channel import ChannelState, FadingParams, StateBatch, sample_batch
-from macwt.powerctl import (DualPolicy, DualSearchResult, DualVars,
-                            EffectiveState, cj_case_label, closed_form_p1,
+from macwt.powerctl import (RESIDUAL_TOL, DualPolicy, DualSearchResult,
+                            DualVars, EffectiveState, _common_root_batch,
+                            _rel_residual, _system_esa, _system_p1q2,
+                            cj_case_label, closed_form_p1,
                             closed_form_p2, dual_search, effective_state,
                             esa_case_id, esa_cj_case_label,
                             esa_cj_kkt_residual, esa_cj_policy_batch,
@@ -148,6 +150,29 @@ def test_common_root_residuals_random(rng):
         assert abs(r1) <= 1e-8 * scale and abs(r2) <= 1e-8 * scale
         assert root[0] > 0 and root[1] > 0
     assert found > 10  # the sweep actually exercised the solver
+
+
+_log_gain = st.floats(-3.0, 3.0)  # gain ratios up to 1e6
+
+
+@given(st.sampled_from(["esa", "p1q2"]), st.floats(-8.0, 1.0),
+       st.floats(-8.0, 1.0),
+       st.lists(st.tuples(_log_gain, _log_gain, _log_gain, _log_gain),
+                min_size=1, max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_common_root_batch_roots_are_certified(which, ll1, ll2, states):
+    # log-uniform duals in [1e-8, 10]: every reported root is a strictly
+    # positive common root within the acceptance residual
+    h1, h2, g1, g2 = (10.0 ** np.array(c) for c in zip(*states))
+    l1 = np.full(h1.shape, 10.0 ** ll1)
+    l2 = np.full(h1.shape, 10.0 ** ll2)
+    x, y, f = _common_root_batch(which, h1, h2, g1, g2, l1, l2)
+    assert np.all(np.isfinite(x) == f)
+    system = _system_esa if which == "esa" else _system_p1q2
+    assert np.all(x[f] > 0) and np.all(y[f] > 0)
+    res = _rel_residual(system, h1[f], h2[f], g1[f], g2[f], l1[f], l2[f],
+                        x[f], y[f])
+    assert np.all(res <= RESIDUAL_TOL)
 
 
 def test_solve_p1q2_grid_verified():
@@ -360,6 +385,25 @@ def test_cj_scalar_matches_batch(rng):
     for i in (0, 31, 63):
         s = EffectiveState(h1[i], h2[i], g1[i], g2[i])
         assert esa_cj_case_label(s, duals) == cj_case_label(int(case[i]))
+
+
+@pytest.mark.parametrize("tree", [esa_policy_batch, esa_cj_policy_batch])
+@pytest.mark.parametrize("lam", [1e-6, 1e-3, 0.1])
+def test_policy_rows_do_not_depend_on_their_batch(rng, tree, lam):
+    # a state's powers and case are the same, to the bit, alone, in a
+    # batch and in a permuted batch
+    n = 400
+    gains = _random_states(rng, n)
+    l1, l2 = lam, 2.0 * lam
+    batch = tree(*gains, l1, l2)
+    perm = rng.permutation(n)
+    permuted = tree(*(a[perm] for a in gains), l1, l2)
+    for out, out_perm in zip(batch, permuted):
+        assert out[perm].tobytes() == out_perm.tobytes()
+    for i in range(n):
+        alone = tree(*(a[i:i + 1] for a in gains), l1, l2)
+        for out, one in zip(batch, alone):
+            assert out[i].tobytes() == one[0].tobytes(), (i, out[i], one[0])
 
 
 def test_cj_case_labels():

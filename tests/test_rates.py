@@ -238,6 +238,16 @@ def test_ergodic_region_rejects_negative_powers():
         ergodic_region(ESA, Bad(), PARAMS, 100, seed=0)
 
 
+def test_ergodic_region_rejects_nan_powers():
+    class Bad:
+        def decide_batch(self, batch):
+            n = len(batch)
+            return (np.zeros(n), np.full(n, np.nan), np.zeros(n), np.zeros(n))
+
+    with pytest.raises(ValueError):
+        ergodic_region(ESA, Bad(), PARAMS, 100, seed=0)
+
+
 def test_ergodic_region_stderr_scaling():
     policy = ConstantPolicy(2.0, 2.0)
     a = ergodic_region(ESA, policy, PARAMS, 20_000, seed=11)
