@@ -9,6 +9,7 @@ variable.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 import sys
@@ -70,10 +71,26 @@ def _common(fn):
     return fn
 
 
-def _parse_grid(text):
+def _parse_value(tok, conv, name, pos):
+    """One finite value of option ``name``, at 1-based position ``pos``."""
+    tok = tok.strip()
+    try:
+        val = conv(tok)
+    except ValueError:
+        raise click.ClickException(
+            f"{name}: could not parse {tok!r} at position {pos}")
+    if not cmath.isfinite(val):
+        raise click.ClickException(
+            f"{name}: {tok!r} at position {pos} is not finite")
+    return val
+
+
+def _parse_grid(text, name):
+    """A comma-separated grid of finite floats (blank entries skipped)."""
     if text is None:
         return None
-    return tuple(float(v) for v in text.split(",") if v.strip())
+    return tuple(_parse_value(tok, float, name, i + 1)
+                 for i, tok in enumerate(text.split(",")) if tok.strip())
 
 
 def _parse_schemes(text):
@@ -107,7 +124,8 @@ def _figure(tag, variants, default_out, config, seed, samples, out, snr_db,
     """Secrecy sum rate per (var_g, variant, SNR) grid point, one CSV row
     each.  ``tag`` keeps the two figures' point seeds apart."""
     cfg = _load(config, seed=seed, samples=samples, out=out,
-                snr_db=_parse_grid(snr_db), schemes=_parse_schemes(schemes))
+                snr_db=_parse_grid(snr_db, "--snr-db"),
+                schemes=_parse_schemes(schemes))
     variants = [v for v in variants if v[1] in cfg.schemes]
     rows = []
     for vi, var_g in enumerate((cfg.var_g, cfg.var_g_alt)):
@@ -174,9 +192,14 @@ def dof(config, seed, samples, out, snr_db, schemes, powers):
 
     Always runs with unit-variance gains (the scaling setup)."""
     del snr_db  # the scaling grid is linear powers, not dB
+    grid = _parse_grid(powers, "--powers")
+    # the slope fit needs three points; check before any Monte Carlo runs
+    if len(grid) < 3 or grid[0] <= 0 or any(
+            b <= a for a, b in zip(grid, grid[1:])):
+        raise click.ClickException(
+            "--powers: need at least 3 positive, strictly increasing values")
     cfg = _load(config, seed=seed, samples=samples, out=out,
                 schemes=_parse_schemes(schemes), var_h=1.0, var_g=1.0)
-    grid = _parse_grid(powers)
     params = FadingParams.symmetric(cfg.var_h, cfg.var_g)
     wanted = [s for s in (SBA, ESA, GS_CJ) if s in cfg.schemes]
     rows = []
@@ -209,15 +232,8 @@ def _parse_values(text, conv, name, counts):
         want = " or ".join(str(c) for c in sorted(counts))
         raise click.ClickException(
             f"{name}: expected {want} comma-separated values, got {len(parts)}")
-    vals = []
-    for i, tok in enumerate(parts):
-        tok = tok.strip()
-        try:
-            vals.append(conv(tok))
-        except ValueError:
-            raise click.ClickException(
-                f"{name}: could not parse {tok!r} at position {i + 1}")
-    return vals
+    return [_parse_value(tok, conv, name, i + 1)
+            for i, tok in enumerate(parts)]
 
 
 @main.command()

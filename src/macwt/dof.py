@@ -43,15 +43,6 @@ class SumRateCurve:
             raise ValueError("estimates must be finite")
 
 
-class _ScaledConstantPolicy(ConstantPolicy):
-    """Constant powers P/(2 var_g2), P/(2 var_g1) for the two-slot scaled
-    scheme's scaling experiment (meets the average power constraints)."""
-
-    def __init__(self, power: float, params: FadingParams):
-        super().__init__(power / (2.0 * params.var_g2),
-                         power / (2.0 * params.var_g1))
-
-
 def sum_rate_curve(scheme: str, params: FadingParams, powers, n: int,
                    seed: int, dual_n: int = 20000) -> SumRateCurve:
     """Ergodic sum rate along a (log-spaced) power grid, symmetric budgets.
@@ -71,7 +62,10 @@ def sum_rate_curve(scheme: str, params: FadingParams, powers, n: int,
         if scheme == ESA:
             policy = ConstantPolicy(p, p)
         elif scheme == SBA:
-            policy = _ScaledConstantPolicy(p, params)
+            # P/(2 var_g2), P/(2 var_g1) meet the average power constraints
+            # of the two-slot scaled scheme
+            policy = ConstantPolicy(p / (2.0 * params.var_g2),
+                                    p / (2.0 * params.var_g1))
         elif scheme == GS_CJ:
             search = dual_search(params, PowerBudget(p, p), GS_CJ,
                                  dual_n, point_seed ^ 0x5F5F, tol=0.02)

@@ -17,15 +17,17 @@ gain, then resolves transmit-vs-jam roles per branch; power splitting
 The coupled quadratics are eliminated to a scalar cubic in P1 (a
 resultant whose quartic term cancels) and solved batched in closed form
 (Cardano plus deflation; rows with a vanishing leading coefficient go to
-``np.roots``).  Every real root of every row is a Newton start, and all
-of them are polished in one stacked Newton pass (kept in the nonnegative
-quadrant) that stops each start on its own step, never on its
-batch-mates'; a root is kept only if it is strictly positive with a
-small residual.  Rows without a root get all dual-scaled Newton starts
-in a second stacked pass.  A state's powers therefore do not depend on
-the batch it is solved in.  The jamming tree gathers all of its
-transmit/jam solves into one such call.  The scalar ``solve_*`` entry points run this on one row and fall
-back to a 5x5 multi-start Newton grid, also polished as one stack.
+``np.roots``).  One enumerator, :func:`_positive_roots_batch`, turns every
+real root of every row into a Newton start and polishes all of them in
+one stacked Newton pass (kept in the nonnegative quadrant) that stops
+each start on its own step, never on its batch-mates'; a root counts
+only if it is strictly positive with a small residual.  The case trees
+take the best root per row and give rows without one all dual-scaled
+Newton starts in a second stacked pass.  A state's powers therefore do
+not depend on the batch it is solved in.  The jamming tree gathers all
+of its transmit/jam solves into one such call, and the scalar
+``solve_*`` entry points and :func:`stationary_candidates` are
+length-1 calls into the same code.
 
 The dual policies of the three schemes with a multiplier search (``esa``,
 ``esa_cj`` and the ``gs_cj`` baseline) are dispatched in one place,
@@ -349,146 +351,119 @@ _FALLBACK_STARTS = ((1.0, 1.0), (0.1, 0.1), (10.0, 10.0), (1.0, 0.01),
                     (0.01, 1.0))
 
 
-def _common_root_batch(which, h1, h2, g1, g2, l1, l2):
-    """Best positive common root per row, or NaN where none exists.
+def _polish_certified(system, args, x0, y0):
+    """One stacked Newton pass from (x0, y0); returns (x, y, ok) where ok
+    marks strictly positive roots with relative residual <= RESIDUAL_TOL
+    (zero components belong to the single-user and silent cases)."""
+    x, y = _newton_polish(system, *args, x0, y0, iters=40)
+    res = _rel_residual(system, *args, x, y)
+    return x, y, (res <= RESIDUAL_TOL) & (x > 0.0) & (y > 0.0)
 
-    Every real root of the resultant cubic, back-substituted, is a Newton
-    start; all of them are polished in one stacked Newton pass and
-    accepted when strictly positive with relative residual <=
-    RESIDUAL_TOL.  Taken in root order, a candidate replaces the row's
-    current best only if its Lagrangian value is strictly larger.  Rows
-    left without a root (the resultant coefficients cancel badly at
-    extreme gain ratios) get all dual-scaled starts in a second stacked
-    pass, where the first start in ``_FALLBACK_STARTS`` order that hits
-    wins.  Newton stops per row, so a row's result does not depend on the
-    other rows of the batch.
+
+def _positive_roots_batch(which, h1, h2, g1, g2, l1, l2):
+    """Every certified positive common root of the selected system, per row.
+
+    Returns ``(x, y, ok)``, each of shape ``(m, 3)`` in the order of the
+    resultant cubic's roots.  Every real root with ``x >= -CLAMP_TOL``,
+    back-substituted for y, is a Newton start; all starts are polished in
+    one stacked Newton pass that stops each on its own step, and ``ok``
+    marks the certified ones (:func:`_polish_certified`).  ``x`` and
+    ``y`` are NaN where no start was taken.
     """
     system = _system_esa if which == "esa" else _system_p1q2
     coeffs, N, D = _eliminated_cubic(which, h1, h2, g1, g2, l1, l2)
-    coeffs = [np.broadcast_to(np.asarray(c, dtype=float), h1.shape) for c in coeffs]
-    roots = _cubic_roots(coeffs)
-    m = h1.shape[0]
-    l1b = np.broadcast_to(np.asarray(l1, dtype=float), h1.shape)
-    l2b = np.broadcast_to(np.asarray(l2, dtype=float), h1.shape)
-    best_x = np.full(m, np.nan)
-    best_y = np.full(m, np.nan)
-    best_L = np.full(m, -np.inf)
-
-    def polish(u, x0, y0, groups, first_wins):
-        """Polish the starts (x0, y0) of rows ``u`` in one Newton pass and
-        offer them group by group (``groups`` is nondecreasing): a hit
-        replaces the row's best if its Lagrangian is strictly larger or,
-        with ``first_wins``, only if the row has no root yet."""
-        a = (h1[u], h2[u], g1[u], g2[u], l1b[u], l2b[u])
-        xp, yp = _newton_polish(system, *a, x0, y0, iters=40)
-        res = _rel_residual(system, *a, xp, yp)
-        # strictly positive common root only (zero components belong to
-        # the single-user / silent cases of the tree)
-        hit = (res <= RESIDUAL_TOL) & (xp > 0.0) & (yp > 0.0)
-        L = _lagrangian_vals(which, *a, xp, yp)
-        bounds = np.searchsorted(groups, np.arange(groups[-1] + 2))
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            r = u[lo:hi]
-            better = hit[lo:hi] & (L[lo:hi] > best_L[r])
-            if first_wins:
-                better &= ~np.isfinite(best_x[r])
-            idx = r[better]
-            best_x[idx] = xp[lo:hi][better]
-            best_y[idx] = yp[lo:hi][better]
-            best_L[idx] = L[lo:hi][better]
-
-    # candidates in root order: k, then row
+    roots = _cubic_roots([np.broadcast_to(np.asarray(c, dtype=float), h1.shape)
+                          for c in coeffs])
     real = np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots.real))
     x = np.where(real, roots.real, np.nan)
-    denD = D[0][:, None] + D[1][:, None] * x
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = (N[0][:, None] + N[1][:, None] * x
-             + N[2][:, None] * x * x) / denD
-    k, u = np.nonzero((real & (x >= -CLAMP_TOL)).T)
+        y = (N[0][:, None] + N[1][:, None] * x + N[2][:, None] * x * x) \
+            / (D[0][:, None] + D[1][:, None] * x)
+    # starts in root order, then row: the Newton pass measured about 5 %
+    # faster on this order than on row-by-row order
+    k, r = np.nonzero((real & (x >= -CLAMP_TOL)).T)
+    y0 = y[r, k]
+    y0 = np.where(np.isfinite(y0), np.maximum(y0, 0.0), 0.0)
+    xp, yp, hit = _polish_certified(system,
+                                    (h1[r], h2[r], g1[r], g2[r], l1[r], l2[r]),
+                                    np.maximum(x[r, k], 0.0), y0)
+    x = np.full(roots.shape, np.nan)
+    y = np.full(roots.shape, np.nan)
+    ok = np.zeros(roots.shape, dtype=bool)
+    x[r, k], y[r, k], ok[r, k] = xp, yp, hit
+    return x, y, ok
+
+
+def _common_root_batch(which, h1, h2, g1, g2, l1, l2):
+    """Best positive common root per row, or NaN where none exists.
+
+    Returns ``(x, y, found)``.  Among a row's certified roots from
+    :func:`_positive_roots_batch` the largest Lagrangian value wins, ties
+    going to the first in root order.  Rows left without a root (the
+    resultant coefficients cancel badly at extreme gain ratios) get all
+    dual-scaled ``_FALLBACK_STARTS`` in a second stacked Newton pass,
+    where the first start that hits wins.  Newton stops per row, so a
+    row's result does not depend on the other rows of the batch.
+    """
+    system = _system_esa if which == "esa" else _system_p1q2
+    x, y, ok = _positive_roots_batch(which, h1, h2, g1, g2, l1, l2)
+    r, k = np.nonzero(ok)
+    L = np.full(ok.shape, -np.inf)
+    L[r, k] = _lagrangian_vals(which, h1[r], h2[r], g1[r], g2[r], l1[r],
+                               l2[r], x[r, k], y[r, k])
+    rows = np.arange(ok.shape[0])
+    best = np.argmax(L, axis=1)
+    found = ok.any(axis=1)
+    best_x = np.where(found, x[rows, best], np.nan)
+    best_y = np.where(found, y[rows, best], np.nan)
+    u = np.nonzero(~found)[0]
     if u.size:
-        ys = y[u, k]
-        polish(u, np.maximum(x[u, k], 0.0),
-               np.where(np.isfinite(ys), np.maximum(ys, 0.0), 0.0), k,
-               first_wins=False)
-    u = np.nonzero(~np.isfinite(best_x))[0]
-    if u.size:
+        # start-major: row j of start i sits at i * u.size + j
         a, b = np.array(_FALLBACK_STARTS).T
-        nf = len(_FALLBACK_STARTS)
-        rows = np.tile(u, nf)
-        polish(rows, np.repeat(a, u.size) / l1b[rows],
-               np.repeat(b, u.size) / l2b[rows],
-               np.repeat(np.arange(nf), u.size), first_wins=True)
-    found = np.isfinite(best_x)
+        t = np.tile(u, a.size)
+        xp, yp, hit = _polish_certified(
+            system, (h1[t], h2[t], g1[t], g2[t], l1[t], l2[t]),
+            np.repeat(a, u.size) / l1[t], np.repeat(b, u.size) / l2[t])
+        hit = hit.reshape(a.size, u.size)
+        first = np.argmax(hit, axis=0) * u.size + np.arange(u.size)
+        got = hit.any(axis=0)
+        best_x[u[got]] = xp[first[got]]
+        best_y[u[got]] = yp[first[got]]
+        found[u[got]] = True
     return best_x, best_y, found
 
 
-def _scalar_common_root(which, s: EffectiveState, duals: DualVars):
-    """Resultant enumeration (best root by Lagrangian value), with a
-    5x5 multi-start Newton grid as a robustness fallback: the grid is
-    polished in one stacked pass and the first hit in row-major order
-    wins."""
-    system = _system_esa if which == "esa" else _system_p1q2
-    h1 = np.array([s.h1]); h2 = np.array([s.h2])
-    g1 = np.array([s.g1]); g2 = np.array([s.g2])
-    l1 = np.array([duals.lambda1]); l2 = np.array([duals.lambda2])
-    try:
-        x, y, found = _common_root_batch(which, h1, h2, g1, g2, l1, l2)
-    except FloatingPointError as exc:  # pragma: no cover - defensive
-        raise RootSolveError(f"root enumeration failed: {exc}") from exc
-    if bool(found[0]):
-        return float(x[0]), float(y[0])
-    lam_min = min(duals.lambda1, duals.lambda2)
-    grid = np.linspace(0.0, 10.0 / lam_min, 5)
-    a = [np.broadcast_to(v, (grid.size ** 2,)) for v in (h1, h2, g1, g2, l1, l2)]
-    x, y = _newton_polish(system, *a, np.repeat(grid, grid.size),
-                          np.tile(grid, grid.size), iters=60)
-    res = _rel_residual(system, *a, x, y)
-    hit = np.nonzero((res <= RESIDUAL_TOL) & (x > 0.0) & (y > 0.0))[0]
-    if hit.size:
-        return float(x[hit[0]]), float(y[hit[0]])
-    return None
+def _state_row(s: EffectiveState, duals: DualVars):
+    """One state and its duals as length-1 arrays (h1, h2, g1, g2, l1, l2)."""
+    return tuple(np.array([float(v)]) for v in
+                 (s.h1, s.h2, s.g1, s.g2, duals.lambda1, duals.lambda2))
 
 
 def solve_common_root(s: EffectiveState, duals: DualVars):
     """Positive common root (P1, P2) of the coupled quadratics, or None."""
-    return _scalar_common_root("esa", s, duals)
+    x, y, found = _common_root_batch("esa", *_state_row(s, duals))
+    return (float(x[0]), float(y[0])) if found[0] else None
 
 
 def solve_p1q2(s: EffectiveState, duals: DualVars):
     """Positive common root (P1, Q2) when user 2 jams, or None."""
-    return _scalar_common_root("p1q2", s, duals)
+    x, y, found = _common_root_batch("p1q2", *_state_row(s, duals))
+    return (float(x[0]), float(y[0])) if found[0] else None
+
+
+def solve_p2q1(s: EffectiveState, duals: DualVars):
+    """Positive common root (P2, Q1) when user 1 jams, or None."""
+    return solve_p1q2(_swap(s), DualVars(duals.lambda2, duals.lambda1))
 
 
 def _positive_roots_scalar(which, s: EffectiveState, duals: DualVars):
-    """All distinct positive common roots of the selected system."""
-    system = _system_esa if which == "esa" else _system_p1q2
-    arr = lambda v: np.array([float(v)])  # noqa: E731
-    h1, h2 = arr(s.h1), arr(s.h2)
-    g1, g2 = arr(s.g1), arr(s.g2)
-    l1, l2 = arr(duals.lambda1), arr(duals.lambda2)
-    coeffs, N, D = _eliminated_cubic(which, h1, h2, g1, g2, l1, l2)
-    coeffs = [np.broadcast_to(np.asarray(c, dtype=float), (1,)) for c in coeffs]
-    roots = _cubic_roots(coeffs)[0]
+    """All distinct positive common roots of the selected system, in root
+    order (a root within 1e-6 relative of an earlier one is dropped)."""
+    x, y, ok = _positive_roots_batch(which, *_state_row(s, duals))
     out = []
-    for r in roots:
-        if not np.isfinite(r) or abs(r.imag) > 1e-6 * (1.0 + abs(r.real)):
-            continue
-        x = max(r.real, 0.0)
-        d0, d1 = float(D[0][0]), float(D[1][0])
-        n0, n1, n2 = (float(c[0]) for c in N)
-        den = d0 + d1 * x
-        if den == 0.0:
-            continue
-        y = (n0 + n1 * x + n2 * x * x) / den
-        y = max(y, 0.0) if y >= -CLAMP_TOL else 0.0
-        xp, yp = _newton_polish(system, h1, h2, g1, g2, l1, l2,
-                                arr(x), arr(y), iters=60)
-        res = _rel_residual(system, h1, h2, g1, g2, l1, l2, xp, yp)
-        if res[0] <= RESIDUAL_TOL and xp[0] > 0.0 and yp[0] > 0.0:
-            pair = (float(xp[0]), float(yp[0]))
-            if all(abs(pair[0] - p[0]) > 1e-6 * (1.0 + pair[0])
-                   for p in out):
-                out.append(pair)
+    for px, py in zip(x[0][ok[0]].tolist(), y[0][ok[0]].tolist()):
+        if all(abs(px - p[0]) > 1e-6 * (1.0 + px) for p in out):
+            out.append((px, py))
     return out
 
 
@@ -556,13 +531,6 @@ def stationary_candidates(s: EffectiveState, duals: DualVars,
 
 def _swap(s: EffectiveState) -> EffectiveState:
     return EffectiveState(s.h2, s.h1, s.g2, s.g1)
-
-
-def solve_p2q1(s: EffectiveState, duals: DualVars):
-    """Positive common root (P2, Q1) when user 1 jams, or None."""
-    out = _scalar_common_root("p1q2", _swap(s),
-                              DualVars(duals.lambda2, duals.lambda1))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,28 @@ def test_query_argument_combinations():
     assert res.exit_code != 0  # effective gains are a repetition concept
 
 
+@pytest.mark.parametrize("args", [
+    ("figure2", "--snr-db", "abc"),
+    ("dof", "--powers", "abc"),
+    ("dof", "--samples", "2000", "--powers", "1e3,1e4"),  # too few to fit
+    ("query", "--scheme", "esa", "--effective", "1,1,1,nan",
+     "--duals", "0.1,0.1"),
+    ("query", "--scheme", "esa", "--effective", "1,1,1,1",
+     "--duals", "nan,0.1"),
+    ("query", "--scheme", "esa", "--effective", "1,1,1,1",
+     "--powers", "inf,1"),
+])
+def test_malformed_input_fails_cleanly(tmp_path, args):
+    out = tmp_path / "out.csv"
+    extra = ("--out", str(out)) if args[0] != "query" else ()
+    res = _run(*args, *extra)
+    # a usage error: non-zero exit, no traceback, nothing before the message
+    assert res.exit_code != 0
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.output.startswith("Error: ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # figure/dof subcommands (small grids; full-size runs live in acceptance)
 # ---------------------------------------------------------------------------

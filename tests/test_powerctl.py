@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from macwt.channel import ChannelState, FadingParams, StateBatch, sample_batch
 from macwt.powerctl import (RESIDUAL_TOL, DualPolicy, DualSearchResult,
                             DualVars, EffectiveState, _common_root_batch,
+                            _positive_roots_batch,
                             _rel_residual, _system_esa, _system_p1q2,
                             cj_case_label, closed_form_p1,
                             closed_form_p2, dual_search, effective_state,
@@ -155,23 +156,29 @@ def test_common_root_residuals_random(rng):
 _log_gain = st.floats(-3.0, 3.0)  # gain ratios up to 1e6
 
 
-@given(st.sampled_from(["esa", "p1q2"]), st.floats(-8.0, 1.0),
-       st.floats(-8.0, 1.0),
+@given(st.sampled_from(["esa", "p1q2"]),
+       st.sampled_from([_common_root_batch, _positive_roots_batch]),
+       st.floats(-8.0, 1.0), st.floats(-8.0, 1.0),
        st.lists(st.tuples(_log_gain, _log_gain, _log_gain, _log_gain),
                 min_size=1, max_size=16))
 @settings(max_examples=200, deadline=None)
-def test_common_root_batch_roots_are_certified(which, ll1, ll2, states):
-    # log-uniform duals in [1e-8, 10]: every reported root is a strictly
+def test_common_root_batch_roots_are_certified(which, solver, ll1, ll2,
+                                               states):
+    # log-uniform duals in [1e-8, 10]: every reported root (the best per
+    # row, or every certified root of the enumerator) is a strictly
     # positive common root within the acceptance residual
     h1, h2, g1, g2 = (10.0 ** np.array(c) for c in zip(*states))
     l1 = np.full(h1.shape, 10.0 ** ll1)
     l2 = np.full(h1.shape, 10.0 ** ll2)
-    x, y, f = _common_root_batch(which, h1, h2, g1, g2, l1, l2)
-    assert np.all(np.isfinite(x) == f)
+    x, y, f = solver(which, h1, h2, g1, g2, l1, l2)
+    cols = (h1, h2, g1, g2, l1, l2)
+    if solver is _common_root_batch:
+        assert np.all(np.isfinite(x) == f)
+    else:  # one column per root of the resultant cubic
+        cols = tuple(np.repeat(c[:, None], 3, axis=1) for c in cols)
     system = _system_esa if which == "esa" else _system_p1q2
     assert np.all(x[f] > 0) and np.all(y[f] > 0)
-    res = _rel_residual(system, h1[f], h2[f], g1[f], g2[f], l1[f], l2[f],
-                        x[f], y[f])
+    res = _rel_residual(system, *(c[f] for c in cols), x[f], y[f])
     assert np.all(res <= RESIDUAL_TOL)
 
 
@@ -425,6 +432,25 @@ def test_stationary_candidates_silent_state():
     cands = stationary_candidates(s, duals, "esa")
     assert len(cands) == 1
     assert cands[0][0] == PowerDecision(0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.1])
+def test_tree_root_is_a_stationary_candidate(rng, lam):
+    # where the seven-case tree takes an interior root (cases 4-7, both
+    # powers positive), the stationarity enumeration criterion 5 filters
+    # on lists that same point (up to the enumeration's de-duplication:
+    # two starts may reach one root a few ulps apart)
+    h1, h2, g1, g2 = _random_states(rng, 400)
+    p1, p2, case = esa_policy_batch(h1, h2, g1, g2, lam, lam)
+    rows = np.nonzero((case >= 4) & (p1 > 0) & (p2 > 0))[0]
+    assert rows.size > 20
+    duals = DualVars(lam, lam)
+    for i in rows:
+        s = EffectiveState(h1[i], h2[i], g1[i], g2[i])
+        cands = stationary_candidates(s, duals, "esa")
+        assert any(d.p1 == pytest.approx(p1[i], rel=1e-9)
+                   and d.p2 == pytest.approx(p2[i], rel=1e-9)
+                   for d, _ in cands)
 
 
 def test_policy_beats_grid_oracle_at_unique_states(rng):
