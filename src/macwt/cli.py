@@ -64,11 +64,13 @@ def _common(fn):
                       help="Monte Carlo samples per grid point")(fn)
     fn = click.option("--out", type=click.Path(), default=None,
                       help="output CSV path")(fn)
-    fn = click.option("--snr-db", default=None,
-                      help="comma-separated SNR grid in dB")(fn)
     fn = click.option("--scheme", "schemes", default=None,
                       help="comma-separated scheme subset")(fn)
     return fn
+
+
+_snr_db = click.option("--snr-db", default=None,
+                       help="comma-separated SNR grid in dB")
 
 
 def _parse_value(tok, conv, name, pos):
@@ -170,6 +172,7 @@ def _figure(tag, variants, default_out, config, seed, samples, out, snr_db,
 
 
 @main.command()
+@_snr_db
 @_common
 def figure1(**opts):
     """Secrecy sum rate vs SNR: rudimentary two-slot policies + baseline."""
@@ -177,6 +180,7 @@ def figure1(**opts):
 
 
 @main.command()
+@_snr_db
 @_common
 def figure2(**opts):
     """Secrecy sum rate vs SNR: constant vs KKT power control, with jamming."""
@@ -187,11 +191,10 @@ def figure2(**opts):
 @_common
 @click.option("--powers", default="1e3,1e4,1e5,1e6",
               help="comma-separated linear power grid")
-def dof(config, seed, samples, out, snr_db, schemes, powers):
+def dof(config, seed, samples, out, schemes, powers):
     """Sum-rate scaling: slope of rsum vs log2 P per scheme.
 
     Always runs with unit-variance gains (the scaling setup)."""
-    del snr_db  # the scaling grid is linear powers, not dB
     grid = _parse_grid(powers, "--powers")
     # the slope fit needs three points; check before any Monte Carlo runs
     if len(grid) < 3 or grid[0] <= 0 or any(

@@ -7,6 +7,7 @@ fully determines the outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .montecarlo import SCHEMES
@@ -39,16 +40,25 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown scheme {s!r} (choose from {SCHEMES})")
         if not self.snr_db:
             raise ConfigError("SNR grid must be nonempty")
+        for db in self.snr_db:
+            try:
+                power = 10.0 ** (db / 10.0)  # as the figure commands do
+            except OverflowError:
+                power = math.inf
+            if not (math.isfinite(db) and 0.0 < power < math.inf):
+                raise ConfigError(
+                    f"snr_db value {db} does not give a finite positive power")
         for v in ("var_h", "var_g", "var_g_alt"):
-            if not getattr(self, v) > 0:
-                raise ConfigError(f"{v} must be positive")
+            if not 0.0 < getattr(self, v) < math.inf:
+                raise ConfigError(f"{v} must be positive and finite")
         if self.samples < 2 or self.dual_samples < 2 or self.inner_samples < 1:
             raise ConfigError("sample counts too small")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
 
 _FLOAT_KEYS = {"var_h", "var_g", "var_g_alt"}
 _INT_KEYS = {"samples", "dual_samples", "inner_samples", "seed"}
-_LIST_KEYS = {"snr_db", "schemes"}
 _STR_KEYS = {"out"}
 
 

@@ -47,10 +47,12 @@ from .rates import PowerBudget, PowerDecision, esa_cj_triple
 RESIDUAL_TOL = 1e-9   # relative residual for accepting a common root
 CLAMP_TOL = 1e-9      # components in (-CLAMP_TOL, 0) are clamped to 0
 LAM_MIN = 1e-8        # lower bracket for the dual bisection
+_NEWTON_ITERS = 40    # Newton step cap per start
+_MAX_SWEEPS = 50      # dual-search sweeps over both multipliers
 
 
 class RootSolveError(RuntimeError):
-    """Numerical failure distinct from certified absence of a positive root."""
+    """:func:`dual_search` could not bracket a multiplier."""
 
 
 class CaseSolverError(RuntimeError):
@@ -112,22 +114,32 @@ def _closed_form_root(h, g, lam):
     return np.where(g == 0.0, wf, root)
 
 
+def _closed_form_where(mask, h, g, lam):
+    """:func:`_closed_form_root` on the rows where ``mask`` holds, 0
+    elsewhere; masked-out rows never reach the formula."""
+    out = np.zeros(mask.shape)
+    out[mask] = _closed_form_root(h[mask], g[mask], lam[mask])
+    return out
+
+
+def _closed_form_user(k: int, h, g, lam) -> float:
+    """Closed-form power of user ``k`` while the other user is silent."""
+    if not h > g:
+        raise ValueError(
+            f"closed_form_p{k} requires h{k} > g{k} (invalid case)")
+    if not lam > 0:
+        raise ValueError(f"lambda{k} must be positive")
+    return float(_closed_form_root(h, g, lam))
+
+
 def closed_form_p1(s: EffectiveState, lambda1: float) -> float:
     """Closed-form P1 when user 2 is silent; requires h1 > g1."""
-    if not s.h1 > s.g1:
-        raise ValueError("closed_form_p1 requires h1 > g1 (invalid case)")
-    if not lambda1 > 0:
-        raise ValueError("lambda1 must be positive")
-    return float(_closed_form_root(s.h1, s.g1, lambda1))
+    return _closed_form_user(1, s.h1, s.g1, lambda1)
 
 
 def closed_form_p2(s: EffectiveState, lambda2: float) -> float:
     """Closed-form P2 when user 1 is silent; requires h2 > g2."""
-    if not s.h2 > s.g2:
-        raise ValueError("closed_form_p2 requires h2 > g2 (invalid case)")
-    if not lambda2 > 0:
-        raise ValueError("lambda2 must be positive")
-    return float(_closed_form_root(s.h2, s.g2, lambda2))
+    return _closed_form_user(2, s.h2, s.g2, lambda2)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +149,7 @@ def closed_form_p2(s: EffectiveState, lambda2: float) -> float:
 def esa_kkt_residual(s: EffectiveState, p1: float, p2: float,
                      duals: DualVars) -> tuple:
     """Left sides of the two stationarity equations with zero slack."""
-    if p1 < 0 or p2 < 0:
-        raise ValueError("powers must be nonnegative")
-    den = 1.0 + s.g1 * p1 + s.g2 * p2
-    res1 = s.h1 / (1.0 + s.h1 * p1) - s.g1 / den - duals.lambda1
-    res2 = s.h2 / (1.0 + s.h2 * p2) - s.g2 / den - duals.lambda2
-    return res1, res2
+    return esa_cj_kkt_residual(s, PowerDecision(p1, p2), duals)[:2]
 
 
 def esa_cj_kkt_residual(s: EffectiveState, d: PowerDecision,
@@ -244,20 +251,20 @@ def _system_p1q2(h1, h2, g1, g2, l1, l2, x, y):
     return f1, f2, j11, j12, j21, j22
 
 
-def _newton_polish(system, h1, h2, g1, g2, l1, l2, x, y, iters=25):
+def _newton_polish(system, h1, h2, g1, g2, l1, l2, x, y):
     """2-D Newton kept in the nonnegative quadrant, stopped per row.
 
     A row stops once its own step moves neither coordinate by more than
-    1e-14 relative, or after ``iters`` steps; only the rows still moving
-    are evaluated.  Each row's result is therefore the one it would get
-    alone, whatever else shares the batch.
+    1e-14 relative, or after ``_NEWTON_ITERS`` steps; only the rows still
+    moving are evaluated.  Each row's result is therefore the one it
+    would get alone, whatever else shares the batch.
     """
     x = np.array(x, dtype=float)
     y = np.array(y, dtype=float)
     args = (h1, h2, g1, g2, l1, l2)
     rows = np.arange(x.size)
     xa, ya = x, y
-    for _ in range(iters):
+    for _ in range(_NEWTON_ITERS):
         f1, f2, j11, j12, j21, j22 = system(*args, xa, ya)
         det = j11 * j22 - j12 * j21
         det = np.where(np.abs(det) < 1e-300, np.nan, det)
@@ -327,13 +334,8 @@ def _eliminated_cubic(which, h1, h2, g1, g2, l1, l2):
     else:  # p1q2
         U = [d0 + g2 * n0, d1 + g2 * n1, g2 * n2]
         t1 = _polymul([0.0, g1 * g2], D2)
-    t2 = _polymul(U, V)
-    coeffs = []
-    for i in range(4):
-        a = t1[i] if i < len(t1) else 0.0
-        b = t2[i] if i < len(t2) else 0.0
-        coeffs.append(a - l2 * b)
-    return coeffs, N, D
+    t2 = _polymul(U, V)  # its x^4 term is the one that cancels
+    return [t1[i] - l2 * t2[i] for i in range(4)], N, D
 
 
 def _lagrangian_vals(which, h1, h2, g1, g2, l1, l2, x, y):
@@ -355,7 +357,7 @@ def _polish_certified(system, args, x0, y0):
     """One stacked Newton pass from (x0, y0); returns (x, y, ok) where ok
     marks strictly positive roots with relative residual <= RESIDUAL_TOL
     (zero components belong to the single-user and silent cases)."""
-    x, y = _newton_polish(system, *args, x0, y0, iters=40)
+    x, y = _newton_polish(system, *args, x0, y0)
     res = _rel_residual(system, *args, x, y)
     return x, y, (res <= RESIDUAL_TOL) & (x > 0.0) & (y > 0.0)
 
@@ -467,6 +469,27 @@ def _positive_roots_scalar(which, s: EffectiveState, duals: DualVars):
     return out
 
 
+def _lag(which, s: EffectiveState, duals: DualVars, x, y) -> float:
+    return float(_lagrangian_vals(which, s.h1, s.h2, s.g1, s.g2,
+                                  duals.lambda1, duals.lambda2, x, y))
+
+
+def _transmit_jam_candidates(s: EffectiveState, duals: DualVars) -> list:
+    """KKT-valid decisions where user 1 transmits or is silent and user 2
+    jams or is silent (the p1q2 system), as (PowerDecision, value)."""
+    out = []
+    if s.h1 - s.g1 <= duals.lambda1:
+        out.append((PowerDecision(0, 0, 0, 0), 0.0))
+    else:
+        p1 = closed_form_p1(s, duals.lambda1)
+        if s.g2 - s.g2 / (1.0 + s.g1 * p1) <= duals.lambda2:
+            out.append((PowerDecision(p1, 0, 0, 0),
+                        _lag("p1q2", s, duals, p1, 0.0)))
+    for x, y in _positive_roots_scalar("p1q2", s, duals):
+        out.append((PowerDecision(x, 0, 0, y), _lag("p1q2", s, duals, x, y)))
+    return out
+
+
 def stationary_candidates(s: EffectiveState, duals: DualVars,
                           scheme: str) -> list:
     """All KKT-valid power decisions for one state.
@@ -477,56 +500,35 @@ def stationary_candidates(s: EffectiveState, duals: DualVars,
     """
     l1, l2 = duals.lambda1, duals.lambda2
     h1, h2, g1, g2 = s.h1, s.h2, s.g1, s.g2
-    out = []
-
-    def lag(which, x, y):
-        return float(_lagrangian_vals(which, h1, h2, g1, g2, l1, l2, x, y))
-
     if scheme == "esa" or (scheme == "esa_cj" and h1 >= g1 and h2 >= g2):
-        q = 0.0
+        out = []
         if h1 - g1 <= l1 and h2 - g2 <= l2:
-            out.append((PowerDecision(0, 0, q, q), 0.0))
+            out.append((PowerDecision(0, 0), 0.0))
         if h1 - g1 > l1:
             p1 = closed_form_p1(s, l1)
             if h2 - g2 / (1.0 + g1 * p1) <= l2:
-                out.append((PowerDecision(p1, 0, q, q), lag("esa", p1, 0.0)))
+                out.append((PowerDecision(p1, 0),
+                            _lag("esa", s, duals, p1, 0.0)))
         if h2 - g2 > l2:
             p2 = closed_form_p2(s, l2)
             if h1 - g1 / (1.0 + g2 * p2) <= l1:
-                out.append((PowerDecision(0, p2, q, q), lag("esa", 0.0, p2)))
+                out.append((PowerDecision(0, p2),
+                            _lag("esa", s, duals, 0.0, p2)))
         for x, y in _positive_roots_scalar("esa", s, duals):
-            out.append((PowerDecision(x, y, q, q), lag("esa", x, y)))
+            out.append((PowerDecision(x, y), _lag("esa", s, duals, x, y)))
         return out
     if scheme != "esa_cj":
         raise ValueError(f"unknown scheme {scheme!r}")
     if h1 >= g1:  # h2 < g2: user 1 may transmit, user 2 may jam
-        if h1 - g1 <= l1:
-            out.append((PowerDecision(0, 0, 0, 0), 0.0))
-        if h1 - g1 > l1:
-            p1 = closed_form_p1(s, l1)
-            if g2 - g2 / (1.0 + g1 * p1) <= l2:
-                out.append((PowerDecision(p1, 0, 0, 0), lag("p1q2", p1, 0.0)))
-        for x, y in _positive_roots_scalar("p1q2", s, duals):
-            out.append((PowerDecision(x, 0, 0, y), lag("p1q2", x, y)))
-        return out
-    if h2 >= g2:  # mirror: user 2 transmits, user 1 jams
-        sw = _swap(s)
-        dw = DualVars(l2, l1)
-        for d, v in stationary_candidates(sw, dw, "esa_cj"):
-            out.append((PowerDecision(d.p2, d.p1, d.q2, d.q1), v))
-        return out
-    # both receivers weak: silence is always stationary, each
-    # transmit/jam pairing contributes its own roots
-    out.append((PowerDecision(0, 0, 0, 0), 0.0))
-    for x, y in _positive_roots_scalar("p1q2", s, duals):
-        out.append((PowerDecision(x, 0, 0, y), lag("p1q2", x, y)))
-    sw = _swap(s)
-    dw = DualVars(l2, l1)
-    for x, y in _positive_roots_scalar("p1q2", sw, dw):
-        val = float(_lagrangian_vals("p1q2", sw.h1, sw.h2, sw.g1, sw.g2,
-                                     l2, l1, x, y))
-        out.append((PowerDecision(0, x, y, 0), val))
-    return out
+        return _transmit_jam_candidates(s, duals)
+    # user 2 may transmit, user 1 may jam: the same rule on swapped roles
+    mirror = [(PowerDecision(d.p2, d.p1, d.q2, d.q1), v) for d, v in
+              _transmit_jam_candidates(_swap(s), DualVars(l2, l1))]
+    if h2 >= g2:
+        return mirror
+    # both receivers weak: silence (listed by both orientations, kept
+    # once) and each transmit/jam pairing's roots
+    return _transmit_jam_candidates(s, duals) + mirror[1:]
 
 
 def _swap(s: EffectiveState) -> EffectiveState:
@@ -550,8 +552,6 @@ def esa_policy_batch(h1, h2, g1, g2, l1, l2):
     C2 = h2 - g2 > l2a
     B2 = ~A2 & ~C2
 
-    p1 = np.zeros(m)
-    p2 = np.zeros(m)
     case = np.zeros(m, dtype=int)
     case[(A1 & A2) | (A1 & B2) | (B1 & A2)] = 1
     case[A1 & C2] = 2
@@ -561,10 +561,10 @@ def esa_policy_batch(h1, h2, g1, g2, l1, l2):
     case[C1 & B2] = 6
     case[C1 & C2] = 7
 
-    cf1 = np.where(C1, _closed_form_root(h1, np.where(C1, g1, 0.0), l1a), 0.0)
-    cf2 = np.where(C2, _closed_form_root(h2, np.where(C2, g2, 0.0), l2a), 0.0)
-    p1[case == 3] = cf1[case == 3]
-    p2[case == 2] = cf2[case == 2]
+    cf1 = _closed_form_where(C1, h1, g1, l1a)
+    cf2 = _closed_form_where(C2, h2, g2, l2a)
+    p1 = np.where(case == 3, cf1, 0.0)
+    p2 = np.where(case == 2, cf2, 0.0)
 
     need = case >= 4
     if np.any(need):
@@ -591,9 +591,7 @@ def esa_policy_batch(h1, h2, g1, g2, l1, l2):
 
 def esa_case_id(s: EffectiveState, duals: DualVars) -> int:
     """Which of the seven cases the state falls in (1..7)."""
-    _, _, case = esa_policy_batch(np.array([s.h1]), np.array([s.h2]),
-                                  np.array([s.g1]), np.array([s.g2]),
-                                  duals.lambda1, duals.lambda2)
+    _, _, case = esa_policy_batch(*_state_row(s, duals))
     return int(case[0])
 
 
@@ -628,8 +626,7 @@ def _transmit_jam_subcase(hT, gT, gJ, lT, lJ):
     sub[C & ~J] = 2
     sub[B & J] = 3
     sub[C & J] = 4
-    cf = np.where(C, _closed_form_root(hT, np.where(C, gT, 0.0), lT), 0.0)
-    return sub, cf
+    return sub, _closed_form_where(C, hT, gT, lT)
 
 
 def esa_cj_policy_batch(h1, h2, g1, g2, l1, l2):
@@ -689,14 +686,12 @@ def esa_cj_policy_batch(h1, h2, g1, g2, l1, l2):
         xa[ra], ya[ra], fa[ra] = x[:na], y[:na], found[:na]
         xb[rb], yb[rb], fb[rb] = x[na:], y[na:], found[na:]
 
-    # branches 2 and 3: the interior root, else the closed form where the
-    # transmit user is strong (sub-cases 2 and 4)
-    cfa = np.where((sub2 == 2) | (sub2 == 4), cf2, 0.0)
-    p1[i2] = np.where(fa[i2], xa[i2], cfa)
+    # branches 2 and 3: the interior root, else the closed form (nonzero
+    # only where the transmit user is strong, sub-cases 2 and 4)
+    p1[i2] = np.where(fa[i2], xa[i2], cf2)
     q2[i2] = ya[i2]
     case[i2] = 20 + sub2
-    cfb = np.where((sub3 == 2) | (sub3 == 4), cf3, 0.0)
-    p2[i3] = np.where(fb[i3], xb[i3], cfb)
+    p2[i3] = np.where(fb[i3], xb[i3], cf3)
     q1[i3] = yb[i3]
     case[i3] = 30 + sub3
 
@@ -739,9 +734,7 @@ def cj_case_label(code: int) -> str:
 
 def esa_cj_case_label(s: EffectiveState, duals: DualVars) -> str:
     """Branch label of one state under the jamming tree."""
-    _, _, _, _, case = esa_cj_policy_batch(
-        np.array([s.h1]), np.array([s.h2]), np.array([s.g1]),
-        np.array([s.g2]), duals.lambda1, duals.lambda2)
+    *_, case = esa_cj_policy_batch(*_state_row(s, duals))
     return cj_case_label(int(case[0]))
 
 
@@ -760,11 +753,8 @@ def gs_cj_baseline_batch(h1, h2, g1, g2, l1, l2):
     normative.
     """
     h1, h2, g1, g2 = (np.asarray(a, dtype=float) for a in (h1, h2, g1, g2))
-    m = h1.shape[0]
     l1a = np.broadcast_to(np.asarray(l1, dtype=float), h1.shape)
     l2a = np.broadcast_to(np.asarray(l2, dtype=float), h1.shape)
-    p1 = np.zeros(m); p2 = np.zeros(m)
-    q1 = np.zeros(m); q2 = np.zeros(m)
 
     s1 = h1 > g1  # user-1 receiver beats its eavesdropper gain
     s2 = h2 > g2
@@ -776,18 +766,10 @@ def gs_cj_baseline_batch(h1, h2, g1, g2, l1, l2):
     d1 = s1 & s2
     d2 = s1 & ~s2
     d3 = ~s1 & s2
-    p1 = np.where((d1 | d2) & a1,
-                  _closed_form_root(np.where(a1, h1, 1.0),
-                                    np.where(a1, g1, 0.0), l1a), 0.0)
-    p2 = np.where((d1 | d3) & a2,
-                  _closed_form_root(np.where(a2, h2, 1.0),
-                                    np.where(a2, g2, 0.0), l2a), 0.0)
-    q2 = np.where(d2 & j2,
-                  _closed_form_root(np.where(j2, g2, 1.0),
-                                    np.where(j2, h2, 0.0), l2a), 0.0)
-    q1 = np.where(d3 & j1,
-                  _closed_form_root(np.where(j1, g1, 1.0),
-                                    np.where(j1, h1, 0.0), l1a), 0.0)
+    p1 = _closed_form_where((d1 | d2) & a1, h1, g1, l1a)
+    p2 = _closed_form_where((d1 | d3) & a2, h2, g2, l2a)
+    q1 = _closed_form_where(d3 & j1, g1, h1, l1a)
+    q2 = _closed_form_where(d2 & j2, g2, h2, l2a)
     return p1, p2, q1, q2
 
 
@@ -885,8 +867,7 @@ def _dual_powers(scheme: str, sq, l1, l2):
 
 
 def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
-                n: int, seed: int, tol: float = 0.01,
-                max_sweeps: int = 50) -> DualSearchResult:
+                n: int, seed: int, tol: float = 0.01) -> DualSearchResult:
     """Alternating per-coordinate bisection on a frozen state batch.
 
     For each coordinate the multiplier is bisected until the realized
@@ -906,9 +887,7 @@ def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
         p1, p2, q1, q2 = _dual_powers(scheme, sq, cur[0], cur[1])
         return float((p1 + q1).mean()), float((p2 + q2).mean())
 
-    sweeps = 0
-    converged = False
-    for sweeps in range(1, max_sweeps + 1):
+    for sweeps in range(1, _MAX_SWEEPS + 1):
         for k in (0, 1):
             slack[k] = False
             trial = list(lam)
@@ -941,11 +920,10 @@ def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
                     hi = mid
             lam[k] = hi
         real = realized(lam)
-        if all(slack[k] or abs(real[k] - pbar[k]) <= tol * pbar[k]
-               for k in (0, 1)):
-            converged = True
+        converged = all(slack[k] or abs(real[k] - pbar[k]) <= tol * pbar[k]
+                        for k in (0, 1))
+        if converged:
             break
-    real = realized(lam)
     return DualSearchResult(duals=DualVars(lam[0], lam[1]),
                             realized=real, slack=tuple(slack),
                             converged=converged, sweeps=sweeps)

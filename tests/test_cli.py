@@ -43,6 +43,13 @@ def test_config_validation():
         ExperimentConfig(snr_db=())
     with pytest.raises(ConfigError):
         ExperimentConfig(var_g=-1.0)
+    # each SNR must give a finite positive power 10 ** (db / 10); variances
+    # must be finite; seeds nonnegative
+    for bad in ({"snr_db": (math.nan,)}, {"snr_db": (4000.0,)},
+                {"snr_db": (-4000.0,)}, {"var_g": math.inf},
+                {"seed": -1}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**bad)
     cfg = ExperimentConfig()
     assert cfg.seed == 12345  # explicit default, never wall-clock
 
@@ -132,6 +139,8 @@ def test_query_argument_combinations():
      "--duals", "nan,0.1"),
     ("query", "--scheme", "esa", "--effective", "1,1,1,1",
      "--powers", "inf,1"),
+    ("figure2", "--snr-db", "4000"),  # 10 ** 400 overflows
+    ("figure2", "--seed", "-1"),
 ])
 def test_malformed_input_fails_cleanly(tmp_path, args):
     out = tmp_path / "out.csv"
@@ -167,6 +176,16 @@ def test_figure1_rejects_bad_config(tmp_path):
     cfg.write_text("samples = -5\n")
     res = _run("figure1", "--config", str(cfg))
     assert res.exit_code != 0
+
+
+def test_dof_has_no_snr_grid(tmp_path):
+    # dof's grid is linear powers; an SNR grid is refused, not ignored
+    out = tmp_path / "dof.csv"
+    res = _run("dof", "--snr-db", "0", "--powers", "1e2,1e3,1e4",
+               "--out", str(out))
+    assert res.exit_code == 2
+    assert "No such option" in res.output
+    assert not out.exists()
 
 
 def test_dof_reports_slopes(tmp_path):

@@ -437,20 +437,29 @@ def test_stationary_candidates_silent_state():
 @pytest.mark.parametrize("lam", [1e-3, 0.1])
 def test_tree_root_is_a_stationary_candidate(rng, lam):
     # where the seven-case tree takes an interior root (cases 4-7, both
-    # powers positive), the stationarity enumeration criterion 5 filters
-    # on lists that same point (up to the enumeration's de-duplication:
-    # two starts may reach one root a few ulps apart)
-    h1, h2, g1, g2 = _random_states(rng, 400)
-    p1, p2, case = esa_policy_batch(h1, h2, g1, g2, lam, lam)
-    rows = np.nonzero((case >= 4) & (p1 > 0) & (p2 > 0))[0]
-    assert rows.size > 20
+    # powers positive), and where the jamming tree resolves a transmit/jam
+    # branch (sub-cases 2c/2d, their mirrors 3c/3d, and branch 4 past
+    # silence), the stationarity enumeration criterion 5 filters on lists
+    # that same point (up to the enumeration's de-duplication: two starts
+    # may reach one root a few ulps apart)
+    gains = _random_states(rng, 400)
+    p1, p2, case = esa_policy_batch(*gains, lam, lam)
+    z = np.zeros_like(p1)
+    cj = esa_cj_policy_batch(*gains, lam, lam)
+    trees = (("esa", (p1, p2, z, z), (case >= 4) & (p1 > 0) & (p2 > 0)),
+             ("esa_cj", cj[:4],
+              np.isin(cj[4], (23, 24, 33, 34, 42, 43, 44, 45, 46))))
     duals = DualVars(lam, lam)
-    for i in rows:
-        s = EffectiveState(h1[i], h2[i], g1[i], g2[i])
-        cands = stationary_candidates(s, duals, "esa")
-        assert any(d.p1 == pytest.approx(p1[i], rel=1e-9)
-                   and d.p2 == pytest.approx(p2[i], rel=1e-9)
-                   for d, _ in cands)
+    for scheme, powers, take in trees:
+        rows = np.nonzero(take)[0]
+        assert rows.size > 20
+        for i in rows:
+            s = EffectiveState(*(a[i] for a in gains))
+            want = tuple(float(p[i]) for p in powers)
+            cands = stationary_candidates(s, duals, scheme)
+            assert any((d.p1, d.p2, d.q1, d.q2)
+                       == pytest.approx(want, rel=1e-9)
+                       for d, _ in cands), (scheme, i, want)
 
 
 def test_policy_beats_grid_oracle_at_unique_states(rng):
