@@ -106,6 +106,21 @@ def main():
     """Ergodic secrecy-rate experiments for the two-user fading wiretap MAC."""
 
 
+# Dual-search tolerance of the figure commands, and the sampling allowance
+# (in combined standard errors) of their over-budget fence
+DUAL_TOL = 0.02
+BUDGET_SIGMAS = 3.0
+
+
+def _over_budget(est, search, budget) -> bool:
+    """A user's realized power on the estimate's batch exceeds its budget
+    by more than the search tolerance plus the sampling allowance."""
+    return any(
+        est.avg_power[k] - pbar > DUAL_TOL * pbar + BUDGET_SIGMAS * math.hypot(
+            est.avg_power_stderr[k], search.realized_stderr[k])
+        for k, pbar in enumerate((budget.pbar1, budget.pbar2)))
+
+
 # Figure variants: (row name, scheme, policy kind)
 CONSTANT, RUDIMENTARY, DUAL = "constant", "rudimentary", "dual"
 _FIG1_VARIANTS = (
@@ -150,7 +165,8 @@ def _figure(tag, variants, default_out, config, seed, samples, out, snr_db,
                     try:
                         search = dual_search(params, budget, scheme,
                                              cfg.dual_samples,
-                                             _point_seed(*point, 9), tol=0.02)
+                                             _point_seed(*point, 9),
+                                             tol=DUAL_TOL)
                     except RootSolveError as exc:
                         rows.append([db, var_g, name, float("nan"),
                                      float("nan"), 0, f"dual-failed:{exc}"])
@@ -160,6 +176,9 @@ def _figure(tag, variants, default_out, config, seed, samples, out, snr_db,
                     policy = DualPolicy(scheme, search.duals)
                 est = ergodic_region(scheme, policy, params, cfg.samples,
                                      _point_seed(*point))
+                if (kind == DUAL and status == "ok"
+                        and _over_budget(est, search, budget)):
+                    status = "over-budget"
                 if not (math.isfinite(est.mean.rsum)
                         and math.isfinite(est.stderr.rsum)):
                     status = "non-finite"
@@ -211,8 +230,10 @@ def dof(config, seed, samples, out, schemes, powers):
                                _point_seed(cfg.seed, 3, si),
                                dual_n=cfg.dual_samples)
         eta = estimate_dof(curve)
-        for p, r, se in zip(curve.powers, curve.rsum, curve.stderr):
-            rows.append([scheme, p, r, se, cfg.samples, "ok"])
+        for p, r, se, conv in zip(curve.powers, curve.rsum, curve.stderr,
+                                  curve.converged):
+            rows.append([scheme, p, r, se, cfg.samples,
+                         "ok" if conv else "dual-not-converged"])
         click.echo(f"eta {scheme} {_fmt(eta)}")
     path = cfg.out or "dof.csv"
     _write_csv(path, ["scheme", "power", "rsum_bits", "stderr", "n",

@@ -32,9 +32,13 @@ class SumRateCurve:
     powers: tuple        # linear powers, strictly increasing
     rsum: tuple          # ergodic sum-rate estimates (bits)
     stderr: tuple
+    converged: tuple = None  # per point: its dual search converged (None: all)
 
     def __post_init__(self):
-        if len(self.powers) != len(self.rsum) or len(self.rsum) != len(self.stderr):
+        if self.converged is None:
+            object.__setattr__(self, "converged", (True,) * len(self.powers))
+        if not (len(self.powers) == len(self.rsum) == len(self.stderr)
+                == len(self.converged)):
             raise ValueError("grid/estimate length mismatch")
         p = np.asarray(self.powers)
         if not np.all(np.diff(p) > 0):
@@ -50,15 +54,18 @@ def sum_rate_curve(scheme: str, params: FadingParams, powers, n: int,
     Per-point seeds are spawned from ``(seed, point index)`` so points are
     independent and individually reproducible.  The single-slot baseline
     re-solves its dual variables at every grid point (on ``dual_n``
-    states) before measuring on ``n`` fresh states.
+    states) before measuring on ``n`` fresh states; whether each search
+    converged is carried in :attr:`SumRateCurve.converged`.
     """
     powers = tuple(float(p) for p in powers)
     rs = []
     se = []
+    conv = []
     for i, p in enumerate(powers):
         if not p > 0:
             raise ValueError("grid powers must be positive")
         point_seed = int(np.random.SeedSequence((seed, i)).generate_state(1)[0])
+        converged = True  # only the baseline runs a dual search
         if scheme == ESA:
             policy = ConstantPolicy(p, p)
         elif scheme == SBA:
@@ -70,13 +77,16 @@ def sum_rate_curve(scheme: str, params: FadingParams, powers, n: int,
             search = dual_search(params, PowerBudget(p, p), GS_CJ,
                                  dual_n, point_seed ^ 0x5F5F, tol=0.02)
             policy = DualPolicy(GS_CJ, search.duals)
+            converged = search.converged
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
         est = ergodic_region(scheme, policy, params, n, point_seed)
         rs.append(est.mean.rsum)
         se.append(est.stderr.rsum)
+        conv.append(converged)
     return SumRateCurve(scheme=scheme, params=params, powers=powers,
-                        rsum=tuple(rs), stderr=tuple(se))
+                        rsum=tuple(rs), stderr=tuple(se),
+                        converged=tuple(conv))
 
 
 def estimate_dof(curve: SumRateCurve, window: slice | None = None) -> float:

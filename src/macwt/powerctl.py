@@ -32,6 +32,10 @@ length-1 calls into the same code.
 The dual policies of the three schemes with a multiplier search (``esa``,
 ``esa_cj`` and the ``gs_cj`` baseline) are dispatched in one place,
 :func:`_dual_powers`, shared by :func:`dual_search` and :class:`DualPolicy`.
+:func:`dual_search` prices both budgets at once: a quasi-Newton (Broyden)
+solve of the two budget equations in ``log(lambda)`` on one frozen state
+batch, stopped only when complementary slackness holds at the final
+multipliers.  It needs a handful of case-tree evaluations per search.
 """
 
 from __future__ import annotations
@@ -46,13 +50,16 @@ from .rates import PowerBudget, PowerDecision, esa_cj_triple
 
 RESIDUAL_TOL = 1e-9   # relative residual for accepting a common root
 CLAMP_TOL = 1e-9      # components in (-CLAMP_TOL, 0) are clamped to 0
-LAM_MIN = 1e-8        # lower bracket for the dual bisection
+LAM_MIN = 1e-8        # smallest multiplier the dual search takes
 _NEWTON_ITERS = 40    # Newton step cap per start
-_MAX_SWEEPS = 50      # dual-search sweeps over both multipliers
+_MAX_EVALS = 60       # dual-search policy evaluations
+_MAX_LOG_STEP = 4.0   # dual-search step cap per coordinate, in log(lambda)
+_HALVINGS = 3         # step halvings before the Jacobian is rebuilt
+_FD_STEP = 0.1        # forward-difference step in log(lambda)
 
 
 class RootSolveError(RuntimeError):
-    """:func:`dual_search` could not bracket a multiplier."""
+    """:func:`dual_search` met a realized power that is not finite."""
 
 
 class CaseSolverError(RuntimeError):
@@ -843,9 +850,10 @@ def grid_oracle(s: EffectiveState, duals: DualVars, scheme: str,
 class DualSearchResult:
     duals: DualVars
     realized: tuple        # (E[P1+Q1], E[P2+Q2]) on the frozen batch
-    slack: tuple           # per-user: constraint inactive at the lower bracket
+    realized_stderr: tuple  # standard errors of those means on the batch
+    slack: tuple           # per user: at LAM_MIN and under budget at the final λ
     converged: bool
-    sweeps: int
+    sweeps: int            # policy evaluations (case-tree passes) spent
 
 
 def _dual_powers(scheme: str, sq, l1, l2):
@@ -866,67 +874,125 @@ def _dual_powers(scheme: str, sq, l1, l2):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+@dataclass(frozen=True)
+class _DualPoint:
+    """The search's view of one multiplier pair."""
+
+    lam: np.ndarray        # (λ1, λ2)
+    power: np.ndarray      # realized (E[P1+Q1], E[P2+Q2])
+    stderr: np.ndarray     # standard errors of ``power``
+    resid: np.ndarray      # log(power / pbar), zero power floored at tiny
+    slack: np.ndarray      # at LAM_MIN and within (1 + tol) of the budget
+    done: bool             # every user within tol of its budget, or slack
+    merit: float           # largest |resid| over the users not slack
+
+    @property
+    def flat(self) -> bool:
+        """A user not slack realizes exactly zero power: its residual
+        carries no slope, so neither a merit test nor a secant applies."""
+        return bool(np.any(~self.slack & (self.power == 0.0)))
+
+
+def _newton_step(jac, resid, free):
+    """``-J^-1 r`` over the ``free`` users, 0 for the others.
+
+    Written out for the 2x2 and 1x1 cases: ``np.linalg.solve`` would
+    load the LAPACK module, about 0.6 MB of resident memory, into runs
+    that otherwise never touch it.
+    """
+    if free.all():
+        (a, b), (c, d) = jac
+        return np.array([b * resid[1] - d * resid[0],
+                         c * resid[0] - a * resid[1]]) / (a * d - b * c)
+    return np.where(free, -resid / np.diag(jac), 0.0)
+
+
 def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
                 n: int, seed: int, tol: float = 0.01) -> DualSearchResult:
-    """Alternating per-coordinate bisection on a frozen state batch.
+    """Multipliers that price ``scheme``'s dual policy into the budgets.
 
-    For each coordinate the multiplier is bisected until the realized
-    average power is within ``tol * pbar`` of the budget, or the
-    constraint is slack at the smallest bracketed multiplier.
-    Deterministic given the seed.
+    Solves ``r(u) = log E[P(e^u)] - log pbar = 0`` jointly in
+    ``u = log(lambda)`` by Broyden's quasi-Newton method on one frozen
+    state batch, from ``lambda_k = max(1/pbar_k, LAM_MIN)`` (which depends
+    only on the budget) and the water-filling slope ``J = -I``.  Steps are
+    clipped to ``_MAX_LOG_STEP`` per coordinate and floor lambda at
+    ``LAM_MIN``.  A step is taken when the largest residual falls, or
+    without that test while some user realizes zero power; otherwise it
+    is halved up to ``_HALVINGS`` times, and then the Jacobian is rebuilt
+    by forward differences.  Users at ``LAM_MIN`` and under budget are
+    held there.  The search converges when, at the current multipliers,
+    each user is within ``tol * pbar`` of its budget or sits at
+    ``LAM_MIN`` within ``(1 + tol) * pbar``: complementary slackness
+    checked at one point.  Deterministic given the seed.
     """
     if not (budget.pbar1 > 0 and budget.pbar2 > 0):
         raise ValueError("budgets must be strictly positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sq = sample_batch(params, n, rng).sq()
-    pbar = (budget.pbar1, budget.pbar2)
-    lam = [1.0, 1.0]
-    slack = [False, False]
+    pbar = np.array([budget.pbar1, budget.pbar2])
+    evals = 0
 
-    def realized(cur):
-        p1, p2, q1, q2 = _dual_powers(scheme, sq, cur[0], cur[1])
-        return float((p1 + q1).mean()), float((p2 + q2).mean())
+    def evaluate(lam):
+        nonlocal evals
+        evals += 1
+        p1, p2, q1, q2 = _dual_powers(scheme, sq, float(lam[0]),
+                                      float(lam[1]))
+        power, meansq = np.empty(2), np.empty(2)
+        for k, tot in enumerate((p1 + q1, p2 + q2)):
+            # dot products, not (tot - mean)**2: no more state-length arrays
+            power[k], meansq[k] = tot.mean(), tot @ tot / n
+        stderr = np.sqrt(np.maximum(meansq - power * power, 0.0) / n)
+        if not np.all(np.isfinite(power)):
+            raise RootSolveError(
+                f"realized power {power.tolist()} at multipliers "
+                f"{lam.tolist()} is not finite")
+        resid = np.log(np.maximum(power, np.finfo(float).tiny) / pbar)
+        slack = (lam <= LAM_MIN) & (power <= pbar * (1.0 + tol))
+        done = bool(np.all(slack | (np.abs(power - pbar) <= tol * pbar)))
+        merit = float(np.max(np.abs(resid[~slack]), initial=0.0))
+        return _DualPoint(lam, power, stderr, resid, slack, done, merit)
 
-    for sweeps in range(1, _MAX_SWEEPS + 1):
-        for k in (0, 1):
-            slack[k] = False
-            trial = list(lam)
-            trial[k] = LAM_MIN
-            e_lo = realized(trial)[k]
-            if e_lo <= pbar[k] * (1.0 + tol):
-                lam[k] = LAM_MIN
-                slack[k] = True
-                continue
-            lo = LAM_MIN
-            hi = max(lam[k], 1.0)
-            trial[k] = hi
-            for _ in range(80):
-                if realized(trial)[k] <= pbar[k]:
-                    break
-                hi *= 2.0
-                trial[k] = hi
-            else:
-                raise RootSolveError("could not bracket the dual variable")
-            for _ in range(80):
-                mid = math.sqrt(lo * hi)
-                trial[k] = mid
-                e = realized(trial)[k]
-                if abs(e - pbar[k]) <= tol * pbar[k]:
-                    hi = mid
-                    break
-                if e > pbar[k]:
-                    lo = mid
-                else:
-                    hi = mid
-            lam[k] = hi
-        real = realized(lam)
-        converged = all(slack[k] or abs(real[k] - pbar[k]) <= tol * pbar[k]
-                        for k in (0, 1))
-        if converged:
+    def secant(jac, a, b):
+        """Broyden's rank-1 update of ``jac`` from point ``a`` to ``b``."""
+        du = np.log(b.lam / a.lam)
+        if a.flat or b.flat or not du @ du > 0:
+            return -np.eye(2)
+        jac = jac + np.outer(b.resid - a.resid - jac @ du, du) / (du @ du)
+        return jac if np.all(np.diag(jac) < 0) else -np.eye(2)
+
+    cur = evaluate(np.maximum(1.0 / pbar, LAM_MIN))
+    jac = -np.eye(2)
+    step, halvings = None, 0
+    while not cur.done and evals < _MAX_EVALS:
+        free = ~cur.slack
+        if step is None:
+            step = np.clip(_newton_step(jac, cur.resid, free),
+                           -_MAX_LOG_STEP, _MAX_LOG_STEP)
+        trial = evaluate(np.maximum(cur.lam * np.exp(step), LAM_MIN))
+        jac = secant(jac, cur, trial)
+        if cur.flat or trial.merit < cur.merit:
+            cur, step, halvings = trial, None, 0
+        elif halvings < _HALVINGS:
+            step, halvings = step / 2.0, halvings + 1
+        elif evals + np.count_nonzero(free) <= _MAX_EVALS:
+            # the model has failed along this step: rebuild it around cur
+            jac, step, halvings = -np.eye(2), None, 0
+            probes = []
+            for k in np.flatnonzero(free):
+                lam = cur.lam.copy()
+                lam[k] *= math.exp(_FD_STEP)
+                probes.append(evaluate(lam))
+                jac[:, k] = (probes[-1].resid - cur.resid) / _FD_STEP
+            if any(p.flat for p in probes) or not np.all(np.diag(jac) < 0):
+                jac = -np.eye(2)
+        else:
             break
-    return DualSearchResult(duals=DualVars(lam[0], lam[1]),
-                            realized=real, slack=tuple(slack),
-                            converged=converged, sweeps=sweeps)
+    return DualSearchResult(
+        duals=DualVars(float(cur.lam[0]), float(cur.lam[1])),
+        realized=(float(cur.power[0]), float(cur.power[1])),
+        realized_stderr=(float(cur.stderr[0]), float(cur.stderr[1])),
+        slack=(bool(cur.slack[0]), bool(cur.slack[1])),
+        converged=cur.done, sweeps=evals)
 
 
 class DualPolicy:

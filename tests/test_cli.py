@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import pytest
 from click.testing import CliRunner
 
 import macwt.cli
+import macwt.dof
 from macwt.cli import main
 from macwt.montecarlo import MonteCarloEstimate
+from macwt.powerctl import LAM_MIN, DualVars
 from macwt.rates import RateTriple
 from macwt.config import ConfigError, ExperimentConfig, load_config, parse_config_text
 
@@ -240,3 +243,46 @@ def test_figure_non_finite_row_is_not_ok(tmp_path, monkeypatch, cmd):
     assert res.exit_code == 0, res.output
     rows = out.read_text(encoding="utf-8").splitlines()[1:]
     assert rows and all(row.endswith(",non-finite") for row in rows)
+
+
+def test_figure2_over_budget_row_is_not_ok(tmp_path, monkeypatch):
+    # a search that leaves user 1 unpriced at 60 dB, as a stale slack flag
+    # did: the tree then spends many times user 1's budget
+    search = macwt.cli.dual_search
+
+    def unpriced(*args, **kwargs):
+        res = search(*args, **kwargs)
+        return dataclasses.replace(
+            res, duals=DualVars(LAM_MIN, res.duals.lambda2))
+
+    monkeypatch.setattr(macwt.cli, "dual_search", unpriced)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("samples = 2000\ndual_samples = 2000\n")
+    out = tmp_path / "fig2.csv"
+    res = _run("figure2", "--config", str(cfg), "--snr-db", "60",
+               "--scheme", "esa", "--out", str(out))
+    assert res.exit_code == 0, res.output
+    rows = [row.split(",")
+            for row in out.read_text(encoding="utf-8").splitlines()[1:]]
+    # two var_g values, each with a constant-power and a KKT row
+    assert sorted((r[2], r[-1]) for r in rows) == (
+        [("esa_const", "ok")] * 2 + [("esa_kkt", "over-budget")] * 2)
+
+
+def test_dof_non_converged_search_is_not_ok(tmp_path, monkeypatch):
+    search = macwt.dof.dual_search
+
+    def stalled(*args, **kwargs):
+        return dataclasses.replace(search(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(macwt.dof, "dual_search", stalled)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("dual_samples = 2000\n")
+    out = tmp_path / "dof.csv"
+    res = _run("dof", "--config", str(cfg), "--scheme", "gs_cj",
+               "--samples", "2000", "--powers", "1e2,1e3,1e4",
+               "--out", str(out))
+    assert res.exit_code == 0, res.output
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 3
+    assert all(row.endswith(",dual-not-converged") for row in rows)

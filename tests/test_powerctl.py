@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macwt import powerctl
 from macwt.channel import ChannelState, FadingParams, StateBatch, sample_batch
-from macwt.powerctl import (RESIDUAL_TOL, DualPolicy, DualSearchResult,
-                            DualVars, EffectiveState, _common_root_batch,
+from macwt.powerctl import (LAM_MIN, RESIDUAL_TOL, DualPolicy,
+                            DualSearchResult, DualVars, EffectiveState,
+                            RootSolveError, _common_root_batch,
                             _positive_roots_batch,
                             _rel_residual, _system_esa, _system_p1q2,
                             cj_case_label, closed_form_p1,
@@ -573,7 +575,8 @@ def test_dual_search_deterministic():
 
 
 def test_dual_search_monotone_in_lambda(rng):
-    # empirical monotonicity that justifies the per-coordinate bisection
+    # empirical monotonicity behind the search's start model: a user's
+    # realized power falls as its own multiplier rises (J = -I in log units)
     sq = sample_batch(PARAMS, 4000, rng).sq()
     h1, h2, g1, g2 = sq
     prev = None
@@ -588,6 +591,74 @@ def test_dual_search_monotone_in_lambda(rng):
 def test_dual_search_rejects_zero_budget():
     with pytest.raises(ValueError):
         dual_search(PARAMS, PowerBudget(0.0, 1.0), "esa", 100, seed=1)
+
+
+def _complementary(res, budget, tol):
+    """Each user is within ``tol`` of its budget at the final multipliers,
+    or sits at LAM_MIN there and spends at most ``(1 + tol)`` times it."""
+    pbar = (budget.pbar1, budget.pbar2)
+    lam = (res.duals.lambda1, res.duals.lambda2)
+    return all(abs(res.realized[k] - pbar[k]) <= tol * pbar[k]
+               or (lam[k] == LAM_MIN and res.realized[k] <= pbar[k] * (1 + tol))
+               for k in (0, 1))
+
+
+@pytest.mark.parametrize("scheme", ["esa", "esa_cj"])
+@pytest.mark.parametrize("pbar", [1e5, 1e6])
+def test_dual_search_no_stale_slack(scheme, pbar):
+    # at 50-60 dB user 1 stays under budget at LAM_MIN only while user 2
+    # is priced out; once user 2 transmits, user 1 at LAM_MIN overspends
+    # many times over, so slackness must hold at the final multipliers
+    budget = PowerBudget(pbar, pbar)
+    res = dual_search(PARAMS, budget, scheme, 2000, seed=41)
+    assert res.converged
+    assert _complementary(res, budget, 0.01), res
+
+
+@pytest.mark.parametrize("scheme", ["esa", "esa_cj", "gs_cj"])
+def test_dual_search_converged_means_complementary(scheme):
+    for var_h, var_g in ((1.0, 0.75), (0.01, 1.0)):
+        params = FadingParams.symmetric(var_h, var_g)
+        for db in (-20.0, 0.0, 30.0, 60.0):
+            p = 10.0 ** (db / 10.0)
+            for ratio in (1.0, 10.0):
+                budget = PowerBudget(p, ratio * p)
+                res = dual_search(params, budget, scheme, 500, seed=43)
+                assert res.sweeps <= 60  # policy evaluations
+                if res.converged:
+                    assert _complementary(res, budget, 0.01), (db, ratio, res)
+
+
+def test_dual_search_evaluation_count(monkeypatch):
+    # the figure2 grid of the benchmark: 0/30/60 dB on a 2000-state batch
+    calls = []
+    tree = powerctl._dual_powers
+
+    def counted(*args):
+        calls.append(args[0])
+        return tree(*args)
+
+    monkeypatch.setattr(powerctl, "_dual_powers", counted)
+    for var_g in (0.75, 0.25):
+        params = FadingParams.symmetric(1.0, var_g)
+        for scheme in ("esa", "esa_cj", "gs_cj"):
+            for db in (0.0, 30.0, 60.0):
+                p = 10.0 ** (db / 10.0)
+                calls.clear()
+                res = dual_search(params, PowerBudget(p, p), scheme, 2000,
+                                  seed=47, tol=0.02)
+                assert res.converged
+                assert len(calls) == res.sweeps <= 8, (var_g, scheme, db)
+
+
+def test_dual_search_non_finite_power_raises(monkeypatch):
+    def nan_powers(scheme, sq, l1, l2):
+        nan = np.full_like(sq[0], np.nan)
+        return nan, nan, nan, nan
+
+    monkeypatch.setattr(powerctl, "_dual_powers", nan_powers)
+    with pytest.raises(RootSolveError):
+        dual_search(PARAMS, PowerBudget(1.0, 1.0), "esa", 100, seed=1)
 
 
 # ---------------------------------------------------------------------------
