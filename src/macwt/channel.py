@@ -114,55 +114,14 @@ def sample_batch(params: FadingParams, n: int, rng: np.random.Generator) -> Stat
 # Scaled two-slot (odd/even) block construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SbaBlock:
-    """Two consecutive slots with cross-scaled gains.
+def sba_block_gains(odd: StateBatch, even: StateBatch):
+    """Batched derived gains for two-slot blocks.
 
     Each user scales its input by the other user's eavesdropper gain, so
     the effective receiver gains are products ``h_k * g_j`` while both
-    eavesdropper rows collapse to ``g1 * g2`` -- the eavesdropper's 2x2
-    channel matrix has identical columns and is exactly rank one.
-    """
-
-    odd: ChannelState
-    even: ChannelState
-
-    @property
-    def a1(self) -> complex:
-        return self.odd.h1 * self.odd.g2
-
-    @property
-    def a2(self) -> complex:
-        return self.odd.h2 * self.odd.g1
-
-    @property
-    def b1(self) -> complex:
-        return self.even.h1 * self.even.g2
-
-    @property
-    def b2(self) -> complex:
-        return self.even.h2 * self.even.g1
-
-    @property
-    def c(self) -> complex:
-        return self.odd.g1 * self.odd.g2
-
-    @property
-    def d(self) -> complex:
-        return self.even.g1 * self.even.g2
-
-    @property
-    def det(self) -> complex:
-        o, e = self.odd, self.even
-        return e.h1 * o.h2 * o.g1 * e.g2 - o.h1 * e.h2 * e.g1 * o.g2
-
-    def eavesdropper_matrix(self) -> np.ndarray:
-        """The (rank-1) two-slot eavesdropper channel matrix [[c, c], [d, d]]."""
-        return np.array([[self.c, self.c], [self.d, self.d]])
-
-
-def sba_block_gains(odd: StateBatch, even: StateBatch):
-    """Batched derived gains for two-slot blocks.
+    eavesdropper columns collapse to ``g1 * g2``: the eavesdropper's 2x2
+    channel matrix ``[[c, c], [d, d]]`` (``c = g1o*g2o``, ``d = g1e*g2e``)
+    is exactly rank one.
 
     Returns ``(A1, A2, C, Dsq)`` where ``A1 = |h1o*g2o|^2 + |h1e*g2e|^2``,
     ``A2`` is the user-2 analogue, ``C = |g1o*g2o|^2 + |g1e*g2e|^2`` and

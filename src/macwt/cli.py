@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import csv
-import math
 import sys
 
 import click
@@ -19,16 +18,13 @@ import numpy as np
 
 from .channel import ChannelState, FadingParams, StateBatch, sba_block_gains
 from .config import ConfigError, ExperimentConfig, load_config
-from .dof import estimate_dof, sum_rate_curve
-from .montecarlo import (ESA, ESA_CJ, GS_CJ, SBA, ergodic_region,
-                         scheme_rates)
-from .powerctl import (DualPolicy, DualVars, EffectiveState, RootSolveError,
+from .dof import DOF_KINDS, estimate_dof, sum_rate_curve
+from .montecarlo import (CONSTANT, DUAL, ESA, ESA_CJ, GS_CJ, RUDIMENTARY, SBA,
+                         ergodic_region, grid_point, scheme_rates)
+from .powerctl import (DualVars, EffectiveState, RootSolveError, _dual_powers,
                        cj_case_label, dual_search, effective_state,
-                       esa_cj_kkt_residual, esa_cj_policy_batch,
-                       esa_kkt_residual, esa_policy_batch,
-                       gs_cj_baseline_batch)
-from .rates import (ConstantPolicy, PowerBudget, PowerDecision,
-                    RudimentaryEsaPolicy, RudimentarySbaPolicy)
+                       esa_cj_kkt_residual)
+from .rates import PowerBudget, PowerDecision
 
 
 def _fmt(v):
@@ -106,23 +102,16 @@ def main():
     """Ergodic secrecy-rate experiments for the two-user fading wiretap MAC."""
 
 
-# Dual-search tolerance of the figure commands, and the sampling allowance
-# (in combined standard errors) of their over-budget fence
-DUAL_TOL = 0.02
-BUDGET_SIGMAS = 3.0
+def _select(command, offered, wanted):
+    """The ``offered`` schemes in ``wanted``; none is a usage error."""
+    chosen = [s for s in offered if s in wanted]
+    if not chosen:
+        raise click.ClickException(
+            f"--scheme: {command} runs only {', '.join(offered)}")
+    return chosen
 
 
-def _over_budget(est, search, budget) -> bool:
-    """A user's realized power on the estimate's batch exceeds its budget
-    by more than the search tolerance plus the sampling allowance."""
-    return any(
-        est.avg_power[k] - pbar > DUAL_TOL * pbar + BUDGET_SIGMAS * math.hypot(
-            est.avg_power_stderr[k], search.realized_stderr[k])
-        for k, pbar in enumerate((budget.pbar1, budget.pbar2)))
-
-
-# Figure variants: (row name, scheme, policy kind)
-CONSTANT, RUDIMENTARY, DUAL = "constant", "rudimentary", "dual"
+# Figure variants: (row name, scheme, power-control kind)
 _FIG1_VARIANTS = (
     (SBA, SBA, RUDIMENTARY),
     (ESA, ESA, RUDIMENTARY),
@@ -143,45 +132,27 @@ def _figure(tag, variants, default_out, config, seed, samples, out, snr_db,
     cfg = _load(config, seed=seed, samples=samples, out=out,
                 snr_db=_parse_grid(snr_db, "--snr-db"),
                 schemes=_parse_schemes(schemes))
-    variants = [v for v in variants if v[1] in cfg.schemes]
+    chosen = _select(f"figure{tag}", list(dict.fromkeys(
+        scheme for _, scheme, _ in variants)), cfg.schemes)
+    variants = [v for v in variants if v[1] in chosen]
     rows = []
     for vi, var_g in enumerate((cfg.var_g, cfg.var_g_alt)):
         params = FadingParams.symmetric(cfg.var_h, var_g)
         for si, (name, scheme, kind) in enumerate(variants):
             for pi, db in enumerate(cfg.snr_db):
                 p = 10.0 ** (db / 10.0)
-                budget = PowerBudget(p, p)
                 point = (cfg.seed, tag, vi, si, pi)
-                status = "ok"
-                if kind == CONSTANT:
-                    policy = ConstantPolicy(p, p)
-                elif kind == RUDIMENTARY and scheme == SBA:
-                    policy = RudimentarySbaPolicy(
-                        budget, params, m_inner=cfg.inner_samples,
-                        seed=_point_seed(*point, 7))
-                elif kind == RUDIMENTARY:
-                    policy = RudimentaryEsaPolicy(budget)
-                else:
-                    try:
-                        search = dual_search(params, budget, scheme,
-                                             cfg.dual_samples,
-                                             _point_seed(*point, 9),
-                                             tol=DUAL_TOL)
-                    except RootSolveError as exc:
-                        rows.append([db, var_g, name, float("nan"),
-                                     float("nan"), 0, f"dual-failed:{exc}"])
-                        continue
-                    if not search.converged:
-                        status = "dual-not-converged"
-                    policy = DualPolicy(scheme, search.duals)
-                est = ergodic_region(scheme, policy, params, cfg.samples,
-                                     _point_seed(*point))
-                if (kind == DUAL and status == "ok"
-                        and _over_budget(est, search, budget)):
-                    status = "over-budget"
-                if not (math.isfinite(est.mean.rsum)
-                        and math.isfinite(est.stderr.rsum)):
-                    status = "non-finite"
+                try:
+                    est, status = grid_point(
+                        scheme, kind, params, PowerBudget(p, p), cfg.samples,
+                        _point_seed(*point), cfg.dual_samples,
+                        _point_seed(*point, 9), cfg.inner_samples,
+                        _point_seed(*point, 7), search=dual_search,
+                        estimate=ergodic_region)
+                except RootSolveError as exc:
+                    rows.append([db, var_g, name, float("nan"),
+                                 float("nan"), 0, f"dual-failed:{exc}"])
+                    continue
                 rows.append([db, var_g, name, est.mean.rsum,
                              est.stderr.rsum, est.n, status])
     path = cfg.out or default_out
@@ -223,17 +194,15 @@ def dof(config, seed, samples, out, schemes, powers):
     cfg = _load(config, seed=seed, samples=samples, out=out,
                 schemes=_parse_schemes(schemes), var_h=1.0, var_g=1.0)
     params = FadingParams.symmetric(cfg.var_h, cfg.var_g)
-    wanted = [s for s in (SBA, ESA, GS_CJ) if s in cfg.schemes]
     rows = []
-    for si, scheme in enumerate(wanted):
+    for si, scheme in enumerate(_select("dof", list(DOF_KINDS), cfg.schemes)):
         curve = sum_rate_curve(scheme, params, grid, cfg.samples,
                                _point_seed(cfg.seed, 3, si),
                                dual_n=cfg.dual_samples)
         eta = estimate_dof(curve)
-        for p, r, se, conv in zip(curve.powers, curve.rsum, curve.stderr,
-                                  curve.converged):
-            rows.append([scheme, p, r, se, cfg.samples,
-                         "ok" if conv else "dual-not-converged"])
+        for p, r, se, status in zip(curve.powers, curve.rsum, curve.stderr,
+                                    curve.status):
+            rows.append([scheme, p, r, se, cfg.samples, status])
         click.echo(f"eta {scheme} {_fmt(eta)}")
     path = cfg.out or "dof.csv"
     _write_csv(path, ["scheme", "power", "rsum_bits", "stderr", "n",
@@ -244,11 +213,6 @@ def dof(config, seed, samples, out, schemes, powers):
 # ---------------------------------------------------------------------------
 # query: single-shot policy / rate report
 # ---------------------------------------------------------------------------
-
-def _column(values):
-    """Length-1 arrays, one per value: a single state as a batch."""
-    return [np.array([v]) for v in values]
-
 
 def _parse_values(text, conv, name, counts):
     parts = text.split(",")
@@ -318,28 +282,20 @@ def query(scheme, state, even, effective, powers, duals):
         if min(l1, l2) <= 0:
             raise click.ClickException("--duals: values must be positive")
         dv = DualVars(l1, l2)
-        res = ()
-        if scheme in (ESA, ESA_CJ):
-            one = _column((eff.h1, eff.h2, eff.g1, eff.g2))
-        if scheme == ESA:
-            *p, case = esa_policy_batch(*one, l1, l2)
-            p = [float(v[0]) for v in p]
-            lines.append(f"branch    = A.{int(case[0])}")
-            res = esa_kkt_residual(eff, *p, dv)
-        elif scheme == ESA_CJ:
-            *p, case = esa_cj_policy_batch(*one, l1, l2)
-            p = [float(v[0]) for v in p]
-            lines.append(f"branch    = {cj_case_label(int(case[0]))}")
-            res = esa_cj_kkt_residual(eff, PowerDecision(*p), dv)
-        elif scheme == GS_CJ:
-            p = [float(v[0])
-                 for v in gs_cj_baseline_batch(*_column(sq), l1, l2)]
-        else:
+        if scheme == SBA:
             raise click.ClickException(
                 "no dual-variable policy for the two-slot scaled scheme")
+        *p, case = _dual_powers(scheme, [np.array([v]) for v in sq], l1, l2)
+        # the scheme without jamming reports its two transmit powers
+        p = [float(v[0]) for v in p[:2 if scheme == ESA else 4]]
+        if scheme == ESA:
+            lines.append(f"branch    = A.{int(case[0])}")
+        elif scheme == ESA_CJ:
+            lines.append(f"branch    = {cj_case_label(int(case[0]))}")
         lines.append("powers    = " + " ".join(
             f"{k}={_fmt(v)}" for k, v in zip(("P1", "P2", "Q1", "Q2"), p)))
-        if res:
+        if case is not None:
+            res = esa_cj_kkt_residual(eff, PowerDecision(*p), dv)[:len(p)]
             lines.append("residuals = " + " ".join(_fmt(r) for r in res))
     click.echo("\n".join(lines))
 

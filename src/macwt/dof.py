@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelState, FadingParams, SbaBlock, sample_batch
-from .montecarlo import ESA, GS_CJ, SBA, ergodic_region
-from .powerctl import DualPolicy, dual_search
-from .rates import ConstantPolicy, PowerBudget
+from .channel import ChannelState, FadingParams, sample_batch
+from .montecarlo import CONSTANT, DUAL, ESA, GS_CJ, SBA, grid_point
+from .rates import PowerBudget
 
 LOG2 = math.log(2.0)
+# Power control of each scheme on the scaling grid, in output order
+DOF_KINDS = {SBA: CONSTANT, ESA: CONSTANT, GS_CJ: DUAL}
 
 
 @dataclass(frozen=True)
@@ -32,13 +33,13 @@ class SumRateCurve:
     powers: tuple        # linear powers, strictly increasing
     rsum: tuple          # ergodic sum-rate estimates (bits)
     stderr: tuple
-    converged: tuple = None  # per point: its dual search converged (None: all)
+    status: tuple = None  # per point: its row status (None: all "ok")
 
     def __post_init__(self):
-        if self.converged is None:
-            object.__setattr__(self, "converged", (True,) * len(self.powers))
+        if self.status is None:
+            object.__setattr__(self, "status", ("ok",) * len(self.powers))
         if not (len(self.powers) == len(self.rsum) == len(self.stderr)
-                == len(self.converged)):
+                == len(self.status)):
             raise ValueError("grid/estimate length mismatch")
         p = np.asarray(self.powers)
         if not np.all(np.diff(p) > 0):
@@ -51,42 +52,29 @@ def sum_rate_curve(scheme: str, params: FadingParams, powers, n: int,
                    seed: int, dual_n: int = 20000) -> SumRateCurve:
     """Ergodic sum rate along a (log-spaced) power grid, symmetric budgets.
 
-    Per-point seeds are spawned from ``(seed, point index)`` so points are
-    independent and individually reproducible.  The single-slot baseline
-    re-solves its dual variables at every grid point (on ``dual_n``
-    states) before measuring on ``n`` fresh states; whether each search
-    converged is carried in :attr:`SumRateCurve.converged`.
+    Each scheme runs the power control ``DOF_KINDS`` gives it, through
+    :func:`~macwt.montecarlo.grid_point`.  Per-point seeds are spawned
+    from ``(seed, point index)`` so points are independent and
+    individually reproducible.  The single-slot baseline re-solves its
+    dual variables at every grid point (on ``dual_n`` states) before
+    measuring on ``n`` fresh states; each point's row status is carried in
+    :attr:`SumRateCurve.status`.
     """
+    if scheme not in DOF_KINDS:
+        raise ValueError(f"unknown scheme {scheme!r}")
     powers = tuple(float(p) for p in powers)
-    rs = []
-    se = []
-    conv = []
+    points = []
     for i, p in enumerate(powers):
         if not p > 0:
             raise ValueError("grid powers must be positive")
         point_seed = int(np.random.SeedSequence((seed, i)).generate_state(1)[0])
-        converged = True  # only the baseline runs a dual search
-        if scheme == ESA:
-            policy = ConstantPolicy(p, p)
-        elif scheme == SBA:
-            # P/(2 var_g2), P/(2 var_g1) meet the average power constraints
-            # of the two-slot scaled scheme
-            policy = ConstantPolicy(p / (2.0 * params.var_g2),
-                                    p / (2.0 * params.var_g1))
-        elif scheme == GS_CJ:
-            search = dual_search(params, PowerBudget(p, p), GS_CJ,
-                                 dual_n, point_seed ^ 0x5F5F, tol=0.02)
-            policy = DualPolicy(GS_CJ, search.duals)
-            converged = search.converged
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
-        est = ergodic_region(scheme, policy, params, n, point_seed)
-        rs.append(est.mean.rsum)
-        se.append(est.stderr.rsum)
-        conv.append(converged)
+        points.append(grid_point(scheme, DOF_KINDS[scheme], params,
+                                 PowerBudget(p, p), n, point_seed, dual_n,
+                                 point_seed ^ 0x5F5F))
     return SumRateCurve(scheme=scheme, params=params, powers=powers,
-                        rsum=tuple(rs), stderr=tuple(se),
-                        converged=tuple(conv))
+                        rsum=tuple(est.mean.rsum for est, _ in points),
+                        stderr=tuple(est.stderr.rsum for est, _ in points),
+                        status=tuple(status for _, status in points))
 
 
 def estimate_dof(curve: SumRateCurve, window: slice | None = None) -> float:
@@ -113,9 +101,10 @@ def _l2(x):
     return np.log1p(x) / LOG2
 
 
-def dominated_bound_sba(block: SbaBlock, params: FadingParams) -> float:
-    """Majorant of f_P / log2 P for the scaled two-slot scheme."""
-    o, e = block.odd, block.even
+def dominated_bound_sba(o: ChannelState, e: ChannelState,
+                        params: FadingParams) -> float:
+    """Majorant of f_P / log2 P for the scaled two-slot scheme on the odd
+    and even slot states ``o`` and ``e``."""
     const = 4.0 + 2.0 * (_l2(1.0 / params.var_g1) + _l2(1.0 / params.var_g2)) \
         + _l2((params.var_g1 + params.var_g2) / (params.var_g1 * params.var_g2))
     hsum = sum(_l2(abs(z) ** 2) for z in (o.h1, o.h2, e.h1, e.h2))

@@ -4,11 +4,12 @@ Sampling is split into a fixed number of logical shards regardless of how
 many workers execute them; per-shard generators are spawned from the
 master seed via ``numpy`` ``SeedSequence`` children and partial sums are
 reduced in shard order.  Results are therefore byte-identical for any
-worker count.
+worker count.  :func:`grid_point` evaluates one experiment point.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -16,7 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import FadingParams, sample_batch, sba_block_gains
-from .rates import RateTriple, esa_cj_triple, esa_triple, gs_cj_triple, sba_triple
+from .powerctl import DualPolicy, dual_search
+from .rates import (ConstantPolicy, PowerBudget, RateTriple,
+                    RudimentaryEsaPolicy, RudimentarySbaPolicy, esa_cj_triple,
+                    esa_triple, gs_cj_triple, sba_triple)
 
 SHARDS = 16
 
@@ -135,3 +139,60 @@ def ergodic_region(scheme: str, policy, params: FadingParams, n: int,
         avg_power=(mean[3], mean[4]),
         avg_power_stderr=(stderr[3], stderr[4]),
     )
+
+
+# Power-control rules of a grid point
+CONSTANT, RUDIMENTARY, DUAL = "constant", "rudimentary", "dual"
+# Dual-search tolerance of every grid point, and the sampling allowance
+# (in combined standard errors) of the over-budget fence
+DUAL_TOL = 0.02
+BUDGET_SIGMAS = 3.0
+
+
+def grid_point(scheme: str, kind: str, params: FadingParams,
+               budget: PowerBudget, n: int, seed: int, dual_n: int,
+               dual_seed: int, inner_n: int = 1, inner_seed: int = 0,
+               search=None, estimate=None):
+    """Ergodic estimate and row status ``(est, status)`` of one point.
+
+    ``kind`` is the power control: ``DUAL`` prices ``scheme``'s dual
+    policy by ``dual_search`` on ``dual_n`` states from ``dual_seed``;
+    ``RUDIMENTARY`` is on/off at full budget (the two-slot rule's inner
+    expectation uses ``inner_n`` states from ``inner_seed``); ``CONSTANT``
+    powers meet the budgets.  The estimate uses ``n`` states from ``seed``.
+    The status is ``non-finite``, else ``dual-not-converged``, else
+    ``over-budget`` (a user's realized power exceeds its budget by more
+    than ``DUAL_TOL`` plus ``BUDGET_SIGMAS`` combined standard errors of
+    the estimate and the search batch), else ``ok``.
+
+    ``search`` and ``estimate`` default to ``dual_search`` and
+    :func:`ergodic_region`; a caller passing its own module's names lets
+    wrappers set on them (perfbench's figure probe) see each call.
+    """
+    res = None
+    if kind == DUAL:
+        res = (search or dual_search)(params, budget, scheme, dual_n,
+                                      dual_seed, tol=DUAL_TOL)
+        policy = DualPolicy(scheme, res.duals)
+    elif kind == RUDIMENTARY and scheme == SBA:
+        policy = RudimentarySbaPolicy(budget, params, m_inner=inner_n,
+                                      seed=inner_seed)
+    elif kind == RUDIMENTARY:
+        policy = RudimentaryEsaPolicy(budget)
+    elif scheme == SBA:  # the two-slot scheme's budget-meeting powers
+        policy = ConstantPolicy(budget.pbar1 / (2.0 * params.var_g2),
+                                budget.pbar2 / (2.0 * params.var_g1))
+    else:
+        policy = ConstantPolicy(budget.pbar1, budget.pbar2)
+    est = (estimate or ergodic_region)(scheme, policy, params, n, seed)
+    if not (math.isfinite(est.mean.rsum) and math.isfinite(est.stderr.rsum)):
+        return est, "non-finite"
+    if res is None:
+        return est, "ok"
+    if not res.converged:
+        return est, "dual-not-converged"
+    for k, pbar in enumerate((budget.pbar1, budget.pbar2)):
+        se = math.hypot(est.avg_power_stderr[k], res.realized_stderr[k])
+        if est.avg_power[k] - pbar > DUAL_TOL * pbar + BUDGET_SIGMAS * se:
+            return est, "over-budget"
+    return est, "ok"

@@ -25,13 +25,12 @@ only if it is strictly positive with a small residual.  The case trees
 take the best root per row and give rows without one all dual-scaled
 Newton starts in a second stacked pass.  A state's powers therefore do
 not depend on the batch it is solved in.  The jamming tree gathers all
-of its transmit/jam solves into one such call, and the scalar
-``solve_*`` entry points and :func:`stationary_candidates` are
-length-1 calls into the same code.
+of its transmit/jam solves into one such call.
 
 The dual policies of the three schemes with a multiplier search (``esa``,
 ``esa_cj`` and the ``gs_cj`` baseline) are dispatched in one place,
-:func:`_dual_powers`, shared by :func:`dual_search` and :class:`DualPolicy`.
+:func:`_dual_powers`, shared by :func:`dual_search`, :class:`DualPolicy`
+and ``macwt query --duals``; it also returns the case trees' codes.
 :func:`dual_search` prices both budgets at once: a quasi-Newton (Broyden)
 solve of the two budget equations in ``log(lambda)`` on one frozen state
 batch, stopped only when complementary slackness holds at the final
@@ -129,39 +128,14 @@ def _closed_form_where(mask, h, g, lam):
     return out
 
 
-def _closed_form_user(k: int, h, g, lam) -> float:
-    """Closed-form power of user ``k`` while the other user is silent."""
-    if not h > g:
-        raise ValueError(
-            f"closed_form_p{k} requires h{k} > g{k} (invalid case)")
-    if not lam > 0:
-        raise ValueError(f"lambda{k} must be positive")
-    return float(_closed_form_root(h, g, lam))
-
-
-def closed_form_p1(s: EffectiveState, lambda1: float) -> float:
-    """Closed-form P1 when user 2 is silent; requires h1 > g1."""
-    return _closed_form_user(1, s.h1, s.g1, lambda1)
-
-
-def closed_form_p2(s: EffectiveState, lambda2: float) -> float:
-    """Closed-form P2 when user 1 is silent; requires h2 > g2."""
-    return _closed_form_user(2, s.h2, s.g2, lambda2)
-
-
 # ---------------------------------------------------------------------------
 # Stationarity residuals
 # ---------------------------------------------------------------------------
 
-def esa_kkt_residual(s: EffectiveState, p1: float, p2: float,
-                     duals: DualVars) -> tuple:
-    """Left sides of the two stationarity equations with zero slack."""
-    return esa_cj_kkt_residual(s, PowerDecision(p1, p2), duals)[:2]
-
-
 def esa_cj_kkt_residual(s: EffectiveState, d: PowerDecision,
                         duals: DualVars) -> tuple:
-    """Stationarity residuals (P1, P2, Q1, Q2 equations) with zero slack."""
+    """Stationarity residuals (P1, P2, Q1, Q2 equations) with zero slack;
+    without jamming, the first two are the whole system."""
     t1, t2 = d.p1 + d.q1, d.p2 + d.q2
     den = 1.0 + s.g1 * t1 + s.g2 * t2
     denq = 1.0 + s.g1 * d.q1 + s.g2 * d.q2
@@ -448,100 +422,6 @@ def _state_row(s: EffectiveState, duals: DualVars):
                  (s.h1, s.h2, s.g1, s.g2, duals.lambda1, duals.lambda2))
 
 
-def solve_common_root(s: EffectiveState, duals: DualVars):
-    """Positive common root (P1, P2) of the coupled quadratics, or None."""
-    x, y, found = _common_root_batch("esa", *_state_row(s, duals))
-    return (float(x[0]), float(y[0])) if found[0] else None
-
-
-def solve_p1q2(s: EffectiveState, duals: DualVars):
-    """Positive common root (P1, Q2) when user 2 jams, or None."""
-    x, y, found = _common_root_batch("p1q2", *_state_row(s, duals))
-    return (float(x[0]), float(y[0])) if found[0] else None
-
-
-def solve_p2q1(s: EffectiveState, duals: DualVars):
-    """Positive common root (P2, Q1) when user 1 jams, or None."""
-    return solve_p1q2(_swap(s), DualVars(duals.lambda2, duals.lambda1))
-
-
-def _positive_roots_scalar(which, s: EffectiveState, duals: DualVars):
-    """All distinct positive common roots of the selected system, in root
-    order (a root within 1e-6 relative of an earlier one is dropped)."""
-    x, y, ok = _positive_roots_batch(which, *_state_row(s, duals))
-    out = []
-    for px, py in zip(x[0][ok[0]].tolist(), y[0][ok[0]].tolist()):
-        if all(abs(px - p[0]) > 1e-6 * (1.0 + px) for p in out):
-            out.append((px, py))
-    return out
-
-
-def _lag(which, s: EffectiveState, duals: DualVars, x, y) -> float:
-    return float(_lagrangian_vals(which, s.h1, s.h2, s.g1, s.g2,
-                                  duals.lambda1, duals.lambda2, x, y))
-
-
-def _transmit_jam_candidates(s: EffectiveState, duals: DualVars) -> list:
-    """KKT-valid decisions where user 1 transmits or is silent and user 2
-    jams or is silent (the p1q2 system), as (PowerDecision, value)."""
-    out = []
-    if s.h1 - s.g1 <= duals.lambda1:
-        out.append((PowerDecision(0, 0, 0, 0), 0.0))
-    else:
-        p1 = closed_form_p1(s, duals.lambda1)
-        if s.g2 - s.g2 / (1.0 + s.g1 * p1) <= duals.lambda2:
-            out.append((PowerDecision(p1, 0, 0, 0),
-                        _lag("p1q2", s, duals, p1, 0.0)))
-    for x, y in _positive_roots_scalar("p1q2", s, duals):
-        out.append((PowerDecision(x, 0, 0, y), _lag("p1q2", s, duals, x, y)))
-    return out
-
-
-def stationary_candidates(s: EffectiveState, duals: DualVars,
-                          scheme: str) -> list:
-    """All KKT-valid power decisions for one state.
-
-    Returns a list of (PowerDecision, Lagrangian value in nats).  A state
-    is "stationarity-unique" exactly when the list has one entry; only
-    then does the case policy provably return the per-state optimum.
-    """
-    l1, l2 = duals.lambda1, duals.lambda2
-    h1, h2, g1, g2 = s.h1, s.h2, s.g1, s.g2
-    if scheme == "esa" or (scheme == "esa_cj" and h1 >= g1 and h2 >= g2):
-        out = []
-        if h1 - g1 <= l1 and h2 - g2 <= l2:
-            out.append((PowerDecision(0, 0), 0.0))
-        if h1 - g1 > l1:
-            p1 = closed_form_p1(s, l1)
-            if h2 - g2 / (1.0 + g1 * p1) <= l2:
-                out.append((PowerDecision(p1, 0),
-                            _lag("esa", s, duals, p1, 0.0)))
-        if h2 - g2 > l2:
-            p2 = closed_form_p2(s, l2)
-            if h1 - g1 / (1.0 + g2 * p2) <= l1:
-                out.append((PowerDecision(0, p2),
-                            _lag("esa", s, duals, 0.0, p2)))
-        for x, y in _positive_roots_scalar("esa", s, duals):
-            out.append((PowerDecision(x, y), _lag("esa", s, duals, x, y)))
-        return out
-    if scheme != "esa_cj":
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if h1 >= g1:  # h2 < g2: user 1 may transmit, user 2 may jam
-        return _transmit_jam_candidates(s, duals)
-    # user 2 may transmit, user 1 may jam: the same rule on swapped roles
-    mirror = [(PowerDecision(d.p2, d.p1, d.q2, d.q1), v) for d, v in
-              _transmit_jam_candidates(_swap(s), DualVars(l2, l1))]
-    if h2 >= g2:
-        return mirror
-    # both receivers weak: silence (listed by both orientations, kept
-    # once) and each transmit/jam pairing's roots
-    return _transmit_jam_candidates(s, duals) + mirror[1:]
-
-
-def _swap(s: EffectiveState) -> EffectiveState:
-    return EffectiveState(s.h2, s.h1, s.g2, s.g1)
-
-
 # ---------------------------------------------------------------------------
 # Case tree without jamming (seven cases)
 # ---------------------------------------------------------------------------
@@ -781,68 +661,6 @@ def gs_cj_baseline_batch(h1, h2, g1, g2, l1, l2):
 
 
 # ---------------------------------------------------------------------------
-# Per-state Lagrangian values and the grid-search oracle
-# ---------------------------------------------------------------------------
-
-def lagrangian_esa(s: EffectiveState, p1, p2, duals: DualVars):
-    """Per-state Lagrangian (nats) of the no-jamming objective."""
-    return (np.log1p(s.h1 * p1) + np.log1p(s.h2 * p2)
-            - np.log1p(s.g1 * p1 + s.g2 * p2)
-            - duals.lambda1 * p1 - duals.lambda2 * p2)
-
-
-def lagrangian_esa_cj(s: EffectiveState, d: PowerDecision, duals: DualVars):
-    """Per-state Lagrangian (nats) of the jamming objective."""
-    t1, t2 = d.p1 + d.q1, d.p2 + d.q2
-    return (np.log1p(s.h1 * t1) + np.log1p(s.h2 * t2)
-            - np.log1p(s.g1 * t1 + s.g2 * t2)
-            + np.log1p(s.g1 * d.q1 + s.g2 * d.q2)
-            - np.log1p(s.h1 * d.q1) - np.log1p(s.h2 * d.q2)
-            - duals.lambda1 * t1 - duals.lambda2 * t2)
-
-
-def grid_oracle(s: EffectiveState, duals: DualVars, scheme: str,
-                grid_max: float, grid_n: int):
-    """Exhaustive per-state Lagrangian maximization on a power grid.
-
-    For the jamming scheme the grid enumerates the four pure
-    transmit/jam role assignments (no power splitting).  Returns
-    (decision, value).
-    """
-    if grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
-    axis = np.linspace(0.0, grid_max, grid_n)
-    x = axis[:, None]
-    y = axis[None, :]
-    if scheme == "esa":
-        val = lagrangian_esa(s, x, y, duals)
-        i, j = np.unravel_index(np.argmax(val), val.shape)
-        return PowerDecision(float(axis[i]), float(axis[j])), float(val[i, j])
-    if scheme == "esa_cj":
-        lam = duals.lambda1 * x + duals.lambda2 * y
-        tt = (np.log1p(s.h1 * x) + np.log1p(s.h2 * y)
-              - np.log1p(s.g1 * x + s.g2 * y) - lam)
-        tj = (np.log1p(s.h1 * x) - np.log1p(s.g1 * x + s.g2 * y)
-              + np.log1p(s.g2 * y) - np.log1p(s.h2 * y) - lam)
-        jt = (np.log1p(s.h2 * y) - np.log1p(s.g1 * x + s.g2 * y)
-              + np.log1p(s.g1 * x) - np.log1p(s.h1 * x) - lam)
-        best = None
-        for mode, val in (("tt", tt), ("tj", tj), ("jt", jt)):
-            i, j = np.unravel_index(np.argmax(val), val.shape)
-            v = float(val[i, j])
-            if best is None or v > best[1]:
-                if mode == "tt":
-                    d = PowerDecision(float(axis[i]), float(axis[j]), 0.0, 0.0)
-                elif mode == "tj":
-                    d = PowerDecision(float(axis[i]), 0.0, 0.0, float(axis[j]))
-                else:
-                    d = PowerDecision(0.0, float(axis[j]), float(axis[i]), 0.0)
-                best = (d, v)
-        return best
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-# ---------------------------------------------------------------------------
 # Dual search
 # ---------------------------------------------------------------------------
 
@@ -857,20 +675,22 @@ class DualSearchResult:
 
 
 def _dual_powers(scheme: str, sq, l1, l2):
-    """Per-state powers (p1, p2, q1, q2) of ``scheme``'s dual policy.
+    """Per-state powers and case code ``(p1, p2, q1, q2, case)`` of
+    ``scheme``'s dual policy; ``case`` is the case tree's code, None for
+    the structural baseline.
 
     ``sq`` holds the squared gains ``batch.sq()``; the repetition schemes'
     case trees run on the effective gains ``2 * sq``.
     """
     h1, h2, g1, g2 = sq
     if scheme == "esa":
-        p1, p2, _ = esa_policy_batch(2 * h1, 2 * h2, 2 * g1, 2 * g2, l1, l2)
+        p1, p2, case = esa_policy_batch(2 * h1, 2 * h2, 2 * g1, 2 * g2, l1, l2)
         z = np.zeros_like(p1)
-        return p1, p2, z, z
+        return p1, p2, z, z, case
     if scheme == "esa_cj":
-        return esa_cj_policy_batch(2 * h1, 2 * h2, 2 * g1, 2 * g2, l1, l2)[:4]
+        return esa_cj_policy_batch(2 * h1, 2 * h2, 2 * g1, 2 * g2, l1, l2)
     if scheme == "gs_cj":
-        return gs_cj_baseline_batch(h1, h2, g1, g2, l1, l2)
+        return (*gs_cj_baseline_batch(h1, h2, g1, g2, l1, l2), None)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -919,11 +739,14 @@ def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
     ``LAM_MIN``.  A step is taken when the largest residual falls, or
     without that test while some user realizes zero power; otherwise it
     is halved up to ``_HALVINGS`` times, and then the Jacobian is rebuilt
-    by forward differences.  Users at ``LAM_MIN`` and under budget are
-    held there.  The search converges when, at the current multipliers,
-    each user is within ``tol * pbar`` of its budget or sits at
-    ``LAM_MIN`` within ``(1 + tol) * pbar``: complementary slackness
-    checked at one point.  Deterministic given the seed.
+    by forward differences.  The state after a rebuild depends only on
+    the multipliers, so a search asked to rebuild twice at the same point
+    would only repeat itself: it stops there, not converged.  Users at
+    ``LAM_MIN`` and under budget are held there.  The search converges
+    when, at the current multipliers, each user is within ``tol * pbar``
+    of its budget or sits at ``LAM_MIN`` within ``(1 + tol) * pbar``:
+    complementary slackness checked at one point.  Deterministic given
+    the seed.
     """
     if not (budget.pbar1 > 0 and budget.pbar2 > 0):
         raise ValueError("budgets must be strictly positive")
@@ -935,8 +758,8 @@ def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
     def evaluate(lam):
         nonlocal evals
         evals += 1
-        p1, p2, q1, q2 = _dual_powers(scheme, sq, float(lam[0]),
-                                      float(lam[1]))
+        p1, p2, q1, q2, _ = _dual_powers(scheme, sq, float(lam[0]),
+                                         float(lam[1]))
         power, meansq = np.empty(2), np.empty(2)
         for k, tot in enumerate((p1 + q1, p2 + q2)):
             # dot products, not (tot - mean)**2: no more state-length arrays
@@ -962,7 +785,7 @@ def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
 
     cur = evaluate(np.maximum(1.0 / pbar, LAM_MIN))
     jac = -np.eye(2)
-    step, halvings = None, 0
+    step, halvings, rebuilt = None, 0, set()
     while not cur.done and evals < _MAX_EVALS:
         free = ~cur.slack
         if step is None:
@@ -974,8 +797,11 @@ def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
             cur, step, halvings = trial, None, 0
         elif halvings < _HALVINGS:
             step, halvings = step / 2.0, halvings + 1
-        elif evals + np.count_nonzero(free) <= _MAX_EVALS:
+        elif (evals + np.count_nonzero(free) <= _MAX_EVALS
+              and tuple(cur.lam) not in rebuilt):
             # the model has failed along this step: rebuild it around cur
+            # (a second rebuild at the same point would repeat the first)
+            rebuilt.add(tuple(cur.lam))
             jac, step, halvings = -np.eye(2), None, 0
             probes = []
             for k in np.flatnonzero(free):
@@ -1006,4 +832,4 @@ class DualPolicy:
 
     def decide_batch(self, batch):
         return _dual_powers(self.scheme, batch.sq(), self.duals.lambda1,
-                            self.duals.lambda2)
+                            self.duals.lambda2)[:4]

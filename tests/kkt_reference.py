@@ -1,0 +1,159 @@
+"""Per-state references the tests hold the KKT case trees against
+(acceptance criterion 5): scalar closed forms and common roots, every
+KKT-valid decision of one state, per-state Lagrangians, a grid oracle."""
+
+import numpy as np
+
+from macwt.powerctl import (DualVars, EffectiveState, _closed_form_root,
+                            _common_root_batch, _lagrangian_vals,
+                            _positive_roots_batch, _state_row)
+from macwt.rates import PowerDecision
+
+
+def closed_form(h, g, lam) -> float:
+    """Power of a user whose partner is silent: the root of
+    h/(1+hP) - g/(1+gP) = lam; requires h > g and lam > 0."""
+    if not (h > g and lam > 0):
+        raise ValueError(f"closed form needs h > g and lam > 0 "
+                         f"(h={h}, g={g}, lam={lam})")
+    return float(_closed_form_root(h, g, lam))
+
+
+def common_root(which, s: EffectiveState, duals: DualVars):
+    """Best positive common root of one state under the ``which`` system
+    (``esa``: (P1, P2); ``p1q2``: (P1, Q2) with user 2 jamming), or None:
+    row 0 of a length-1 :func:`_common_root_batch` call."""
+    x, y, found = _common_root_batch(which, *_state_row(s, duals))
+    return (float(x[0]), float(y[0])) if found[0] else None
+
+
+def _positive_roots_scalar(which, s: EffectiveState, duals: DualVars):
+    """All distinct positive common roots of the selected system, in root
+    order (a root within 1e-6 relative of an earlier one is dropped)."""
+    x, y, ok = _positive_roots_batch(which, *_state_row(s, duals))
+    out = []
+    for px, py in zip(x[0][ok[0]].tolist(), y[0][ok[0]].tolist()):
+        if all(abs(px - p[0]) > 1e-6 * (1.0 + px) for p in out):
+            out.append((px, py))
+    return out
+
+
+def _lag(which, s: EffectiveState, duals: DualVars, x, y) -> float:
+    return float(_lagrangian_vals(which, s.h1, s.h2, s.g1, s.g2,
+                                  duals.lambda1, duals.lambda2, x, y))
+
+
+def _transmit_jam_candidates(s: EffectiveState, duals: DualVars) -> list:
+    """KKT-valid decisions where user 1 transmits or is silent and user 2
+    jams or is silent (the p1q2 system), as (PowerDecision, value)."""
+    out = []
+    if s.h1 - s.g1 <= duals.lambda1:
+        out.append((PowerDecision(0, 0, 0, 0), 0.0))
+    else:
+        p1 = closed_form(s.h1, s.g1, duals.lambda1)
+        if s.g2 - s.g2 / (1.0 + s.g1 * p1) <= duals.lambda2:
+            out.append((PowerDecision(p1, 0, 0, 0),
+                        _lag("p1q2", s, duals, p1, 0.0)))
+    for x, y in _positive_roots_scalar("p1q2", s, duals):
+        out.append((PowerDecision(x, 0, 0, y), _lag("p1q2", s, duals, x, y)))
+    return out
+
+
+def stationary_candidates(s: EffectiveState, duals: DualVars,
+                          scheme: str) -> list:
+    """All KKT-valid power decisions for one state.
+
+    Returns a list of (PowerDecision, Lagrangian value in nats).  A state
+    is "stationarity-unique" exactly when the list has one entry; only
+    then does the case policy provably return the per-state optimum.
+    """
+    l1, l2 = duals.lambda1, duals.lambda2
+    h1, h2, g1, g2 = s.h1, s.h2, s.g1, s.g2
+    if scheme == "esa" or (scheme == "esa_cj" and h1 >= g1 and h2 >= g2):
+        out = []
+        if h1 - g1 <= l1 and h2 - g2 <= l2:
+            out.append((PowerDecision(0, 0), 0.0))
+        if h1 - g1 > l1:
+            p1 = closed_form(h1, g1, l1)
+            if h2 - g2 / (1.0 + g1 * p1) <= l2:
+                out.append((PowerDecision(p1, 0),
+                            _lag("esa", s, duals, p1, 0.0)))
+        if h2 - g2 > l2:
+            p2 = closed_form(h2, g2, l2)
+            if h1 - g1 / (1.0 + g2 * p2) <= l1:
+                out.append((PowerDecision(0, p2),
+                            _lag("esa", s, duals, 0.0, p2)))
+        for x, y in _positive_roots_scalar("esa", s, duals):
+            out.append((PowerDecision(x, y), _lag("esa", s, duals, x, y)))
+        return out
+    if scheme != "esa_cj":
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if h1 >= g1:  # h2 < g2: user 1 may transmit, user 2 may jam
+        return _transmit_jam_candidates(s, duals)
+    # user 2 may transmit, user 1 may jam: the same rule on swapped roles
+    mirror = [(PowerDecision(d.p2, d.p1, d.q2, d.q1), v) for d, v in
+              _transmit_jam_candidates(EffectiveState(h2, h1, g2, g1),
+                                       DualVars(l2, l1))]
+    if h2 >= g2:
+        return mirror
+    # both receivers weak: silence (listed by both orientations, kept
+    # once) and each transmit/jam pairing's roots
+    return _transmit_jam_candidates(s, duals) + mirror[1:]
+
+
+def lagrangian_esa(s: EffectiveState, p1, p2, duals: DualVars):
+    """Per-state Lagrangian (nats) of the no-jamming objective."""
+    return (np.log1p(s.h1 * p1) + np.log1p(s.h2 * p2)
+            - np.log1p(s.g1 * p1 + s.g2 * p2)
+            - duals.lambda1 * p1 - duals.lambda2 * p2)
+
+
+def lagrangian_esa_cj(s: EffectiveState, d: PowerDecision, duals: DualVars):
+    """Per-state Lagrangian (nats) of the jamming objective."""
+    t1, t2 = d.p1 + d.q1, d.p2 + d.q2
+    return (np.log1p(s.h1 * t1) + np.log1p(s.h2 * t2)
+            - np.log1p(s.g1 * t1 + s.g2 * t2)
+            + np.log1p(s.g1 * d.q1 + s.g2 * d.q2)
+            - np.log1p(s.h1 * d.q1) - np.log1p(s.h2 * d.q2)
+            - duals.lambda1 * t1 - duals.lambda2 * t2)
+
+
+def grid_oracle(s: EffectiveState, duals: DualVars, scheme: str,
+                grid_max: float, grid_n: int):
+    """Exhaustive per-state Lagrangian maximization on a power grid.
+
+    For the jamming scheme the grid enumerates the four pure
+    transmit/jam role assignments (no power splitting).  Returns
+    (decision, value).
+    """
+    if grid_n < 2:
+        raise ValueError("grid_n must be >= 2")
+    axis = np.linspace(0.0, grid_max, grid_n)
+    x = axis[:, None]
+    y = axis[None, :]
+    if scheme == "esa":
+        val = lagrangian_esa(s, x, y, duals)
+        i, j = np.unravel_index(np.argmax(val), val.shape)
+        return PowerDecision(float(axis[i]), float(axis[j])), float(val[i, j])
+    if scheme == "esa_cj":
+        lam = duals.lambda1 * x + duals.lambda2 * y
+        tt = (np.log1p(s.h1 * x) + np.log1p(s.h2 * y)
+              - np.log1p(s.g1 * x + s.g2 * y) - lam)
+        tj = (np.log1p(s.h1 * x) - np.log1p(s.g1 * x + s.g2 * y)
+              + np.log1p(s.g2 * y) - np.log1p(s.h2 * y) - lam)
+        jt = (np.log1p(s.h2 * y) - np.log1p(s.g1 * x + s.g2 * y)
+              + np.log1p(s.g1 * x) - np.log1p(s.h1 * x) - lam)
+        best = None
+        for mode, val in (("tt", tt), ("tj", tj), ("jt", jt)):
+            i, j = np.unravel_index(np.argmax(val), val.shape)
+            v = float(val[i, j])
+            if best is None or v > best[1]:
+                if mode == "tt":
+                    d = PowerDecision(float(axis[i]), float(axis[j]), 0.0, 0.0)
+                elif mode == "tj":
+                    d = PowerDecision(float(axis[i]), 0.0, 0.0, float(axis[j]))
+                else:
+                    d = PowerDecision(0.0, float(axis[j]), float(axis[i]), 0.0)
+                best = (d, v)
+        return best
+    raise ValueError(f"unknown scheme {scheme!r}")

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 import macwt.cli
-import macwt.dof
+import macwt.montecarlo
 from macwt.cli import main
 from macwt.montecarlo import MonteCarloEstimate
 from macwt.powerctl import LAM_MIN, DualVars
@@ -144,6 +144,8 @@ def test_query_argument_combinations():
      "--powers", "inf,1"),
     ("figure2", "--snr-db", "4000"),  # 10 ** 400 overflows
     ("figure2", "--seed", "-1"),
+    ("figure1", "--scheme", "esa_cj"),  # selects none of the figure's rows
+    ("dof", "--scheme", "esa_cj"),
 ])
 def test_malformed_input_fails_cleanly(tmp_path, args):
     out = tmp_path / "out.csv"
@@ -269,13 +271,17 @@ def test_figure2_over_budget_row_is_not_ok(tmp_path, monkeypatch):
         [("esa_const", "ok")] * 2 + [("esa_kkt", "over-budget")] * 2)
 
 
-def test_dof_non_converged_search_is_not_ok(tmp_path, monkeypatch):
-    search = macwt.dof.dual_search
-
-    def stalled(*args, **kwargs):
-        return dataclasses.replace(search(*args, **kwargs), converged=False)
-
-    monkeypatch.setattr(macwt.dof, "dual_search", stalled)
+@pytest.mark.parametrize("change, status", [
+    (lambda res: dataclasses.replace(res, converged=False),
+     "dual-not-converged"),
+    # user 1 left unpriced, as in the figure2 case above
+    (lambda res: dataclasses.replace(
+        res, duals=DualVars(LAM_MIN, res.duals.lambda2)), "over-budget"),
+], ids=["not-converged", "over-budget"])
+def test_dof_search_row_is_not_ok(tmp_path, monkeypatch, change, status):
+    search = macwt.montecarlo.dual_search
+    monkeypatch.setattr(macwt.montecarlo, "dual_search",
+                        lambda *a, **kw: change(search(*a, **kw)))
     cfg = tmp_path / "small.cfg"
     cfg.write_text("dual_samples = 2000\n")
     out = tmp_path / "dof.csv"
@@ -284,5 +290,4 @@ def test_dof_non_converged_search_is_not_ok(tmp_path, monkeypatch):
                "--out", str(out))
     assert res.exit_code == 0, res.output
     rows = out.read_text(encoding="utf-8").splitlines()[1:]
-    assert len(rows) == 3
-    assert all(row.endswith(",dual-not-converged") for row in rows)
+    assert [row.rsplit(",", 1)[1] for row in rows] == [status] * 3

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from macwt.channel import (ChannelState, FadingParams, SbaBlock, sample_batch,
+from macwt.channel import (ChannelState, FadingParams, sample_batch,
                            sba_block_gains)
 from macwt.dof import (SumRateCurve, dominated_bound_esa, dominated_bound_sba,
                        estimate_dof, gs_cj_upper_bound, sum_rate_curve)
@@ -109,13 +109,12 @@ def test_dominated_bound_sba_majorizes(rng):
         for _ in range(2000):
             odd = sample_batch(params, 1, rng)
             even = sample_batch(params, 1, rng)
-            block = SbaBlock(odd.state(0), even.state(0))
             p1 = power / (2.0 * params.var_g2)
             p2 = power / (2.0 * params.var_g1)
             _, _, f = scheme_rates(SBA, sba_block_gains(odd, even),
                                    p1, p2, 0.0, 0.0)
             f = float(f[0])
-            bound = dominated_bound_sba(block, params)
+            bound = dominated_bound_sba(odd.state(0), even.state(0), params)
             assert f / math.log2(power) <= bound + 1e-12
 
 

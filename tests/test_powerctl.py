@@ -5,21 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kkt_reference import (closed_form, common_root, grid_oracle,
+                           lagrangian_esa, lagrangian_esa_cj,
+                           stationary_candidates)
 from macwt import powerctl
 from macwt.channel import ChannelState, FadingParams, StateBatch, sample_batch
 from macwt.powerctl import (LAM_MIN, RESIDUAL_TOL, DualPolicy,
                             DualSearchResult, DualVars, EffectiveState,
                             RootSolveError, _common_root_batch,
-                            _positive_roots_batch,
+                            _positive_roots_batch, _state_row,
                             _rel_residual, _system_esa, _system_p1q2,
-                            cj_case_label, closed_form_p1,
-                            closed_form_p2, dual_search, effective_state,
+                            cj_case_label, dual_search, effective_state,
                             esa_case_id, esa_cj_case_label,
                             esa_cj_kkt_residual, esa_cj_policy_batch,
-                            esa_kkt_residual, esa_policy_batch,
-                            gs_cj_baseline_batch, grid_oracle, lagrangian_esa,
-                            lagrangian_esa_cj, solve_common_root, solve_p1q2,
-                            solve_p2q1, stationary_candidates)
+                            esa_policy_batch,
+                            gs_cj_baseline_batch)
 from macwt.rates import PowerBudget, PowerDecision
 
 PARAMS = FadingParams.symmetric(1.0, 0.75)
@@ -30,19 +30,15 @@ def _random_states(rng, n, mean=2.0):
     return tuple(rng.exponential(mean, n) for _ in range(4))
 
 
-def _one(s: EffectiveState):
-    return [np.array([v]) for v in (s.h1, s.h2, s.g1, s.g2)]
-
-
 def _esa(s: EffectiveState, duals: DualVars) -> tuple:
     """(P1, P2) of one state under the seven-case tree."""
-    p1, p2, _ = esa_policy_batch(*_one(s), duals.lambda1, duals.lambda2)
+    p1, p2, _ = esa_policy_batch(*_state_row(s, duals))
     return float(p1[0]), float(p2[0])
 
 
 def _cj(s: EffectiveState, duals: DualVars) -> PowerDecision:
     """(P1, P2, Q1, Q2) of one state under the jamming tree."""
-    *p, _ = esa_cj_policy_batch(*_one(s), duals.lambda1, duals.lambda2)
+    *p, _ = esa_cj_policy_batch(*_state_row(s, duals))
     return PowerDecision(*(float(v[0]) for v in p))
 
 
@@ -65,8 +61,7 @@ def test_effective_state_doubles_squared_magnitudes():
 # ---------------------------------------------------------------------------
 
 def test_closed_form_p1_hand_value():
-    s = EffectiveState(2.0, 0, 1.0, 0)
-    p1 = closed_form_p1(s, 0.5)
+    p1 = closed_form(2.0, 1.0, 0.5)
     assert p1 == pytest.approx(0.5 * (math.sqrt(4.25) - 1.5), abs=1e-12)
     assert p1 == pytest.approx(0.2807764064044151, abs=1e-12)
     # stationarity: h/(1+hP) - g/(1+gP) = lambda
@@ -74,15 +69,13 @@ def test_closed_form_p1_hand_value():
 
 
 def test_closed_form_positivity_threshold():
-    s = EffectiveState(2.0, 3.0, 1.0, 1.0)
-    assert closed_form_p1(s, 2.0 - 1.0) == pytest.approx(0.0, abs=1e-12)
-    assert closed_form_p2(s, 3.0 - 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert closed_form(2.0, 1.0, 2.0 - 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert closed_form(3.0, 1.0, 3.0 - 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_closed_form_monotone_in_lambda():
-    s = EffectiveState(4.0, 0, 1.0, 0)
     lams = [1e-6, 1e-4, 1e-2, 1.0]
-    roots = [closed_form_p1(s, l) for l in lams]
+    roots = [closed_form(4.0, 1.0, l) for l in lams]
     assert all(a > b for a, b in zip(roots, roots[1:]))
     # with g > 0 the root grows like sqrt(1/lambda), unbounded but slower
     # than water-filling
@@ -90,25 +83,24 @@ def test_closed_form_monotone_in_lambda():
 
 
 def test_closed_form_zero_eavesdropper_is_water_filling():
-    s = EffectiveState(4.0, 0, 0.0, 0)
-    assert closed_form_p1(s, 0.5) == pytest.approx(1 / 0.5 - 1 / 4.0, abs=1e-12)
+    assert closed_form(4.0, 0.0, 0.5) == pytest.approx(1 / 0.5 - 1 / 4.0,
+                                                       abs=1e-12)
 
 
 def test_closed_form_invalid_cases():
     with pytest.raises(ValueError):
-        closed_form_p1(EffectiveState(1.0, 0, 2.0, 0), 0.1)
+        closed_form(1.0, 2.0, 0.1)
     with pytest.raises(ValueError):
-        closed_form_p2(EffectiveState(0, 1.0, 0, 1.0), 0.1)
+        closed_form(1.0, 1.0, 0.1)
     with pytest.raises(ValueError):
-        closed_form_p1(EffectiveState(2.0, 0, 1.0, 0), 0.0)
+        closed_form(2.0, 1.0, 0.0)
 
 
 @given(st.floats(0.01, 100.0), st.floats(0.0, 0.99), st.floats(1e-4, 10.0))
 @settings(max_examples=300)
 def test_closed_form_root_satisfies_stationarity(h, ratio, lam):
     g = h * ratio
-    s = EffectiveState(h, 0, g, 0)
-    p = closed_form_p1(s, lam)
+    p = closed_form(h, g, lam)
     if p > 0:
         lhs = h / (1 + h * p) - (g / (1 + g * p) if g else 0.0)
         assert lhs == pytest.approx(lam, rel=1e-8)
@@ -122,20 +114,21 @@ def test_closed_form_root_satisfies_stationarity(h, ratio, lam):
 
 def test_symmetric_common_root():
     s = EffectiveState(3.0, 3.0, 1.0, 1.0)
-    root = solve_common_root(s, DualVars(0.1, 0.1))
+    root = common_root("esa", s, DualVars(0.1, 0.1))
     assert root is not None
     p1, p2 = root
     # symmetric reduction: 0.6 p^2 - 2.5 p - 1.9 = 0
     expect = (2.5 + math.sqrt(2.5 ** 2 + 4 * 0.6 * 1.9)) / (2 * 0.6)
     assert p1 == pytest.approx(expect, rel=1e-9)
     assert p2 == pytest.approx(p1, rel=1e-9)
-    r1, r2 = esa_kkt_residual(s, p1, p2, DualVars(0.1, 0.1))
+    r1, r2, *_ = esa_cj_kkt_residual(s, PowerDecision(p1, p2),
+                                     DualVars(0.1, 0.1))
     assert abs(r1) < 1e-9 and abs(r2) < 1e-9
 
 
 def test_common_root_none_when_price_too_high():
     s = EffectiveState(1.0, 1.0, 0.5, 0.5)
-    assert solve_common_root(s, DualVars(2.0, 2.0)) is None
+    assert common_root("esa", s, DualVars(2.0, 2.0)) is None
 
 
 def test_common_root_residuals_random(rng):
@@ -144,11 +137,11 @@ def test_common_root_residuals_random(rng):
     for _ in range(300):
         h1, h2, g1, g2 = rng.exponential(2.0, 4)
         s = EffectiveState(h1, h2, g1, g2)
-        root = solve_common_root(s, duals)
+        root = common_root("esa", s, duals)
         if root is None:
             continue
         found += 1
-        r1, r2 = esa_kkt_residual(s, root[0], root[1], duals)
+        r1, r2, *_ = esa_cj_kkt_residual(s, PowerDecision(*root), duals)
         scale = max(h1, h2, 1.0)
         assert abs(r1) <= 1e-8 * scale and abs(r2) <= 1e-8 * scale
         assert root[0] > 0 and root[1] > 0
@@ -187,7 +180,7 @@ def test_common_root_batch_roots_are_certified(which, solver, ll1, ll2,
 def test_solve_p1q2_grid_verified():
     s = EffectiveState(5.0, 0.1, 1.0, 4.0)
     duals = DualVars(0.05, 0.05)
-    root = solve_p1q2(s, duals)
+    root = common_root("p1q2", s, duals)
     assert root is not None
     p1, q2 = root
     assert p1 > 0 and q2 > 0
@@ -207,18 +200,7 @@ def test_solve_p1q2_grid_verified():
 
 def test_solve_p1q2_none_when_jamming_priced_out():
     s = EffectiveState(5.0, 0.1, 1.0, 4.0)
-    assert solve_p1q2(s, DualVars(0.05, 5.0)) is None  # lambda2 >= g2
-
-
-def test_solve_p2q1_mirror():
-    s = EffectiveState(0.1, 5.0, 4.0, 1.0)
-    duals = DualVars(0.05, 0.05)
-    root = solve_p2q1(s, duals)
-    swapped = solve_p1q2(EffectiveState(5.0, 0.1, 1.0, 4.0),
-                         DualVars(0.05, 0.05))
-    assert root is not None and swapped is not None
-    assert root[0] == pytest.approx(swapped[0], rel=1e-9)
-    assert root[1] == pytest.approx(swapped[1], rel=1e-9)
+    assert common_root("p1q2", s, DualVars(0.05, 5.0)) is None  # lambda2 >= g2
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +266,11 @@ def test_esa_scalar_matches_batch(rng):
 
 def test_esa_kkt_residual_boundary():
     s = EffectiveState(2.0, 1.0, 1.0, 1.0)
-    r1, _ = esa_kkt_residual(s, 0.0, 0.0, DualVars(1.0, 0.5))
+    r1, *_ = esa_cj_kkt_residual(s, PowerDecision(0.0, 0.0),
+                                 DualVars(1.0, 0.5))
     assert r1 == pytest.approx(0.0, abs=1e-15)  # lambda1 = h1 - g1
     with pytest.raises(ValueError):
-        esa_kkt_residual(s, -0.1, 0.0, DualVars(1.0, 1.0))
+        esa_cj_kkt_residual(s, PowerDecision(-0.1, 0.0), DualVars(1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +612,19 @@ def test_dual_search_converged_means_complementary(scheme):
                     assert _complementary(res, budget, 0.01), (db, ratio, res)
 
 
+@pytest.mark.parametrize("ratio, seed", [(1.0, 1), (1.0, 2), (10.0, 2)])
+def test_dual_search_stops_on_a_cycle(ratio, seed):
+    # at -20 dB with var_h = 0.01 only a handful of the 2000 states
+    # transmit, so one state switching off moves a user's realized power
+    # far more than the 2 % band: the search comes back to a point it has
+    # already rebuilt its Jacobian at, and stops instead of repeating
+    budget = PowerBudget(0.01, ratio * 0.01)
+    res = dual_search(FadingParams.symmetric(0.01, 1.0), budget, "esa_cj",
+                      2000, seed=seed, tol=0.02)
+    assert res.converged is False
+    assert res.sweeps < 60
+
+
 def test_dual_search_evaluation_count(monkeypatch):
     # the figure2 grid of the benchmark: 0/30/60 dB on a 2000-state batch
     calls = []
@@ -654,7 +650,7 @@ def test_dual_search_evaluation_count(monkeypatch):
 def test_dual_search_non_finite_power_raises(monkeypatch):
     def nan_powers(scheme, sq, l1, l2):
         nan = np.full_like(sq[0], np.nan)
-        return nan, nan, nan, nan
+        return nan, nan, nan, nan, None
 
     monkeypatch.setattr(powerctl, "_dual_powers", nan_powers)
     with pytest.raises(RootSolveError):

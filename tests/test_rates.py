@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macwt.channel import (ChannelState, FadingParams, SbaBlock, StateBatch,
+from macwt.channel import (ChannelState, FadingParams, StateBatch,
                            sample_batch, sba_block_gains)
 from macwt.montecarlo import (ESA, ESA_CJ, GS_CJ, SBA, ergodic_region,
                               scheme_rates, spawn_rngs, worker_count)
@@ -22,10 +22,10 @@ def _sq(state):
 
 
 def _rates(scheme, state, d):
-    """Rate triple of one state (a SbaBlock for the two-slot scheme)."""
+    """Rate triple of one state (an (odd, even) state pair for the
+    two-slot scheme)."""
     if scheme == SBA:
-        gains = sba_block_gains(StateBatch.of(state.odd),
-                                StateBatch.of(state.even))
+        gains = sba_block_gains(*(StateBatch.of(s) for s in state))
         return tuple(float(v[0]) for v in
                      scheme_rates(SBA, gains, d.p1, d.p2, 0.0, 0.0))
     return tuple(float(v) for v in
@@ -69,7 +69,7 @@ def test_gs_cj_hand_values():
 
 
 def test_sba_hand_values():
-    block = SbaBlock(ChannelState(1, 2, 1, 1), ChannelState(2, 1, 1, 1))
+    block = (ChannelState(1, 2, 1, 1), ChannelState(2, 1, 1, 1))
     assert _rates(SBA, block, PowerDecision(0, 0)) == pytest.approx(
         (0.0, 0.0, 0.0))
     # A1 = 5, A2 = 5, |D|^2 = 9, C = 2
@@ -77,7 +77,7 @@ def test_sba_hand_values():
     assert rsum == pytest.approx(
         0.5 * (math.log2(20) - math.log2(5)), abs=1e-12)
     assert rsum == pytest.approx(1.0, abs=1e-12)
-    same = SbaBlock(UNIT, UNIT)
+    same = (UNIT, UNIT)
     assert _rsum(SBA, same, PowerDecision(1, 1)) == pytest.approx(
         0.0, abs=1e-15)
 

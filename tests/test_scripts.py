@@ -10,13 +10,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name),
-                           *args], capture_output=True, text=True, env=env,
-                          timeout=120)
+def _run(argv, env=(), cwd=None):
+    full = dict(os.environ)
+    full["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), full.get("PYTHONPATH")) if p)
+    full.update(env)
+    return subprocess.run(argv, capture_output=True, text=True, env=full,
+                          cwd=cwd, timeout=120)
 
 
 @pytest.mark.parametrize("name, args, expect", [
@@ -26,7 +26,28 @@ def _run_script(name, *args):
     ("pairing_demo.py", ("--instants", "2000"), ("bins (M=B)",)),
 ])
 def test_script_runs(name, args, expect):
-    proc = _run_script(name, *args)
+    proc = _run([sys.executable, str(ROOT / "scripts" / name), *args])
     assert proc.returncode == 0, proc.stderr
     for text in expect:
         assert text in proc.stdout
+
+
+def test_run_figures_script(tmp_path):
+    # a `macwt` command on PATH that runs the package in src/
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "macwt"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m macwt.cli "$@"\n')
+    shim.chmod(0o755)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("samples = 200\ndual_samples = 200\ninner_samples = 10\n"
+                   "snr_db = 0\n")
+    path = os.pathsep.join((str(bin_dir), os.environ["PATH"]))
+    proc = _run(["bash", str(ROOT / "scripts" / "run_figures.sh"),
+                 "--config", str(cfg)], cwd=tmp_path,
+                env={"PATH": path, "MACWT_WORKERS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    # 2 var_g values x 3 (figure1) or 4 (figure2) variants x 1 SNR point
+    for name, rows in (("figure1.csv", 6), ("figure2.csv", 8)):
+        lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + rows
