@@ -43,21 +43,9 @@ class ChannelState:
     g1: complex
     g2: complex
 
-    @property
-    def h1_sq(self) -> float:
-        return abs(self.h1) ** 2
-
-    @property
-    def h2_sq(self) -> float:
-        return abs(self.h2) ** 2
-
-    @property
-    def g1_sq(self) -> float:
-        return abs(self.g1) ** 2
-
-    @property
-    def g2_sq(self) -> float:
-        return abs(self.g2) ** 2
+    def sq(self):
+        """Squared magnitudes (|h1|^2, |h2|^2, |g1|^2, |g2|^2)."""
+        return tuple(abs(z) ** 2 for z in (self.h1, self.h2, self.g1, self.g2))
 
 
 @dataclass
@@ -74,12 +62,7 @@ class StateBatch:
 
     def sq(self):
         """Squared-magnitude arrays (|h1|^2, |h2|^2, |g1|^2, |g2|^2)."""
-        return (
-            np.abs(self.h1) ** 2,
-            np.abs(self.h2) ** 2,
-            np.abs(self.g1) ** 2,
-            np.abs(self.g2) ** 2,
-        )
+        return tuple(np.abs(z) ** 2 for z in (self.h1, self.h2, self.g1, self.g2))
 
     def state(self, i: int) -> ChannelState:
         return ChannelState(

@@ -244,7 +244,7 @@ def query(scheme, state, even, effective, powers, duals):
     eff = None
     if state is not None:
         st = ChannelState(*_parse_values(state, complex, "--state", {4}))
-        sq = (st.h1_sq, st.h2_sq, st.g1_sq, st.g2_sq)
+        sq = st.sq()
         if scheme in (ESA, ESA_CJ):
             eff = effective_state(st)
     else:

@@ -17,9 +17,8 @@ import numpy as np
 
 from .channel import ChannelState, FadingParams, sample_batch
 from .montecarlo import CONSTANT, DUAL, ESA, GS_CJ, SBA, grid_point
-from .rates import PowerBudget
+from .rates import PowerBudget, _log2p1 as _l2
 
-LOG2 = math.log(2.0)
 # Power control of each scheme on the scaling grid, in output order
 DOF_KINDS = {SBA: CONSTANT, ESA: CONSTANT, GS_CJ: DUAL}
 
@@ -97,10 +96,6 @@ def estimate_dof(curve: SumRateCurve, window: slice | None = None) -> float:
 # Dominated-convergence majorants (base-2; looser than natural-log forms)
 # ---------------------------------------------------------------------------
 
-def _l2(x):
-    return np.log1p(x) / LOG2
-
-
 def dominated_bound_sba(o: ChannelState, e: ChannelState,
                         params: FadingParams) -> float:
     """Majorant of f_P / log2 P for the scaled two-slot scheme on the odd
@@ -114,8 +109,8 @@ def dominated_bound_sba(o: ChannelState, e: ChannelState,
 
 def dominated_bound_esa(state: ChannelState, params: FadingParams) -> float:
     """Majorant of the repetition scheme's f_P / log2 P."""
-    return float(6.0 + _l2(2.0 * state.h1_sq) + _l2(2.0 * state.h2_sq)
-                 + _l2(2.0 * (state.g1_sq + state.g2_sq)))
+    h1, h2, g1, g2 = state.sq()
+    return float(6.0 + _l2(2.0 * h1) + _l2(2.0 * h2) + _l2(2.0 * (g1 + g2)))
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +130,7 @@ def gs_cj_upper_bound(params: FadingParams, n: int, seed: int) -> tuple:
     h1, h2, g1, g2 = sample_batch(params, n, rng).sq()
     s1 = h1 > g1
     s2 = h2 > g2
-    t1 = np.log1p(h1 / g1) / LOG2
-    t2 = np.log1p(h2 / g2) / LOG2
-    u1 = np.log1p(g1 / h1) / LOG2
-    u2 = np.log1p(g2 / h2) / LOG2
+    t1, t2, u1, u2 = _l2(h1 / g1), _l2(h2 / g2), _l2(g1 / h1), _l2(g2 / h2)
     vals = np.where(s1 & s2, t1 + t2,
                     np.where(s1 & ~s2, 1.0 + t1 + u2,
                              np.where(~s1 & s2, 1.0 + t2 + u1, 0.0)))

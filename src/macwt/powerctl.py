@@ -95,8 +95,7 @@ class DualVars:
 
 def effective_state(state: ChannelState) -> EffectiveState:
     """Effective gains 2|h_k|^2, 2|g_k|^2 of a fading realization."""
-    return EffectiveState(2.0 * state.h1_sq, 2.0 * state.h2_sq,
-                          2.0 * state.g1_sq, 2.0 * state.g2_sq)
+    return EffectiveState(*(2.0 * v for v in state.sq()))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ bits per channel use (base-2 logs); integrands may be negative.
 
 The ``*_triple`` functions are the vectorized kernels operating on squared
 magnitudes; :func:`macwt.montecarlo.scheme_rates` picks the kernel of a
-scheme.  The policy classes map a batch of states to per-state powers.
+scheme.  The policy classes map a batch of states to per-state powers; the
+two-slot on/off rule takes its inner expectation in separable form.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FadingParams, StateBatch, sample_batch, sba_block_gains
+from .channel import FadingParams, StateBatch, sample_batch
 
 LOG2 = math.log(2.0)
 SBA_CHUNK = 4096  # odd-slot states per block of the two-slot inner expectation
@@ -159,6 +160,13 @@ class RudimentaryEsaPolicy:
                 np.zeros(len(batch)), np.zeros(len(batch)))
 
 
+def _slot_products(batch: StateBatch):
+    """Per-state |h1 g2|^2, |h2 g1|^2, (h2 g1) conj(h1 g2) and |g1 g2|^2."""
+    x1, x2 = batch.h1 * batch.g2, batch.h2 * batch.g1
+    return (np.abs(x1) ** 2, np.abs(x2) ** 2, x2 * np.conj(x1),
+            np.abs(batch.g1 * batch.g2) ** 2)
+
+
 class RudimentarySbaPolicy:
     """On/off from the inner even-slot expectation, with candidate powers
     scaled by the eavesdropper variances.
@@ -166,32 +174,50 @@ class RudimentarySbaPolicy:
     The inner even-slot sample is drawn once from ``seed`` and shared by
     every call (common random numbers), so sharded outer evaluation does
     not change the decisions.
+
+    The mean of :func:`sba_triple`'s sum rate is taken in separable form.
+    With a1 = h1 g2, a2 = h2 g1, c = g1 g2 in the odd slot, b1, b2, d in
+    the even one, u = a2 conj(a1) and v = b1 conj(b2), the block (i, j) has
+    Dsq = |a2_i b1_j - a1_i b2_j|^2, so
+    num = 1 + A1 p1 + A2 p2 + Dsq p1 p2 = alpha_i + beta_j
+    + p1 p2 (|a2_i b1_j|^2 + |a1_i b2_j|^2 - 2 Re(u_i v_j)) with
+    alpha = 1 + p1|a1|^2 + p2|a2|^2, beta = p1|b1|^2 + p2|b2|^2, and
+    den = 1 + C (p1 + p2) = 1 + (p1 + p2)(|c_i|^2 + |d_j|^2).  A state is on
+    when mean_j ln(num / den) >= 0, the sign of the mean sum rate: only
+    per-state vectors and real outer products are formed.
     """
 
     def __init__(self, budget: PowerBudget, params: FadingParams,
                  m_inner: int = 1000, seed: int = 0):
         if m_inner < 1:
             raise ValueError("m_inner must be >= 1")
-        self.budget = budget
-        self.params = params
-        self.m_inner = m_inner
         self.p1 = budget.pbar1 / (2.0 * params.var_g2)
         self.p2 = budget.pbar2 / (2.0 * params.var_g1)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self._inner = sample_batch(params, m_inner, rng)
+        b1, b2, w, d = _slot_products(sample_batch(params, m_inner, rng))
+        pp, eve = self.p1 * self.p2, (self.p1 + self.p2) * d
+        # read-only, shared by all shards: p1p2|b_k|^2, 2p1p2 v, beta - eve, eve
+        self._even = (pp * b1, pp * b2, 2.0 * pp * w.real, -2.0 * pp * w.imag,
+                      self.p1 * b1 + self.p2 * b2 - eve, eve)
 
     def decide_batch(self, batch: StateBatch):
         n = len(batch)
+        pb1, pb2, vr, vi, beta, eve = self._even
+        a1, a2, u, c = _slot_products(batch)
+        c *= self.p1 + self.p2
+        alpha = self.p1 * a1 + self.p2 * a2 - c  # alpha - 1 - (p1 + p2)|c|^2
         on = np.empty(n, dtype=bool)
-        ev = self._inner
         for lo in range(0, n, SBA_CHUNK):
-            hi = min(lo + SBA_CHUNK, n)
-            odd = StateBatch(h1=batch.h1[lo:hi, None], h2=batch.h2[lo:hi, None],
-                             g1=batch.g1[lo:hi, None], g2=batch.g2[lo:hi, None])
-            even = StateBatch(h1=ev.h1[None, :], h2=ev.h2[None, :],
-                              g1=ev.g1[None, :], g2=ev.g2[None, :])
-            A1, A2, C, Dsq = sba_block_gains(odd, even)
-            _, _, rsum = sba_triple(A1, A2, C, Dsq, self.p1, self.p2)
-            on[lo:hi] = rsum.mean(axis=1) >= 0.0
+            i = slice(lo, lo + SBA_CHUNK)
+            x, t = a2[i, None] * pb1, a1[i, None] * pb2
+            x += t  # p1 p2 Dsq, expanded
+            x -= np.multiply(u.real[i, None], vr, out=t)
+            x += np.multiply(u.imag[i, None], vi, out=t)
+            # p1 p2 Dsq >= 0 can round below 0 as the determinant vanishes;
+            # x = (num - den) / den keeps log1p's accuracy near num = den = 1
+            np.maximum(x, 0.0, out=x)
+            x += np.add(alpha[i, None], beta, out=t)
+            x /= np.add(1.0 + c[i, None], eve, out=t)
+            on[i] = np.log1p(x, out=x).mean(axis=1) >= 0.0
         return (np.where(on, self.p1, 0.0), np.where(on, self.p2, 0.0),
                 np.zeros(n), np.zeros(n))

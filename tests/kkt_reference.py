@@ -118,6 +118,20 @@ def lagrangian_esa_cj(s: EffectiveState, d: PowerDecision, duals: DualVars):
             - duals.lambda1 * t1 - duals.lambda2 * t2)
 
 
+def cj_modes(s: EffectiveState, duals: DualVars, x, y) -> dict:
+    """Jamming Lagrangian (nats) of the pure role assignments at powers
+    (x, y): both transmit (``tt``), user 1 transmits while user 2 jams with
+    y (``tj``), user 2 transmits while user 1 jams with x (``jt``).  A
+    jammer's own rate term cancels its ``log1p(h Q)`` penalty."""
+    lam = duals.lambda1 * x + duals.lambda2 * y
+    return {"tt": (np.log1p(s.h1 * x) + np.log1p(s.h2 * y)
+                   - np.log1p(s.g1 * x + s.g2 * y) - lam),
+            "tj": (np.log1p(s.h1 * x) - np.log1p(s.g1 * x + s.g2 * y)
+                   + np.log1p(s.g2 * y) - lam),
+            "jt": (np.log1p(s.h2 * y) - np.log1p(s.g1 * x + s.g2 * y)
+                   + np.log1p(s.g1 * x) - lam)}
+
+
 def grid_oracle(s: EffectiveState, duals: DualVars, scheme: str,
                 grid_max: float, grid_n: int):
     """Exhaustive per-state Lagrangian maximization on a power grid.
@@ -136,15 +150,8 @@ def grid_oracle(s: EffectiveState, duals: DualVars, scheme: str,
         i, j = np.unravel_index(np.argmax(val), val.shape)
         return PowerDecision(float(axis[i]), float(axis[j])), float(val[i, j])
     if scheme == "esa_cj":
-        lam = duals.lambda1 * x + duals.lambda2 * y
-        tt = (np.log1p(s.h1 * x) + np.log1p(s.h2 * y)
-              - np.log1p(s.g1 * x + s.g2 * y) - lam)
-        tj = (np.log1p(s.h1 * x) - np.log1p(s.g1 * x + s.g2 * y)
-              + np.log1p(s.g2 * y) - np.log1p(s.h2 * y) - lam)
-        jt = (np.log1p(s.h2 * y) - np.log1p(s.g1 * x + s.g2 * y)
-              + np.log1p(s.g1 * x) - np.log1p(s.h1 * x) - lam)
         best = None
-        for mode, val in (("tt", tt), ("tj", tj), ("jt", jt)):
+        for mode, val in cj_modes(s, duals, x, y).items():
             i, j = np.unravel_index(np.argmax(val), val.shape)
             v = float(val[i, j])
             if best is None or v > best[1]:

@@ -49,7 +49,7 @@ def test_sample_mean_squared_magnitudes(rng):
 def test_tiny_variance_degenerates_to_zero(rng):
     params = FadingParams(1e-30, 1.0, 1.0, 1.0)
     s = sample_batch(params, 1, rng).state(0)
-    assert s.h1_sq < 1e-20
+    assert s.sq()[0] < 1e-20
 
 
 def test_state_batch_of_inverts_state(rng):

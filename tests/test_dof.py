@@ -97,8 +97,7 @@ def test_dominated_bound_esa_majorizes(rng):
     for power in (1e4, 1e5, 1e6):
         for _ in range(2000):
             s = sample_batch(UNIT_PARAMS, 1, rng).state(0)
-            _, _, f = scheme_rates(ESA, (s.h1_sq, s.h2_sq, s.g1_sq, s.g2_sq),
-                                   power, power, 0.0, 0.0)
+            _, _, f = scheme_rates(ESA, s.sq(), power, power, 0.0, 0.0)
             bound = dominated_bound_esa(s, UNIT_PARAMS)
             assert f / math.log2(power) <= bound + 1e-12
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kkt_reference import (closed_form, common_root, grid_oracle,
+from kkt_reference import (closed_form, cj_modes, common_root, grid_oracle,
                            lagrangian_esa, lagrangian_esa_cj,
                            stationary_candidates)
 from macwt import powerctl
@@ -482,6 +482,20 @@ def test_grid_oracle_basics():
     assert not ((d.p1 > 0 and d.q1 > 0) or (d.p2 > 0 and d.q2 > 0))
     with pytest.raises(ValueError):
         grid_oracle(s, duals, "esa", 5.0, 1)
+
+
+def test_grid_oracle_jamming_modes_match_lagrangian():
+    # the jammer's log1p(h Q) penalty cancels against its own rate term:
+    # tj is 1.2971 here, not 1.2971 - log1p(0.1 * 1.3) = 1.1749
+    s = EffectiveState(5.0, 0.1, 1.0, 4.0)
+    duals = DualVars(0.05, 0.05)
+    modes = cj_modes(s, duals, 0.7, 1.3)
+    assert modes["tj"] == pytest.approx(1.2971, abs=1e-4)
+    for mode, d in (("tt", PowerDecision(0.7, 1.3, 0, 0)),
+                    ("tj", PowerDecision(0.7, 0, 0, 1.3)),
+                    ("jt", PowerDecision(0, 1.3, 0.7, 0))):
+        assert modes[mode] == pytest.approx(
+            float(lagrangian_esa_cj(s, d, duals)), abs=1e-12)
 
 
 def test_grid_oracle_finds_symmetric_root():

@@ -5,20 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macwt import rates
 from macwt.channel import (ChannelState, FadingParams, StateBatch,
                            sample_batch, sba_block_gains)
 from macwt.montecarlo import (ESA, ESA_CJ, GS_CJ, SBA, ergodic_region,
                               scheme_rates, spawn_rngs, worker_count)
 from macwt.rates import (ConstantPolicy, PowerBudget, PowerDecision,
                          RudimentaryEsaPolicy, RudimentarySbaPolicy,
-                         esa_general_triple)
+                         esa_general_triple, sba_triple)
 
 UNIT = ChannelState(1, 1, 1, 1)
 PARAMS = FadingParams.symmetric(1.0, 0.75)
-
-
-def _sq(state):
-    return (state.h1_sq, state.h2_sq, state.g1_sq, state.g2_sq)
 
 
 def _rates(scheme, state, d):
@@ -29,7 +26,7 @@ def _rates(scheme, state, d):
         return tuple(float(v[0]) for v in
                      scheme_rates(SBA, gains, d.p1, d.p2, 0.0, 0.0))
     return tuple(float(v) for v in
-                 scheme_rates(scheme, _sq(state), d.p1, d.p2, d.q1, d.q2))
+                 scheme_rates(scheme, state.sq(), d.p1, d.p2, d.q1, d.q2))
 
 
 def _rsum(scheme, state, d):
@@ -102,16 +99,16 @@ def test_esa_cj_hand_values():
 
 def test_esa_general_hand_values():
     # theta = omega = 0 kills both product terms at symmetric unit gains
-    _, _, rsum = esa_general_triple(*_sq(UNIT), 0.0, 0.0, 1, 1)
+    _, _, rsum = esa_general_triple(*UNIT.sq(), 0.0, 0.0, 1, 1)
     assert rsum == pytest.approx(0.0, abs=1e-15)
-    _, _, rsum = esa_general_triple(*_sq(ChannelState(0, 0, 1, 1)),
+    _, _, rsum = esa_general_triple(*ChannelState(0, 0, 1, 1).sq(),
                                     math.pi, 0.0, 1, 1)
     assert rsum <= 0.0
 
 
 def test_scheme_rates_rejects_unknown_scheme():
     with pytest.raises(ValueError):
-        scheme_rates("nope", _sq(UNIT), 1.0, 1.0, 0.0, 0.0)
+        scheme_rates("nope", UNIT.sq(), 1.0, 1.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +120,7 @@ def test_esa_general_reduces_to_esa(rng):
         s = _state(PARAMS, rng)
         p1, p2 = rng.exponential(2.0, 2)
         a = _rates(ESA, s, PowerDecision(p1, p2))
-        b = esa_general_triple(*_sq(s), math.pi, 0.0, p1, p2)
+        b = esa_general_triple(*s.sq(), math.pi, 0.0, p1, p2)
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -141,10 +138,11 @@ def test_gs_cj_no_jamming_no_eve_is_plain_mac(rng):
         s = _state(PARAMS, rng)
         s = ChannelState(s.h1, s.h2, 0.0, 0.0)
         p1, p2 = rng.exponential(2.0, 2)
+        h1, h2, _, _ = s.sq()
         r1, _, rsum = _rates(GS_CJ, s, PowerDecision(p1, p2))
-        assert r1 == pytest.approx(math.log2(1 + s.h1_sq * p1), abs=1e-12)
+        assert r1 == pytest.approx(math.log2(1 + h1 * p1), abs=1e-12)
         assert rsum == pytest.approx(
-            math.log2(1 + s.h1_sq * p1 + s.h2_sq * p2), abs=1e-12)
+            math.log2(1 + h1 * p1 + h2 * p2), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +194,75 @@ def test_rudimentary_sba_policy(rng):
     assert p2 == pytest.approx(3.0 / (2 * 0.5))
     with pytest.raises(ValueError):
         RudimentarySbaPolicy(budget, params, m_inner=0, seed=1)
+
+
+def _direct_sba_on(budget, params, m_inner, seed, odd):
+    """The two-slot on/off rule written out: on where sba_triple's sum
+    rate on the block gains of the broadcast (odd, even) pairs, averaged
+    over the policy's inner even-slot sample, is nonnegative."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    even = sample_batch(params, m_inner, rng)
+    gains = sba_block_gains(
+        StateBatch(odd.h1[:, None], odd.h2[:, None], odd.g1[:, None],
+                   odd.g2[:, None]),
+        StateBatch(even.h1[None, :], even.h2[None, :], even.g1[None, :],
+                   even.g2[None, :]))
+    _, _, rsum = sba_triple(*gains, budget.pbar1 / (2.0 * params.var_g2),
+                            budget.pbar2 / (2.0 * params.var_g1))
+    return rsum.mean(axis=1) >= 0.0
+
+
+def _on(policy, batch):
+    return policy.decide_batch(batch)[0] > 0.0
+
+
+@pytest.mark.parametrize("m_inner", [200, 1])
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+@pytest.mark.parametrize("var_g", [0.75, 0.25])
+def test_sba_policy_matches_direct_rule(var_g, scale, m_inner):
+    # complex gains scaled by `scale`, budgets by 1/scale^2: the same
+    # 0-60 dB receiver SNRs from products 1e-12 to 1e12 times as large
+    params = FadingParams.symmetric(scale ** 2, var_g * scale ** 2)
+    mixed = 0
+    for snr_db in range(0, 61, 10):
+        p = 10.0 ** (snr_db / 10) / scale ** 2
+        budget = PowerBudget(p, p)
+        policy = RudimentarySbaPolicy(budget, params, m_inner, seed=snr_db)
+        odd = sample_batch(params, 400, np.random.default_rng(snr_db + 1))
+        on = _on(policy, odd)
+        assert np.array_equal(
+            on, _direct_sba_on(budget, params, m_inner, snr_db, odd))
+        mixed += 0 < on.sum() < on.size
+    assert mixed > 0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+def test_sba_policy_identical_slots_finite(scale):
+    # odd states equal to the inner states: a zero determinant on every
+    # diagonal block, where the expanded |det|^2 can round below zero.
+    # Gains scaled by `scale` at the unscaled candidate powers.
+    params = FadingParams.symmetric(scale ** 2, 0.75 * scale ** 2)
+    for snr_db in (0, 30, 60):
+        p = 10.0 ** (snr_db / 10) * scale ** 2
+        budget = PowerBudget(p, p)
+        for m_inner in (1, 200):
+            policy = RudimentarySbaPolicy(budget, params, m_inner, seed=5)
+            odd = sample_batch(params, m_inner, np.random.default_rng(
+                np.random.SeedSequence(5)))
+            with np.errstate(invalid="raise", divide="raise"):
+                on = _on(policy, odd)
+            assert np.array_equal(
+                on, _direct_sba_on(budget, params, m_inner, 5, odd))
+
+
+def test_sba_policy_chunking_invariant(monkeypatch, rng):
+    policy = RudimentarySbaPolicy(PowerBudget(10.0, 10.0), PARAMS,
+                                  m_inner=200, seed=3)
+    batch = sample_batch(PARAMS, 50, rng)
+    base = policy.decide_batch(batch)
+    monkeypatch.setattr(rates, "SBA_CHUNK", 7)
+    for a, b in zip(policy.decide_batch(batch), base):
+        assert np.array_equal(a, b)
 
 
 def test_sba_policy_decision_stable_across_inner_seeds():
@@ -263,6 +330,16 @@ def test_ergodic_region_worker_invariance():
         est = ergodic_region(ESA, policy, PARAMS, 10_000, seed=7,
                              workers=workers)
         assert est == base  # byte-identical reduction order
+
+
+def test_ergodic_region_sba_worker_invariance():
+    policy = RudimentarySbaPolicy(PowerBudget(4.0, 4.0), PARAMS,
+                                  m_inner=200, seed=9)
+    base = ergodic_region(SBA, policy, PARAMS, 4000, seed=7, workers=1)
+    for workers in (2, 4):
+        est = ergodic_region(SBA, policy, PARAMS, 4000, seed=7,
+                             workers=workers)
+        assert est == base  # shards share the policy's even-slot vectors
 
 
 def test_ergodic_region_sba_uses_two_slots():
