@@ -6,13 +6,17 @@ produced by coherent repetition.  Stationarity, closed forms and the case
 trees are expressed in natural-log units (the Lagrangian of the sum-rate
 objective); reported rates stay in bits elsewhere.
 
-The per-state allocation for the aligned scheme without jamming is a
-seven-way partition of the gain/dual space: the boundary single-user
-powers have closed forms, and interior allocations are the (at most one)
-positive common root of a pair of coupled quadratics.  With jamming the
-tree first splits on which user's receiver gain beats its eavesdropper
-gain, then resolves transmit-vs-jam roles per branch; power splitting
-(P_k > 0 and Q_k > 0 for the same user) never occurs.
+The per-state allocation without jamming is a seven-way partition of the
+gain/dual space: the boundary single-user powers have closed forms, and
+interior allocations are a positive common root of a pair of coupled
+quadratics.  The jamming tree first splits on which user's receiver gain
+beats its eavesdropper gain; power splitting (P_k > 0 and Q_k > 0 for the
+same user) never occurs.  It needs no system of its own: while user 2
+jams, its rate term ``log1p(h2 Q2)`` cancels against the jamming penalty
+and ``log1p(g2 Q2)`` is left, so the jamming Lagrangian is the
+no-jamming one with h2 replaced by g2.  Each transmit/jam orientation is
+therefore the seven-case tree on substituted gains, and the whole
+jamming tree is one :func:`esa_policy_batch` call on stacked rows.
 
 The coupled quadratics are eliminated to a scalar cubic in P1 (a
 resultant whose quartic term cancels) and solved batched in closed form
@@ -21,11 +25,10 @@ resultant whose quartic term cancels) and solved batched in closed form
 real root of every row into a Newton start and polishes all of them in
 one stacked Newton pass (kept in the nonnegative quadrant) that stops
 each start on its own step, never on its batch-mates'; a root counts
-only if it is strictly positive with a small residual.  The case trees
-take the best root per row and give rows without one all dual-scaled
+only if it is strictly positive with a small residual.  The case tree
+takes the best root per row and gives rows without one all dual-scaled
 Newton starts in a second stacked pass.  A state's powers therefore do
-not depend on the batch it is solved in.  The jamming tree gathers all
-of its transmit/jam solves into one such call.
+not depend on the batch it is solved in.
 
 The dual policies of the three schemes with a multiplier search (``esa``,
 ``esa_cj`` and the ``gs_cj`` baseline) are dispatched in one place,
@@ -206,11 +209,16 @@ def _cubic_roots(coeffs):
     return roots
 
 
-def _system_esa(h1, h2, g1, g2, l1, l2, x, y):
-    """Residuals and Jacobian of the two cleared no-jamming quadratics."""
+def _system(h1, h2, g1, g2, l1, l2, x, y):
+    """Residuals and Jacobian of the two cleared stationarity quadratics.
+
+    User 2's equation keeps ``h2 - g2`` apart so that it is exact when
+    h2 = g2 (user 2 jamming); ``h2 * (1 + g1 x) - g2`` cancels there
+    when g1 x << 1.
+    """
     den = 1.0 + g1 * x + g2 * y
     f1 = h1 * (1.0 + g2 * y) - g1 - l1 * (1.0 + h1 * x) * den
-    f2 = h2 * (1.0 + g1 * x) - g2 - l2 * (1.0 + h2 * y) * den
+    f2 = (h2 - g2) + h2 * g1 * x - l2 * (1.0 + h2 * y) * den
     j11 = -l1 * (h1 * den + (1.0 + h1 * x) * g1)
     j12 = h1 * g2 - l1 * (1.0 + h1 * x) * g2
     j21 = h2 * g1 - l2 * (1.0 + h2 * y) * g1
@@ -218,20 +226,7 @@ def _system_esa(h1, h2, g1, g2, l1, l2, x, y):
     return f1, f2, j11, j12, j21, j22
 
 
-def _system_p1q2(h1, h2, g1, g2, l1, l2, x, y):
-    """Residuals and Jacobian when user 1 transmits (x = P1) and user 2
-    jams (y = Q2): user 2's equation trades its rate term for jamming."""
-    den = 1.0 + g1 * x + g2 * y
-    f1 = h1 * (1.0 + g2 * y) - g1 - l1 * (1.0 + h1 * x) * den
-    f2 = g1 * g2 * x - l2 * (1.0 + g2 * y) * den
-    j11 = -l1 * (h1 * den + (1.0 + h1 * x) * g1)
-    j12 = h1 * g2 - l1 * (1.0 + h1 * x) * g2
-    j21 = g1 * g2 - l2 * (1.0 + g2 * y) * g1
-    j22 = -l2 * (g2 * den + (1.0 + g2 * y) * g2)
-    return f1, f2, j11, j12, j21, j22
-
-
-def _newton_polish(system, h1, h2, g1, g2, l1, l2, x, y):
+def _newton_polish(h1, h2, g1, g2, l1, l2, x, y):
     """2-D Newton kept in the nonnegative quadrant, stopped per row.
 
     A row stops once its own step moves neither coordinate by more than
@@ -245,7 +240,7 @@ def _newton_polish(system, h1, h2, g1, g2, l1, l2, x, y):
     rows = np.arange(x.size)
     xa, ya = x, y
     for _ in range(_NEWTON_ITERS):
-        f1, f2, j11, j12, j21, j22 = system(*args, xa, ya)
+        f1, f2, j11, j12, j21, j22 = _system(*args, xa, ya)
         det = j11 * j22 - j12 * j21
         det = np.where(np.abs(det) < 1e-300, np.nan, det)
         dx = (f1 * j22 - f2 * j12) / det
@@ -273,24 +268,20 @@ def _newton_polish(system, h1, h2, g1, g2, l1, l2, x, y):
     return x, y
 
 
-def _rel_residual(system, h1, h2, g1, g2, l1, l2, x, y):
+def _rel_residual(h1, h2, g1, g2, l1, l2, x, y):
     """Largest residual of the two equations, each relative to its
-    largest term (and at least 1)."""
-    f1, f2, *_ = system(h1, h2, g1, g2, l1, l2, x, y)
+    largest term as written in :func:`_system` (and at least 1)."""
+    f1, f2, *_ = _system(h1, h2, g1, g2, l1, l2, x, y)
     den = 1.0 + g1 * x + g2 * y
     one = np.ones_like(f1)
     s1 = np.maximum.reduce([np.abs(h1 * (1.0 + g2 * y)), np.abs(g1),
                             np.abs(l1 * (1.0 + h1 * x) * den), one])
-    if system is _system_esa:
-        s2 = np.maximum.reduce([np.abs(h2 * (1.0 + g1 * x)), np.abs(g2),
-                                np.abs(l2 * (1.0 + h2 * y) * den), one])
-    else:
-        s2 = np.maximum.reduce([np.abs(g1 * g2 * x),
-                                np.abs(l2 * (1.0 + g2 * y) * den), one])
+    s2 = np.maximum.reduce([np.abs(h2 - g2), np.abs(h2 * g1 * x),
+                            np.abs(l2 * (1.0 + h2 * y) * den), one])
     return np.maximum(np.abs(f1) / s1, np.abs(f2) / s2)
 
 
-def _eliminated_cubic(which, h1, h2, g1, g2, l1, l2):
+def _eliminated_cubic(h1, h2, g1, g2, l1, l2):
     """Coefficients (ascending) of the scalar resultant in x = P1.
 
     The first quadratic is linear in the second unknown y; substituting
@@ -305,26 +296,17 @@ def _eliminated_cubic(which, h1, h2, g1, g2, l1, l2):
     d1 = -g2 * l1 * h1
     N = [n0, n1, n2]
     D = [d0, d1]
-    D2 = _polymul(D, D)
+    t1 = _polymul([h2 - g2, h2 * g1], _polymul(D, D))
+    U = [d0 + h2 * n0, d1 + h2 * n1, h2 * n2]
     V = [d0 + g2 * n0, d1 + g1 * d0 + g2 * n1, g1 * d1 + g2 * n2]
-    if which == "esa":
-        E = [h2 - g2, h2 * g1]
-        U = [d0 + h2 * n0, d1 + h2 * n1, h2 * n2]
-        t1 = _polymul(E, D2)
-    else:  # p1q2
-        U = [d0 + g2 * n0, d1 + g2 * n1, g2 * n2]
-        t1 = _polymul([0.0, g1 * g2], D2)
     t2 = _polymul(U, V)  # its x^4 term is the one that cancels
     return [t1[i] - l2 * t2[i] for i in range(4)], N, D
 
 
-def _lagrangian_vals(which, h1, h2, g1, g2, l1, l2, x, y):
-    """Per-state Lagrangian (nats) of the system's objective at (x, y)."""
-    if which == "esa":
-        return (np.log1p(h1 * x) + np.log1p(h2 * y)
-                - np.log1p(g1 * x + g2 * y) - l1 * x - l2 * y)
-    return (np.log1p(h1 * x) - np.log1p(g1 * x + g2 * y)
-            + np.log1p(g2 * y) - l1 * x - l2 * y)
+def _lagrangian_vals(h1, h2, g1, g2, l1, l2, x, y):
+    """Per-state Lagrangian (nats) of the no-jamming objective at (x, y)."""
+    return (np.log1p(h1 * x) + np.log1p(h2 * y)
+            - np.log1p(g1 * x + g2 * y) - l1 * x - l2 * y)
 
 
 # dual-scaled Newton starts (x0, y0) = (a/l1, b/l2) for rows whose cubic
@@ -333,17 +315,17 @@ _FALLBACK_STARTS = ((1.0, 1.0), (0.1, 0.1), (10.0, 10.0), (1.0, 0.01),
                     (0.01, 1.0))
 
 
-def _polish_certified(system, args, x0, y0):
+def _polish_certified(args, x0, y0):
     """One stacked Newton pass from (x0, y0); returns (x, y, ok) where ok
     marks strictly positive roots with relative residual <= RESIDUAL_TOL
     (zero components belong to the single-user and silent cases)."""
-    x, y = _newton_polish(system, *args, x0, y0)
-    res = _rel_residual(system, *args, x, y)
+    x, y = _newton_polish(*args, x0, y0)
+    res = _rel_residual(*args, x, y)
     return x, y, (res <= RESIDUAL_TOL) & (x > 0.0) & (y > 0.0)
 
 
-def _positive_roots_batch(which, h1, h2, g1, g2, l1, l2):
-    """Every certified positive common root of the selected system, per row.
+def _positive_roots_batch(h1, h2, g1, g2, l1, l2):
+    """Every certified positive common root of the quadratics, per row.
 
     Returns ``(x, y, ok)``, each of shape ``(m, 3)`` in the order of the
     resultant cubic's roots.  Every real root with ``x >= -CLAMP_TOL``,
@@ -352,8 +334,7 @@ def _positive_roots_batch(which, h1, h2, g1, g2, l1, l2):
     marks the certified ones (:func:`_polish_certified`).  ``x`` and
     ``y`` are NaN where no start was taken.
     """
-    system = _system_esa if which == "esa" else _system_p1q2
-    coeffs, N, D = _eliminated_cubic(which, h1, h2, g1, g2, l1, l2)
+    coeffs, N, D = _eliminated_cubic(h1, h2, g1, g2, l1, l2)
     roots = _cubic_roots([np.broadcast_to(np.asarray(c, dtype=float), h1.shape)
                           for c in coeffs])
     real = np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots.real))
@@ -366,8 +347,7 @@ def _positive_roots_batch(which, h1, h2, g1, g2, l1, l2):
     k, r = np.nonzero((real & (x >= -CLAMP_TOL)).T)
     y0 = y[r, k]
     y0 = np.where(np.isfinite(y0), np.maximum(y0, 0.0), 0.0)
-    xp, yp, hit = _polish_certified(system,
-                                    (h1[r], h2[r], g1[r], g2[r], l1[r], l2[r]),
+    xp, yp, hit = _polish_certified((h1[r], h2[r], g1[r], g2[r], l1[r], l2[r]),
                                     np.maximum(x[r, k], 0.0), y0)
     x = np.full(roots.shape, np.nan)
     y = np.full(roots.shape, np.nan)
@@ -376,7 +356,7 @@ def _positive_roots_batch(which, h1, h2, g1, g2, l1, l2):
     return x, y, ok
 
 
-def _common_root_batch(which, h1, h2, g1, g2, l1, l2):
+def _common_root_batch(h1, h2, g1, g2, l1, l2):
     """Best positive common root per row, or NaN where none exists.
 
     Returns ``(x, y, found)``.  Among a row's certified roots from
@@ -387,12 +367,11 @@ def _common_root_batch(which, h1, h2, g1, g2, l1, l2):
     where the first start that hits wins.  Newton stops per row, so a
     row's result does not depend on the other rows of the batch.
     """
-    system = _system_esa if which == "esa" else _system_p1q2
-    x, y, ok = _positive_roots_batch(which, h1, h2, g1, g2, l1, l2)
+    x, y, ok = _positive_roots_batch(h1, h2, g1, g2, l1, l2)
     r, k = np.nonzero(ok)
     L = np.full(ok.shape, -np.inf)
-    L[r, k] = _lagrangian_vals(which, h1[r], h2[r], g1[r], g2[r], l1[r],
-                               l2[r], x[r, k], y[r, k])
+    L[r, k] = _lagrangian_vals(h1[r], h2[r], g1[r], g2[r], l1[r], l2[r],
+                               x[r, k], y[r, k])
     rows = np.arange(ok.shape[0])
     best = np.argmax(L, axis=1)
     found = ok.any(axis=1)
@@ -404,7 +383,7 @@ def _common_root_batch(which, h1, h2, g1, g2, l1, l2):
         a, b = np.array(_FALLBACK_STARTS).T
         t = np.tile(u, a.size)
         xp, yp, hit = _polish_certified(
-            system, (h1[t], h2[t], g1[t], g2[t], l1[t], l2[t]),
+            (h1[t], h2[t], g1[t], g2[t], l1[t], l2[t]),
             np.repeat(a, u.size) / l1[t], np.repeat(b, u.size) / l2[t])
         hit = hit.reshape(a.size, u.size)
         first = np.argmax(hit, axis=0) * u.size + np.arange(u.size)
@@ -455,8 +434,8 @@ def esa_policy_batch(h1, h2, g1, g2, l1, l2):
     need = case >= 4
     if np.any(need):
         idx = np.nonzero(need)[0]
-        x, y, found = _common_root_batch("esa", h1[idx], h2[idx], g1[idx],
-                                         g2[idx], l1a[idx], l2a[idx])
+        x, y, found = _common_root_batch(h1[idx], h2[idx], g1[idx], g2[idx],
+                                         l1a[idx], l2a[idx])
         sub = case[idx]
         bad7 = (sub == 7) & ~found
         if np.any(bad7):
@@ -487,7 +466,12 @@ def esa_case_id(s: EffectiveState, duals: DualVars) -> int:
 
 # case codes: 10+k -> no-jamming case k; 2x -> branch 2 sub-case x (1..4);
 # 3x mirror; 40+x -> branch 4 sub-case x, with 45/46 marking the two-root
-# sub-case resolved to solution A / solution B.
+# sub-case resolved to solution A / solution B.  A transmit/jam row is
+# the seven-case tree on gains (hT, gJ, gT, gJ): the jammer's class is A
+# (gJ <= lJ) or B, never C (that would need 0 > lJ), so only cases 1, 3,
+# 4 and 6 occur, and they are sub-cases 1..4.
+_TJ_SUB = np.array([0, 1, 0, 2, 3, 0, 4, 0])
+
 
 def _cj_rsum(h1, h2, g1, g2, p1, p2, q1, q2):
     # instantaneous sum-rate integrand (bits) on effective gains
@@ -496,112 +480,66 @@ def _cj_rsum(h1, h2, g1, g2, p1, p2, q1, q2):
     return rsum
 
 
-def _transmit_jam_subcase(hT, gT, gJ, lT, lJ):
-    """Sub-case (1..4) and closed-form power of branches 2 and 3, where
-    one user transmits and the other can only jam.
-
-    Sub-cases are keyed by the transmit user's gain class and whether the
-    jammer's eavesdropper gain clears its dual price.
-    """
-    sub = np.zeros(hT.shape, dtype=int)
-    A = hT <= lT
-    C = hT - gT > lT
-    B = ~A & ~C
-    J = gJ > lJ
-    sub[A | (B & ~J)] = 1
-    sub[C & ~J] = 2
-    sub[B & J] = 3
-    sub[C & J] = 4
-    return sub, _closed_form_where(C, hT, gT, lT)
-
-
 def esa_cj_policy_batch(h1, h2, g1, g2, l1, l2):
     """Vectorized allocation with jamming.  Returns (p1, p2, q1, q2, case).
 
-    Every transmit/jam common root the tree needs (branches 2 and 3, and
-    both orientations of branch 4) is solved in one
-    :func:`_common_root_batch` call.
+    One :func:`esa_policy_batch` call on stacked rows: branch 1 (both
+    receivers strong) as given; user 1 transmitting while user 2 jams,
+    the gains ``(h1, g2, g1, g2)``, on every row with ``h2 < g2``
+    (branches 2 and 4); and the mirror ``(h2, g1, g2, g1)`` with swapped
+    duals on every row with ``h1 < g1`` (branches 3 and 4).  Branch 4
+    keeps the solution that exists, the larger sum rate if both do.
     """
     h1, h2, g1, g2 = (np.asarray(a, dtype=float) for a in (h1, h2, g1, g2))
     m = h1.shape[0]
     l1a = np.broadcast_to(np.asarray(l1, dtype=float), h1.shape)
     l2a = np.broadcast_to(np.asarray(l2, dtype=float), h1.shape)
+
+    # boundaries (h_k == g_k) resolve toward the no-jamming branch
+    i1 = np.nonzero((h1 >= g1) & (h2 >= g2))[0]
+    ia = np.nonzero(h2 < g2)[0]  # solution A: user 1 transmits, 2 jams
+    ib = np.nonzero(h1 < g1)[0]  # solution B: user 2 transmits, 1 jams
+    n1, na = i1.size, ia.size
+
+    def stack(c1, ca, cb):
+        return np.concatenate([c1[i1], ca[ia], cb[ib]])
+
+    x, y, code = esa_policy_batch(
+        stack(h1, h1, h2), stack(h2, g2, g1), stack(g1, g1, g2),
+        stack(g2, g2, g1), stack(l1a, l1a, l2a), stack(l2a, l2a, l1a))
+    sub = _TJ_SUB[code]
     p1 = np.zeros(m); p2 = np.zeros(m)
     q1 = np.zeros(m); q2 = np.zeros(m)
     case = np.zeros(m, dtype=int)
+    p1[i1], p2[i1], case[i1] = x[:n1], y[:n1], 10 + code[:n1]
+    a = slice(n1, n1 + na)
+    p1[ia], q2[ia], case[ia] = x[a], y[a], 20 + sub[a]
+    b = slice(n1 + na, None)
+    p2[ib], q1[ib], case[ib] = x[b], y[b], 30 + sub[b]
 
-    # boundaries (h_k == g_k) resolve toward the no-jamming branch
-    br1 = (h1 >= g1) & (h2 >= g2)
-    br2 = (h1 >= g1) & (h2 < g2)
-    br3 = (h1 < g1) & (h2 >= g2)
-    br4 = (h1 < g1) & (h2 < g2)
-
-    if np.any(br1):
-        idx = np.nonzero(br1)[0]
-        pp1, pp2, sub = esa_policy_batch(h1[idx], h2[idx], g1[idx], g2[idx],
-                                         l1a[idx], l2a[idx])
-        p1[idx] = pp1
-        p2[idx] = pp2
-        case[idx] = 10 + sub
-
-    i2 = np.nonzero(br2)[0]
-    i3 = np.nonzero(br3)[0]
-    i4 = np.nonzero(br4)[0]
-    sub2, cf2 = _transmit_jam_subcase(h1[i2], g1[i2], g2[i2], l1a[i2], l2a[i2])
-    sub3, cf3 = _transmit_jam_subcase(h2[i3], g2[i3], g1[i3], l2a[i3], l1a[i3])
-    # branch 4 (both receivers weak): t1 -> user 1 may transmit while
-    # user 2 jams (solution A), t2 -> the mirror (solution B)
-    t1 = (h1[i4] > l1a[i4]) & (g2[i4] > l2a[i4])
-    t2 = (h2[i4] > l2a[i4]) & (g1[i4] > l1a[i4])
-    sub4 = 1 + t1 + 2 * t2
-
-    # one solve: rows `ra` with user 1 transmitting, then rows `rb` with
-    # user 2 transmitting (the p1q2 system on swapped gains)
-    ra = np.concatenate([i2[sub2 >= 3], i4[t1]])
-    rb = np.concatenate([i3[sub3 >= 3], i4[t2]])
-    xa = np.zeros(m); ya = np.zeros(m); fa = np.zeros(m, dtype=bool)
-    xb = np.zeros(m); yb = np.zeros(m); fb = np.zeros(m, dtype=bool)
-    if ra.size + rb.size:
-        cat = lambda a, b: np.concatenate([a[ra], b[rb]])  # noqa: E731
-        x, y, found = _common_root_batch("p1q2", cat(h1, h2), cat(h2, h1),
-                                         cat(g1, g2), cat(g2, g1),
-                                         cat(l1a, l2a), cat(l2a, l1a))
-        x = np.where(found, x, 0.0)
-        y = np.where(found, y, 0.0)
-        na = ra.size
-        xa[ra], ya[ra], fa[ra] = x[:na], y[:na], found[:na]
-        xb[rb], yb[rb], fb[rb] = x[na:], y[na:], found[na:]
-
-    # branches 2 and 3: the interior root, else the closed form (nonzero
-    # only where the transmit user is strong, sub-cases 2 and 4)
-    p1[i2] = np.where(fa[i2], xa[i2], cf2)
-    q2[i2] = ya[i2]
-    case[i2] = 20 + sub2
-    p2[i3] = np.where(fb[i3], xb[i3], cf3)
-    q1[i3] = yb[i3]
-    case[i3] = 30 + sub3
-
-    # branch 4: the solution that exists, the larger sum rate if both do
-    fa4, fb4 = fa[i4], fb[i4]
-    use_a = fa4 & ~fb4
-    use_b = fb4 & ~fa4
-    both = fa4 & fb4
+    # branch 4 holds both solutions; certified roots are strictly
+    # positive, so a solution exists exactly where its power is > 0
+    i4 = np.nonzero((h1 < g1) & (h2 < g2))[0]
+    ta = sub[a][h1[ia] < g1[ia]] == 3  # in i4's order, as ia and ib are
+    tb = sub[b][h2[ib] < g2[ib]] == 3
+    sub4 = 1 + ta + 2 * tb
+    use_a = p1[i4] > 0.0
+    use_b = p2[i4] > 0.0
+    both = use_a & use_b
     if np.any(both):
         j = i4[both]
         z = np.zeros(j.size)
-        ra_sum = _cj_rsum(h1[j], h2[j], g1[j], g2[j], xa[j], z, z, ya[j])
-        rb_sum = _cj_rsum(h1[j], h2[j], g1[j], g2[j], z, xb[j], yb[j], z)
+        ra_sum = _cj_rsum(h1[j], h2[j], g1[j], g2[j], p1[j], z, z, q2[j])
+        rb_sum = _cj_rsum(h1[j], h2[j], g1[j], g2[j], z, p2[j], q1[j], z)
         pick_a = ra_sum >= rb_sum  # ties -> solution A
         use_a[both] = pick_a
         use_b[both] = ~pick_a
-    p1[i4] = np.where(use_a, xa[i4], 0.0)
-    q2[i4] = np.where(use_a, ya[i4], 0.0)
-    p2[i4] = np.where(use_b, xb[i4], 0.0)
-    q1[i4] = np.where(use_b, yb[i4], 0.0)
-    code = 40 + sub4
-    code = np.where((sub4 == 4) & use_a, 45, code)
-    code = np.where((sub4 == 4) & use_b, 46, code)
-    case[i4] = code
+    p1[i4[~use_a]] = q2[i4[~use_a]] = 0.0
+    p2[i4[~use_b]] = q1[i4[~use_b]] = 0.0
+    code4 = 40 + sub4
+    code4 = np.where((sub4 == 4) & use_a, 45, code4)
+    code4 = np.where((sub4 == 4) & use_b, 46, code4)
+    case[i4] = code4
     return p1, p2, q1, q2, case
 
 

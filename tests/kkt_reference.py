@@ -19,18 +19,28 @@ def closed_form(h, g, lam) -> float:
     return float(_closed_form_root(h, g, lam))
 
 
+def _system_gains(which, s: EffectiveState) -> EffectiveState:
+    """Gains that pose the ``which`` system to the solver: ``esa`` is
+    (P1, P2) as given; ``p1q2`` is (P1, Q2) with user 2 jamming, the same
+    system with h2 replaced by g2 (user 2's rate term cancels against its
+    jamming penalty, leaving ``log1p(g2 Q2)``)."""
+    return s if which == "esa" else EffectiveState(s.h1, s.g2, s.g1, s.g2)
+
+
 def common_root(which, s: EffectiveState, duals: DualVars):
     """Best positive common root of one state under the ``which`` system
-    (``esa``: (P1, P2); ``p1q2``: (P1, Q2) with user 2 jamming), or None:
-    row 0 of a length-1 :func:`_common_root_batch` call."""
-    x, y, found = _common_root_batch(which, *_state_row(s, duals))
+    (:func:`_system_gains`), or None: row 0 of a length-1
+    :func:`_common_root_batch` call."""
+    x, y, found = _common_root_batch(
+        *_state_row(_system_gains(which, s), duals))
     return (float(x[0]), float(y[0])) if found[0] else None
 
 
 def _positive_roots_scalar(which, s: EffectiveState, duals: DualVars):
     """All distinct positive common roots of the selected system, in root
     order (a root within 1e-6 relative of an earlier one is dropped)."""
-    x, y, ok = _positive_roots_batch(which, *_state_row(s, duals))
+    x, y, ok = _positive_roots_batch(
+        *_state_row(_system_gains(which, s), duals))
     out = []
     for px, py in zip(x[0][ok[0]].tolist(), y[0][ok[0]].tolist()):
         if all(abs(px - p[0]) > 1e-6 * (1.0 + px) for p in out):
@@ -39,7 +49,8 @@ def _positive_roots_scalar(which, s: EffectiveState, duals: DualVars):
 
 
 def _lag(which, s: EffectiveState, duals: DualVars, x, y) -> float:
-    return float(_lagrangian_vals(which, s.h1, s.h2, s.g1, s.g2,
+    t = _system_gains(which, s)
+    return float(_lagrangian_vals(t.h1, t.h2, t.g1, t.g2,
                                   duals.lambda1, duals.lambda2, x, y))
 
 

@@ -13,8 +13,7 @@ from macwt.channel import ChannelState, FadingParams, StateBatch, sample_batch
 from macwt.powerctl import (LAM_MIN, RESIDUAL_TOL, DualPolicy,
                             DualSearchResult, DualVars, EffectiveState,
                             RootSolveError, _common_root_batch,
-                            _positive_roots_batch, _state_row,
-                            _rel_residual, _system_esa, _system_p1q2,
+                            _positive_roots_batch, _rel_residual, _state_row,
                             cj_case_label, dual_search, effective_state,
                             esa_case_id, esa_cj_case_label,
                             esa_cj_kkt_residual, esa_cj_policy_batch,
@@ -163,17 +162,18 @@ def test_common_root_batch_roots_are_certified(which, solver, ll1, ll2,
     # row, or every certified root of the enumerator) is a strictly
     # positive common root within the acceptance residual
     h1, h2, g1, g2 = (10.0 ** np.array(c) for c in zip(*states))
+    if which == "p1q2":  # user 2 jams: the same system with h2 := g2
+        h2 = g2
     l1 = np.full(h1.shape, 10.0 ** ll1)
     l2 = np.full(h1.shape, 10.0 ** ll2)
-    x, y, f = solver(which, h1, h2, g1, g2, l1, l2)
+    x, y, f = solver(h1, h2, g1, g2, l1, l2)
     cols = (h1, h2, g1, g2, l1, l2)
     if solver is _common_root_batch:
         assert np.all(np.isfinite(x) == f)
     else:  # one column per root of the resultant cubic
         cols = tuple(np.repeat(c[:, None], 3, axis=1) for c in cols)
-    system = _system_esa if which == "esa" else _system_p1q2
     assert np.all(x[f] > 0) and np.all(y[f] > 0)
-    res = _rel_residual(system, *(c[f] for c in cols), x[f], y[f])
+    res = _rel_residual(*(c[f] for c in cols), x[f], y[f])
     assert np.all(res <= RESIDUAL_TOL)
 
 
@@ -377,6 +377,110 @@ def test_cj_scalar_matches_batch(rng):
     for i in (0, 31, 63):
         s = EffectiveState(h1[i], h2[i], g1[i], g2[i])
         assert esa_cj_case_label(s, duals) == cj_case_label(int(case[i]))
+
+
+def _extreme_states(rng, n):
+    """Gains log-uniform in [1e-3, 1e3] (ratios up to 1e6) and per-row
+    duals log-uniform in [1e-8, 10]."""
+    gains = tuple(10.0 ** rng.uniform(-3.0, 3.0, n) for _ in range(4))
+    return gains, tuple(10.0 ** rng.uniform(-8.0, 1.0, n) for _ in range(2))
+
+
+# seven-case code of a transmit/jam row -> its transmit/jam sub-case
+_TJ_SUB = {1: 1, 3: 2, 4: 3, 6: 4}
+
+
+@pytest.mark.parametrize("extreme", [False, True])
+def test_cj_tree_is_the_esa_tree_on_substituted_gains(rng, monkeypatch,
+                                                      extreme):
+    # while a user jams, its rate term cancels against its jamming penalty
+    # and log1p(g Q) is left: the jamming Lagrangian is the no-jamming one
+    # with the jammer's h replaced by its g.  Every transmit/jam solution
+    # is, to the bit, the seven-case tree at the substituted gains, and
+    # the whole tree takes one common-root solve.
+    if extreme:
+        (h1, h2, g1, g2), (l1, l2) = _extreme_states(rng, 4000)
+    else:
+        h1, h2, g1, g2 = _random_states(rng, 4000)
+        l1, l2 = (10.0 ** rng.uniform(-3.0, 0.0, 4000) for _ in range(2))
+    solves = []
+    solve = powerctl._common_root_batch
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(powerctl, "_common_root_batch", counted)
+    p1, p2, q1, q2, case = esa_cj_policy_batch(h1, h2, g1, g2, l1, l2)
+    assert len(solves) == 1
+    monkeypatch.undo()
+
+    def same(a, b):
+        return a.tobytes() == b.tobytes()
+
+    xa, ya, ca = esa_policy_batch(h1, g2, g1, g2, l1, l2)  # 1 sends, 2 jams
+    xb, yb, cb = esa_policy_batch(h2, g1, g2, g1, l2, l1)  # 2 sends, 1 jams
+    assert set(ca) | set(cb) <= set(_TJ_SUB)
+    sa = np.array([_TJ_SUB[c] for c in ca])
+    sb = np.array([_TJ_SUB[c] for c in cb])
+    br1 = (h1 >= g1) & (h2 >= g2)
+    br2 = (h1 >= g1) & (h2 < g2)
+    br3 = (h1 < g1) & (h2 >= g2)
+    br4 = (h1 < g1) & (h2 < g2)
+    assert br1.any() and br2.any() and br3.any() and br4.any()
+
+    x, y, c = esa_policy_batch(h1, h2, g1, g2, l1, l2)
+    assert same(p1[br1], x[br1]) and same(p2[br1], y[br1])
+    assert np.array_equal(case[br1], 10 + c[br1])
+    assert same(p1[br2], xa[br2]) and same(q2[br2], ya[br2])
+    assert np.array_equal(case[br2], 20 + sa[br2])
+    assert same(p2[br3], xb[br3]) and same(q1[br3], yb[br3])
+    assert np.array_equal(case[br3], 30 + sb[br3])
+    assert not (p2[br2].any() or q1[br2].any() or p1[br3].any()
+                or q2[br3].any())
+
+    # branch 4 keeps solution A or B, whichever exists (positive power),
+    # one of them if both do, and its powers are that orientation's
+    on_a = br4 & (p1 > 0)
+    on_b = br4 & (p2 > 0)
+    assert not np.any(on_a & on_b)
+    assert np.array_equal(on_a | on_b, br4 & ((xa > 0) | (xb > 0)))
+    assert same(p1[on_a], xa[on_a]) and same(q2[on_a], ya[on_a])
+    assert same(p2[on_b], xb[on_b]) and same(q1[on_b], yb[on_b])
+    assert not (p1[br4 & ~on_a].any() or q2[br4 & ~on_a].any()
+                or p2[br4 & ~on_b].any() or q1[br4 & ~on_b].any())
+    sub4 = 1 + (sa == 3) + 2 * (sb == 3)
+    want = np.where(sub4 == 4, np.where(on_a, 45, np.where(on_b, 46, 44)),
+                    40 + sub4)
+    assert np.array_equal(case[br4], want[br4])
+    assert np.any(case == 45) or np.any(case == 46)
+
+
+def test_transmit_jam_roots_solve_the_jamming_equations(rng):
+    # the solver meets user 2's jamming equation as (h2 - g2) + h2 g1 x
+    # - ... at h2 = g2, which is exact; the form h2 (1 + g1 x) - g2 would
+    # cancel where g1 x << 1.  Held here against the jamming stationarity
+    # equations as they read on their own, each relative to its largest
+    # term, at every transmit/jam root of extreme states.
+    (h1, h2, g1, g2), (l1, l2) = _extreme_states(rng, 20000)
+    p1, p2, q1, q2, _ = esa_cj_policy_batch(h1, h2, g1, g2, l1, l2)
+    a = (p1 > 0) & (q2 > 0)  # user 1 transmits, user 2 jams
+    b = (p2 > 0) & (q1 > 0)  # the mirror
+    hT, gT, gJ = (np.concatenate([u[a], v[b]]) for u, v in
+                  ((h1, h2), (g1, g2), (g2, g1)))
+    lT, lJ, x, y = (np.concatenate([u[a], v[b]]) for u, v in
+                    ((l1, l2), (l2, l1), (p1, p2), (q2, q1)))
+    assert x.size > 1000
+    den = 1.0 + gT * x + gJ * y
+    f1 = hT * (1.0 + gJ * y) - gT - lT * (1.0 + hT * x) * den
+    f2 = gT * gJ * x - lJ * (1.0 + gJ * y) * den
+    one = np.ones_like(x)
+    s1 = np.maximum.reduce([np.abs(hT * (1.0 + gJ * y)), gT,
+                            np.abs(lT * (1.0 + hT * x) * den), one])
+    s2 = np.maximum.reduce([gT * gJ * x, np.abs(lJ * (1.0 + gJ * y) * den),
+                            one])
+    res = np.maximum(np.abs(f1) / s1, np.abs(f2) / s2)
+    assert res.max() <= 1e-14, res.max()
 
 
 @pytest.mark.parametrize("tree", [esa_policy_batch, esa_cj_policy_batch])
