@@ -21,9 +21,8 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .dof import DOF_KINDS, estimate_dof, sum_rate_curve
 from .montecarlo import (CONSTANT, DUAL, ESA, ESA_CJ, GS_CJ, RUDIMENTARY, SBA,
                          ergodic_region, grid_point, scheme_rates)
-from .powerctl import (DualVars, EffectiveState, RootSolveError, _dual_powers,
-                       cj_case_label, dual_search, effective_state,
-                       esa_cj_kkt_residual)
+from .powerctl import (DualVars, EffectiveState, _dual_powers, cj_case_label,
+                       dual_search, effective_state, esa_cj_kkt_residual)
 from .rates import PowerBudget, PowerDecision
 
 
@@ -142,17 +141,12 @@ def _figure(tag, variants, default_out, config, seed, samples, out, snr_db,
             for pi, db in enumerate(cfg.snr_db):
                 p = 10.0 ** (db / 10.0)
                 point = (cfg.seed, tag, vi, si, pi)
-                try:
-                    est, status = grid_point(
-                        scheme, kind, params, PowerBudget(p, p), cfg.samples,
-                        _point_seed(*point), cfg.dual_samples,
-                        _point_seed(*point, 9), cfg.inner_samples,
-                        _point_seed(*point, 7), search=dual_search,
-                        estimate=ergodic_region)
-                except RootSolveError as exc:
-                    rows.append([db, var_g, name, float("nan"),
-                                 float("nan"), 0, f"dual-failed:{exc}"])
-                    continue
+                est, status = grid_point(
+                    scheme, kind, params, PowerBudget(p, p), cfg.samples,
+                    _point_seed(*point), cfg.dual_samples,
+                    _point_seed(*point, 9), cfg.inner_samples,
+                    _point_seed(*point, 7), search=dual_search,
+                    estimate=ergodic_region)
                 rows.append([db, var_g, name, est.mean.rsum,
                              est.stderr.rsum, est.n, status])
     path = cfg.out or default_out
@@ -200,9 +194,8 @@ def dof(config, seed, samples, out, schemes, powers):
                                _point_seed(cfg.seed, 3, si),
                                dual_n=cfg.dual_samples)
         eta = estimate_dof(curve)
-        for p, r, se, status in zip(curve.powers, curve.rsum, curve.stderr,
-                                    curve.status):
-            rows.append([scheme, p, r, se, cfg.samples, status])
+        rows += [[scheme, *point] for point in zip(
+            curve.powers, curve.rsum, curve.stderr, curve.n, curve.status)]
         click.echo(f"eta {scheme} {_fmt(eta)}")
     path = cfg.out or "dof.csv"
     _write_csv(path, ["scheme", "power", "rsum_bits", "stderr", "n",

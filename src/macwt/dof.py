@@ -33,6 +33,7 @@ class SumRateCurve:
     rsum: tuple          # ergodic sum-rate estimates (bits)
     stderr: tuple
     status: tuple = None  # per point: its row status (None: all "ok")
+    n: tuple = None       # per point: states in its estimate (None: not kept)
 
     def __post_init__(self):
         if self.status is None:
@@ -43,8 +44,9 @@ class SumRateCurve:
         p = np.asarray(self.powers)
         if not np.all(np.diff(p) > 0):
             raise ValueError("powers must be strictly increasing")
-        if not (np.all(np.isfinite(self.rsum)) and np.all(np.isfinite(self.stderr))):
-            raise ValueError("estimates must be finite")
+        ok = np.asarray(self.status) == "ok"
+        if not np.all(np.isfinite(np.asarray([self.rsum, self.stderr])[:, ok])):
+            raise ValueError("estimates of ok points must be finite")
 
 
 def sum_rate_curve(scheme: str, params: FadingParams, powers, n: int,
@@ -56,8 +58,9 @@ def sum_rate_curve(scheme: str, params: FadingParams, powers, n: int,
     from ``(seed, point index)`` so points are independent and
     individually reproducible.  The single-slot baseline re-solves its
     dual variables at every grid point (on ``dual_n`` states) before
-    measuring on ``n`` fresh states; each point's row status is carried in
-    :attr:`SumRateCurve.status`.
+    measuring on ``n`` fresh states.  Each point's row status and state
+    count are carried in :attr:`SumRateCurve.status` and
+    :attr:`SumRateCurve.n`; a failed point is kept with a NaN estimate.
     """
     if scheme not in DOF_KINDS:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -73,14 +76,15 @@ def sum_rate_curve(scheme: str, params: FadingParams, powers, n: int,
     return SumRateCurve(scheme=scheme, params=params, powers=powers,
                         rsum=tuple(est.mean.rsum for est, _ in points),
                         stderr=tuple(est.stderr.rsum for est, _ in points),
-                        status=tuple(status for _, status in points))
+                        status=tuple(status for _, status in points),
+                        n=tuple(est.n for est, _ in points))
 
 
 def estimate_dof(curve: SumRateCurve, window: slice | None = None) -> float:
     """Least-squares slope of rsum (bits) against log2 P over the window.
 
     Defaults to the top four grid points; the window must keep at least
-    three.
+    three.  NaN if an estimate in the window is not finite.
     """
     if window is None:
         window = slice(max(0, len(curve.powers) - 4), len(curve.powers))
@@ -88,6 +92,8 @@ def estimate_dof(curve: SumRateCurve, window: slice | None = None) -> float:
     y = np.asarray(curve.rsum[window], dtype=float)
     if x.size < 3:
         raise ValueError("slope window needs at least 3 points")
+    if not np.all(np.isfinite(y)):
+        return math.nan
     slope, _ = np.polyfit(x, y, 1)
     return float(slope)
 

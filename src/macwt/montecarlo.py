@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import FadingParams, sample_batch, sba_block_gains
-from .powerctl import DualPolicy, dual_search
+from .powerctl import DualPolicy, RootSolveError, dual_search
 from .rates import (ConstantPolicy, PowerBudget, RateTriple,
                     RudimentaryEsaPolicy, RudimentarySbaPolicy, esa_cj_triple,
                     esa_triple, gs_cj_triple, sba_triple)
@@ -160,7 +160,9 @@ def grid_point(scheme: str, kind: str, params: FadingParams,
     ``RUDIMENTARY`` is on/off at full budget (the two-slot rule's inner
     expectation uses ``inner_n`` states from ``inner_seed``); ``CONSTANT``
     powers meet the budgets.  The estimate uses ``n`` states from ``seed``.
-    The status is ``non-finite``, else ``dual-not-converged``, else
+    The status is ``dual-failed:<reason>`` if the search meets a power
+    that is not finite (the estimate is then NaN over 0 states), else
+    ``non-finite``, else ``dual-not-converged``, else
     ``over-budget`` (a user's realized power exceeds its budget by more
     than ``DUAL_TOL`` plus ``BUDGET_SIGMAS`` combined standard errors of
     the estimate and the search batch), else ``ok``.
@@ -171,8 +173,13 @@ def grid_point(scheme: str, kind: str, params: FadingParams,
     """
     res = None
     if kind == DUAL:
-        res = (search or dual_search)(params, budget, scheme, dual_n,
-                                      dual_seed, tol=DUAL_TOL)
+        try:
+            res = (search or dual_search)(params, budget, scheme, dual_n,
+                                          dual_seed, tol=DUAL_TOL)
+        except RootSolveError as exc:
+            nan = RateTriple(math.nan, math.nan, math.nan)
+            return (MonteCarloEstimate(nan, nan, 0, (math.nan,) * 2,
+                                       (math.nan,) * 2), f"dual-failed:{exc}")
         policy = DualPolicy(scheme, res.duals)
     elif kind == RUDIMENTARY and scheme == SBA:
         policy = RudimentarySbaPolicy(budget, params, m_inner=inner_n,

@@ -25,9 +25,11 @@ resultant whose quartic term cancels) and solved batched in closed form
 real root of every row into a Newton start and polishes all of them in
 one stacked Newton pass (kept in the nonnegative quadrant) that stops
 each start on its own step, never on its batch-mates'; a root counts
-only if it is strictly positive with a small residual.  The case tree
-takes the best root per row and gives rows without one all dual-scaled
-Newton starts in a second stacked pass.  A state's powers therefore do
+only if it is strictly positive with a small residual.  Rows without one
+get all dual-scaled Newton starts in a second stacked pass.  A root is
+only stationary, and the dual method needs each state's maximizer of the
+Lagrangian: every choice between candidate allocations in both trees is
+made by that one rule, :func:`_best_by_lagrangian`.  A state's powers do
 not depend on the batch it is solved in.
 
 The dual policies of the three schemes with a multiplier search (``esa``,
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelState, FadingParams, sample_batch
-from .rates import PowerBudget, PowerDecision, esa_cj_triple
+from .rates import PowerBudget, PowerDecision
 
 RESIDUAL_TOL = 1e-9   # relative residual for accepting a common root
 CLAMP_TOL = 1e-9      # components in (-CLAMP_TOL, 0) are clamped to 0
@@ -356,42 +358,46 @@ def _positive_roots_batch(h1, h2, g1, g2, l1, l2):
     return x, y, ok
 
 
+def _best_by_lagrangian(args, x, y, ok):
+    """Per row, the ``ok`` column of the ``(m, k)`` candidates ``(x, y)``
+    with the largest :func:`_lagrangian_vals` at ``args`` (broadcast
+    against them; 0 if no column is ok).  Values within 1e-12 * max(1, |L|)
+    of the largest tie, and ties go to the earliest column, so copies of
+    one root a few ulps apart pick the same column in any summation order.
+    """
+    L = np.where(ok, _lagrangian_vals(*args, x, y), -np.inf)
+    top = L.max(axis=1, keepdims=True)
+    near = L >= top - 1e-12 * np.maximum(1.0, np.abs(top))
+    return np.argmax(ok & near, axis=1)
+
+
 def _common_root_batch(h1, h2, g1, g2, l1, l2):
     """Best positive common root per row, or NaN where none exists.
 
-    Returns ``(x, y, found)``.  Among a row's certified roots from
-    :func:`_positive_roots_batch` the largest Lagrangian value wins, ties
-    going to the first in root order.  Rows left without a root (the
-    resultant coefficients cancel badly at extreme gain ratios) get all
-    dual-scaled ``_FALLBACK_STARTS`` in a second stacked Newton pass,
-    where the first start that hits wins.  Newton stops per row, so a
-    row's result does not depend on the other rows of the batch.
+    Returns ``(x, y, found)``.  A row's certified roots from
+    :func:`_positive_roots_batch` are ranked by :func:`_best_by_lagrangian`.
+    Rows left without one (the resultant coefficients cancel badly at
+    extreme gain ratios) get all dual-scaled ``_FALLBACK_STARTS`` in a
+    second stacked Newton pass, ranked the same way.  Newton stops per
+    row, so a row's result does not depend on the other rows of the batch.
     """
-    x, y, ok = _positive_roots_batch(h1, h2, g1, g2, l1, l2)
-    r, k = np.nonzero(ok)
-    L = np.full(ok.shape, -np.inf)
-    L[r, k] = _lagrangian_vals(h1[r], h2[r], g1[r], g2[r], l1[r], l2[r],
-                               x[r, k], y[r, k])
+    args = (h1, h2, g1, g2, l1, l2)
+    x, y, ok = _positive_roots_batch(*args)
+    best = _best_by_lagrangian(tuple(v[:, None] for v in args), x, y, ok)
     rows = np.arange(ok.shape[0])
-    best = np.argmax(L, axis=1)
-    found = ok.any(axis=1)
-    best_x = np.where(found, x[rows, best], np.nan)
-    best_y = np.where(found, y[rows, best], np.nan)
+    x, y, found = x[rows, best], y[rows, best], ok[rows, best]
     u = np.nonzero(~found)[0]
     if u.size:
         # start-major: row j of start i sits at i * u.size + j
         a, b = np.array(_FALLBACK_STARTS).T
         t = np.tile(u, a.size)
-        xp, yp, hit = _polish_certified(
-            (h1[t], h2[t], g1[t], g2[t], l1[t], l2[t]),
-            np.repeat(a, u.size) / l1[t], np.repeat(b, u.size) / l2[t])
-        hit = hit.reshape(a.size, u.size)
-        first = np.argmax(hit, axis=0) * u.size + np.arange(u.size)
-        got = hit.any(axis=0)
-        best_x[u[got]] = xp[first[got]]
-        best_y[u[got]] = yp[first[got]]
-        found[u[got]] = True
-    return best_x, best_y, found
+        xf, yf, hit = (v.reshape(a.size, u.size).T for v in _polish_certified(
+            tuple(v[t] for v in args), np.repeat(a, u.size) / l1[t],
+            np.repeat(b, u.size) / l2[t]))
+        k = _best_by_lagrangian(tuple(v[u, None] for v in args), xf, yf, hit)
+        j = np.arange(u.size)
+        x[u], y[u], found[u] = xf[j, k], yf[j, k], hit[j, k]
+    return np.where(found, x, np.nan), np.where(found, y, np.nan), found
 
 
 def _state_row(s: EffectiveState, duals: DualVars):
@@ -405,7 +411,11 @@ def _state_row(s: EffectiveState, duals: DualVars):
 # ---------------------------------------------------------------------------
 
 def esa_policy_batch(h1, h2, g1, g2, l1, l2):
-    """Vectorized seven-case allocation.  Returns (p1, p2, case)."""
+    """Vectorized seven-case allocation.  Returns (p1, p2, case).
+
+    Cases 1-3 hold their closed form or silence; cases 4-7 take the best
+    of the common root, the single-user forms that apply and silence.
+    """
     h1, h2, g1, g2 = (np.asarray(a, dtype=float) for a in (h1, h2, g1, g2))
     m = h1.shape[0]
     l1a = np.broadcast_to(np.asarray(l1, dtype=float), h1.shape)
@@ -431,26 +441,26 @@ def esa_policy_batch(h1, h2, g1, g2, l1, l2):
     p1 = np.where(case == 3, cf1, 0.0)
     p2 = np.where(case == 2, cf2, 0.0)
 
-    need = case >= 4
-    if np.any(need):
-        idx = np.nonzero(need)[0]
-        x, y, found = _common_root_batch(h1[idx], h2[idx], g1[idx], g2[idx],
-                                         l1a[idx], l2a[idx])
-        sub = case[idx]
-        bad7 = (sub == 7) & ~found
+    need = np.nonzero(case >= 4)[0]
+    if need.size:
+        args = tuple(a[need] for a in (h1, h2, g1, g2, l1a, l2a))
+        x, y, found = _common_root_batch(*args)
+        bad7 = (case[need] == 7) & ~found
         if np.any(bad7):
-            j = idx[np.nonzero(bad7)[0][0]]
+            j = need[np.nonzero(bad7)[0][0]]
             raise CaseSolverError(
                 "no positive common root found in the both-users-active case "
                 f"(h1={h1[j]}, h2={h2[j]}, g1={g1[j]}, g2={g2[j]}, "
                 f"l1={l1a[j]}, l2={l2a[j]})")
-        px = np.where(found, x, 0.0)
-        py = np.where(found, y, 0.0)
-        # fallbacks when the interior root does not exist
-        py = np.where(~found & (sub == 5), cf2[idx], py)
-        px = np.where(~found & (sub == 6), cf1[idx], px)
-        p1[idx] = px
-        p2[idx] = py
+        # the root, user 1 alone, user 2 alone, silence
+        z = np.zeros(need.size)
+        cx = np.stack([x, cf1[need], z, z], axis=1)
+        cy = np.stack([y, z, cf2[need], z], axis=1)
+        ok = np.stack([found, C1[need], C2[need], np.ones_like(found)],
+                      axis=1)
+        best = _best_by_lagrangian(tuple(a[:, None] for a in args), cx, cy, ok)
+        rows = np.arange(need.size)
+        p1[need], p2[need] = cx[rows, best], cy[rows, best]
     return p1, p2, case
 
 
@@ -473,13 +483,6 @@ def esa_case_id(s: EffectiveState, duals: DualVars) -> int:
 _TJ_SUB = np.array([0, 1, 0, 2, 3, 0, 4, 0])
 
 
-def _cj_rsum(h1, h2, g1, g2, p1, p2, q1, q2):
-    # instantaneous sum-rate integrand (bits) on effective gains
-    _, _, rsum = esa_cj_triple(h1 / 2.0, h2 / 2.0, g1 / 2.0, g2 / 2.0,
-                               p1, p2, q1, q2)
-    return rsum
-
-
 def esa_cj_policy_batch(h1, h2, g1, g2, l1, l2):
     """Vectorized allocation with jamming.  Returns (p1, p2, q1, q2, case).
 
@@ -488,7 +491,8 @@ def esa_cj_policy_batch(h1, h2, g1, g2, l1, l2):
     the gains ``(h1, g2, g1, g2)``, on every row with ``h2 < g2``
     (branches 2 and 4); and the mirror ``(h2, g1, g2, g1)`` with swapped
     duals on every row with ``h1 < g1`` (branches 3 and 4).  Branch 4
-    keeps the solution that exists, the larger sum rate if both do.
+    keeps the solution that transmits; if both do, the one with the larger
+    jamming Lagrangian (:func:`_best_by_lagrangian`, ties to solution A).
     """
     h1, h2, g1, g2 = (np.asarray(a, dtype=float) for a in (h1, h2, g1, g2))
     m = h1.shape[0]
@@ -504,9 +508,9 @@ def esa_cj_policy_batch(h1, h2, g1, g2, l1, l2):
     def stack(c1, ca, cb):
         return np.concatenate([c1[i1], ca[ia], cb[ib]])
 
-    x, y, code = esa_policy_batch(
-        stack(h1, h1, h2), stack(h2, g2, g1), stack(g1, g1, g2),
-        stack(g2, g2, g1), stack(l1a, l1a, l2a), stack(l2a, l2a, l1a))
+    args = (stack(h1, h1, h2), stack(h2, g2, g1), stack(g1, g1, g2),
+            stack(g2, g2, g1), stack(l1a, l1a, l2a), stack(l2a, l2a, l1a))
+    x, y, code = esa_policy_batch(*args)
     sub = _TJ_SUB[code]
     p1 = np.zeros(m); p2 = np.zeros(m)
     q1 = np.zeros(m); q2 = np.zeros(m)
@@ -517,25 +521,19 @@ def esa_cj_policy_batch(h1, h2, g1, g2, l1, l2):
     b = slice(n1 + na, None)
     p2[ib], q1[ib], case[ib] = x[b], y[b], 30 + sub[b]
 
-    # branch 4 holds both solutions; certified roots are strictly
-    # positive, so a solution exists exactly where its power is > 0
+    # branch 4 holds solutions A and B, at stacked rows ja and jb in i4's
+    # order; each transmits (exists) where its power is > 0
     i4 = np.nonzero((h1 < g1) & (h2 < g2))[0]
-    ta = sub[a][h1[ia] < g1[ia]] == 3  # in i4's order, as ia and ib are
-    tb = sub[b][h2[ib] < g2[ib]] == 3
-    sub4 = 1 + ta + 2 * tb
-    use_a = p1[i4] > 0.0
-    use_b = p2[i4] > 0.0
-    both = use_a & use_b
-    if np.any(both):
-        j = i4[both]
-        z = np.zeros(j.size)
-        ra_sum = _cj_rsum(h1[j], h2[j], g1[j], g2[j], p1[j], z, z, q2[j])
-        rb_sum = _cj_rsum(h1[j], h2[j], g1[j], g2[j], z, p2[j], q1[j], z)
-        pick_a = ra_sum >= rb_sum  # ties -> solution A
-        use_a[both] = pick_a
-        use_b[both] = ~pick_a
+    ja = n1 + np.nonzero(h1[ia] < g1[ia])[0]
+    jb = n1 + na + np.nonzero(h2[ib] < g2[ib])[0]
+    j = np.stack([ja, jb], axis=1)
+    use = x[j] > 0.0
+    pick = _best_by_lagrangian(tuple(v[j] for v in args), x[j], y[j], use)
+    use_a = use[:, 0] & (pick == 0)  # ties -> solution A
+    use_b = use[:, 1] & (pick == 1)
     p1[i4[~use_a]] = q2[i4[~use_a]] = 0.0
     p2[i4[~use_b]] = q1[i4[~use_b]] = 0.0
+    sub4 = 1 + (sub[ja] == 3) + 2 * (sub[jb] == 3)
     code4 = 40 + sub4
     code4 = np.where((sub4 == 4) & use_a, 45, code4)
     code4 = np.where((sub4 == 4) & use_b, 46, code4)

@@ -121,12 +121,19 @@ def lagrangian_esa(s: EffectiveState, p1, p2, duals: DualVars):
 
 def lagrangian_esa_cj(s: EffectiveState, d: PowerDecision, duals: DualVars):
     """Per-state Lagrangian (nats) of the jamming objective."""
-    t1, t2 = d.p1 + d.q1, d.p2 + d.q2
-    return (np.log1p(s.h1 * t1) + np.log1p(s.h2 * t2)
-            - np.log1p(s.g1 * t1 + s.g2 * t2)
-            + np.log1p(s.g1 * d.q1 + s.g2 * d.q2)
-            - np.log1p(s.h1 * d.q1) - np.log1p(s.h2 * d.q2)
-            - duals.lambda1 * t1 - duals.lambda2 * t2)
+    return lagrangian_cj_batch(s.h1, s.h2, s.g1, s.g2, duals.lambda1,
+                               duals.lambda2, d.p1, d.p2, d.q1, d.q2)
+
+
+def lagrangian_cj_batch(h1, h2, g1, g2, l1, l2, p1, p2, q1, q2):
+    """:func:`lagrangian_esa_cj` on arrays; with Q1 = Q2 = 0 it is the
+    no-jamming Lagrangian."""
+    t1, t2 = p1 + q1, p2 + q2
+    return (np.log1p(h1 * t1) + np.log1p(h2 * t2)
+            - np.log1p(g1 * t1 + g2 * t2)
+            + np.log1p(g1 * q1 + g2 * q2)
+            - np.log1p(h1 * q1) - np.log1p(h2 * q2)
+            - l1 * t1 - l2 * t2)
 
 
 def cj_modes(s: EffectiveState, duals: DualVars, x, y) -> dict:

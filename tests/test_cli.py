@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 
@@ -8,7 +9,7 @@ import macwt.cli
 import macwt.montecarlo
 from macwt.cli import main
 from macwt.montecarlo import MonteCarloEstimate
-from macwt.powerctl import LAM_MIN, DualVars
+from macwt.powerctl import LAM_MIN, DualVars, RootSolveError
 from macwt.rates import RateTriple
 from macwt.config import ConfigError, ExperimentConfig, load_config, parse_config_text
 
@@ -291,3 +292,43 @@ def test_dof_search_row_is_not_ok(tmp_path, monkeypatch, change, status):
     assert res.exit_code == 0, res.output
     rows = out.read_text(encoding="utf-8").splitlines()[1:]
     assert [row.rsplit(",", 1)[1] for row in rows] == [status] * 3
+
+
+def test_dof_non_finite_point_is_recorded(tmp_path):
+    # at 1e200 the two-slot rates overflow: the point is written
+    # non-finite, not dropped, and the slope over it is nan
+    out = tmp_path / "dof.csv"
+    res = _run("dof", "--scheme", "sba", "--samples", "200",
+               "--powers", "1e100,1e200,1e300", "--out", str(out))
+    assert res.exit_code == 0, res.output
+    assert "eta sba nan" in res.output.splitlines()
+    rows = [row.split(",")
+            for row in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [(r[4], r[5]) for r in rows] == (
+        [("200", "ok")] + [("200", "non-finite")] * 2)
+
+
+@pytest.mark.parametrize("cmd, module, scheme", [
+    ("figure2", macwt.cli, "esa"), ("dof", macwt.montecarlo, "gs_cj")])
+def test_search_failure_row_is_recorded(tmp_path, monkeypatch, cmd, module,
+                                        scheme):
+    def fail(*args, **kwargs):
+        raise RootSolveError("realized power [nan, nan] is not finite")
+
+    monkeypatch.setattr(module, "dual_search", fail)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("samples = 2000\ndual_samples = 2000\n")
+    out = tmp_path / f"{cmd}.csv"
+    grid = ("--snr-db", "0") if cmd == "figure2" else ("--powers",
+                                                       "1e2,1e3,1e4")
+    res = _run(cmd, "--config", str(cfg), "--scheme", scheme, *grid,
+               "--out", str(out))
+    assert res.exit_code == 0, res.output
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = [r for r in csv.reader(fh)][1:]
+    failed = [r[-4:] for r in rows if r[2] != "esa_const"]
+    assert len(failed) == (2 if cmd == "figure2" else 3)
+    assert all(r == ["nan", "nan", "0", "dual-failed:realized power "
+                     "[nan, nan] is not finite"] for r in failed)
+    if cmd == "dof":
+        assert f"eta {scheme} nan" in res.output.splitlines()

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kkt_reference import (closed_form, cj_modes, common_root, grid_oracle,
-                           lagrangian_esa, lagrangian_esa_cj,
-                           stationary_candidates)
+                           lagrangian_cj_batch, lagrangian_esa,
+                           lagrangian_esa_cj, stationary_candidates)
 from macwt import powerctl
 from macwt.channel import ChannelState, FadingParams, StateBatch, sample_batch
 from macwt.powerctl import (LAM_MIN, RESIDUAL_TOL, DualPolicy,
                             DualSearchResult, DualVars, EffectiveState,
-                            RootSolveError, _common_root_batch,
+                            RootSolveError, _closed_form_root,
+                            _common_root_batch,
                             _positive_roots_batch, _rel_residual, _state_row,
                             cj_case_label, dual_search, effective_state,
                             esa_case_id, esa_cj_case_label,
@@ -325,25 +326,34 @@ def test_cj_branch4_both_weak_silent_when_priced_out():
     assert esa_cj_case_label(s, duals) == "B.4a"
 
 
-def test_cj_branch4_two_root_tiebreak_prefers_larger_rsum(rng):
-    # scan weak-weak states until the two-root sub-case shows up, then
-    # check the chosen side beats the rejected one
-    duals = DualVars(0.05, 0.05)
-    hits = 0
-    for _ in range(4000):
-        h1, h2 = rng.exponential(1.0, 2)
-        g1 = h1 + rng.exponential(2.0)
-        g2 = h2 + rng.exponential(2.0)
-        s = EffectiveState(h1, h2, g1, g2)
-        label = esa_cj_case_label(s, duals)
-        if not label.startswith("B.4d"):
-            continue
-        hits += 1
-        d = _cj(s, duals)
-        assert (d.p1 > 0) != (d.p2 > 0) or (d.p1 == 0 and d.p2 == 0)
-        if hits >= 5:
-            break
-    assert hits > 0
+def test_cj_branch4_two_root_tiebreak_prefers_larger_lagrangian(rng):
+    # where both transmit/jam orientations of a both-receivers-weak state
+    # transmit, the tree keeps the one with the larger jamming Lagrangian
+    # (ties to solution A), the quantity the dual method maximizes
+    n = 4000
+    h1, h2 = rng.exponential(1.0, (2, n))
+    g1 = h1 + rng.exponential(2.0, n)
+    g2 = h2 + rng.exponential(2.0, n)
+    l1 = l2 = np.full(n, 0.05)
+    p1, p2, q1, q2, case = esa_cj_policy_batch(h1, h2, g1, g2, l1, l2)
+    xa, ya, _ = esa_policy_batch(h1, g2, g1, g2, l1, l2)  # 1 sends, 2 jams
+    xb, yb, _ = esa_policy_batch(h2, g1, g2, g1, l2, l1)  # 2 sends, 1 jams
+    z = np.zeros(n)
+    gains = (h1, h2, g1, g2, l1, l2)
+    la = lagrangian_cj_batch(*gains, xa, z, z, ya)
+    lb = lagrangian_cj_batch(*gains, z, xb, yb, z)
+    got = lagrangian_cj_batch(*gains, p1, p2, q1, q2)
+    both = (xa > 0) & (xb > 0)
+    assert both.sum() > 1000
+    assert np.all(np.isin(case[both], (45, 46)))
+    a = both & (la >= lb - 1e-12 * np.maximum(1.0, np.abs(lb)))
+    b = both & ~a
+    assert np.array_equal(case[both], np.where(a, 45, 46)[both])
+    assert np.array_equal(p1[a], xa[a]) and np.array_equal(q2[a], ya[a])
+    assert np.array_equal(p2[b], xb[b]) and np.array_equal(q1[b], yb[b])
+    assert not (np.any(p2[a] + q1[a]) or np.any(p1[b] + q2[b]))
+    # a pick by instantaneous sum rate keeps the lower one on 45 of them
+    assert np.all(got[b] == lb[b]) and np.all(got[a] == la[a])
 
 
 def test_cj_batch_invariants(rng):
@@ -551,6 +561,62 @@ def test_tree_root_is_a_stationary_candidate(rng, lam):
                        for d, _ in cands), (scheme, i, want)
 
 
+@pytest.mark.parametrize("states", ["figure", "extreme"])
+def test_trees_return_the_best_candidate(rng, states):
+    # the dual method needs each state's maximizer of the Lagrangian, not
+    # just a stationary point: neither tree may return less than silence
+    # or a single-user closed form, and the jamming tree not less than
+    # either transmit/jam orientation's own allocation where it applies
+    if states == "figure":
+        n = 15000
+        gains = tuple(2.0 * v for v in sample_batch(PARAMS, n, rng).sq())
+        lam = np.resize([1e-3, 0.1, 1.0], n)
+        lams = (lam, lam)
+    else:
+        n = 20000
+        gains, lams = _extreme_states(rng, n)
+    h1, h2, g1, g2 = gains
+    l1, l2 = lams
+    z = np.zeros(n)
+
+    def lag(p1, p2, q1=z, q2=z):
+        return lagrangian_cj_batch(*gains, *lams, p1, p2, q1, q2)
+
+    c1 = h1 - g1 > l1
+    c2 = h2 - g2 > l2
+    cf1 = np.where(c1, _closed_form_root(h1, g1, l1), 0.0)
+    cf2 = np.where(c2, _closed_form_root(h2, g2, l2), 0.0)
+    others = {"silence": (lag(z, z), np.ones(n, dtype=bool)),
+              "user 1 alone": (lag(cf1, z), c1),
+              "user 2 alone": (lag(z, cf2), c2)}
+    p1, p2, _ = esa_policy_batch(*gains, l1, l2)
+    trees = {"esa": (lag(p1, p2), others)}
+    xa, ya, _ = esa_policy_batch(h1, g2, g1, g2, l1, l2)  # 1 sends, 2 jams
+    xb, yb, _ = esa_policy_batch(h2, g1, g2, g1, l2, l1)  # 2 sends, 1 jams
+    trees["esa_cj"] = (lag(*esa_cj_policy_batch(*gains, l1, l2)[:4]), {
+        **others, "solution A": (lag(xa, z, z, ya), h2 < g2),
+        "solution B": (lag(z, xb, yb, z), h1 < g1)})
+    below = {}
+    for tree, (got, bounds) in trees.items():
+        for name, (val, where) in bounds.items():
+            tol = 1e-12 * np.maximum(1.0, np.abs(val))
+            below[tree, name] = int(np.sum(where & (got < val - tol)))
+    assert not any(below.values()), below
+
+
+def test_case_tree_prefers_silence_to_a_losing_root():
+    # case 4 has a stationary point here, P = (1.923, 3.204), whose
+    # Lagrangian is -0.259 nats; the maximum, 0, is at silence
+    s = EffectiveState(1.631, 0.563, 2.648, 0.907)
+    duals = DualVars(0.1, 0.1)
+    x, y = common_root("esa", s, duals)
+    assert (x, y) == pytest.approx((1.923, 3.204), abs=1e-3)
+    assert lagrangian_esa(s, x, y, duals) == pytest.approx(-0.259, abs=1e-3)
+    assert esa_case_id(s, duals) == 4
+    assert _esa(s, duals) == (0.0, 0.0)
+    assert lagrangian_esa_cj(s, _cj(s, duals), duals) >= 0.0
+
+
 def test_policy_beats_grid_oracle_at_unique_states(rng):
     checked = 0
     for _ in range(120):
@@ -730,17 +796,24 @@ def test_dual_search_converged_means_complementary(scheme):
                     assert _complementary(res, budget, 0.01), (db, ratio, res)
 
 
-@pytest.mark.parametrize("ratio, seed", [(1.0, 1), (1.0, 2), (10.0, 2)])
-def test_dual_search_stops_on_a_cycle(ratio, seed):
+@pytest.mark.parametrize("ratio, seed", [(1.0, 1), (1.0, 6), (10.0, 4)])
+def test_dual_search_stops_on_a_cycle(monkeypatch, ratio, seed):
     # at -20 dB with var_h = 0.01 only a handful of the 2000 states
     # transmit, so one state switching off moves a user's realized power
     # far more than the 2 % band: the search comes back to a point it has
     # already rebuilt its Jacobian at, and stops instead of repeating
     budget = PowerBudget(0.01, ratio * 0.01)
-    res = dual_search(FadingParams.symmetric(0.01, 1.0), budget, "esa_cj",
-                      2000, seed=seed, tol=0.02)
+
+    def search():
+        return dual_search(FadingParams.symmetric(0.01, 1.0), budget,
+                           "esa_cj", 2000, seed=seed, tol=0.02)
+
+    res = search()
     assert res.converged is False
     assert res.sweeps < 60
+    # the stop is the rebuild rule's, not the evaluation cap's
+    monkeypatch.setattr(powerctl, "_MAX_EVALS", 1000)
+    assert search() == res
 
 
 def test_dual_search_evaluation_count(monkeypatch):
