@@ -65,10 +65,10 @@ def sum_rate_curve(scheme: str, params: FadingParams, powers, n: int,
     if scheme not in DOF_KINDS:
         raise ValueError(f"unknown scheme {scheme!r}")
     powers = tuple(float(p) for p in powers)
+    if not (all(p > 0 for p in powers) and np.all(np.diff(powers) > 0)):
+        raise ValueError("powers must be positive and strictly increasing")
     points = []
     for i, p in enumerate(powers):
-        if not p > 0:
-            raise ValueError("grid powers must be positive")
         point_seed = int(np.random.SeedSequence((seed, i)).generate_state(1)[0])
         points.append(grid_point(scheme, DOF_KINDS[scheme], params,
                                  PowerBudget(p, p), n, point_seed, dual_n,

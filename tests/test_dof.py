@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from macwt import dof
 from macwt.channel import (ChannelState, FadingParams, sample_batch,
                            sba_block_gains)
 from macwt.dof import (SumRateCurve, dominated_bound_esa, dominated_bound_sba,
@@ -57,6 +58,17 @@ def test_sum_rate_curve_rejects_bad_grid():
         sum_rate_curve(ESA, UNIT_PARAMS, (0.0, 1.0), n=100, seed=1)
     with pytest.raises(ValueError):
         sum_rate_curve("nope", UNIT_PARAMS, (1.0, 2.0), n=100, seed=1)
+
+
+@pytest.mark.parametrize("powers", [(1e3, 1e4, -1.0), (1e3, 1e5, 1e4),
+                                    (1e3, 1e3, 1e4), (1e3, math.nan, 1e4)])
+def test_sum_rate_curve_checks_grid_before_any_point(monkeypatch, powers):
+    # the whole grid is checked before the first Monte Carlo point runs
+    calls = []
+    monkeypatch.setattr(dof, "grid_point", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="positive and strictly increasing"):
+        sum_rate_curve(ESA, UNIT_PARAMS, powers, n=100, seed=1)
+    assert calls == []
 
 
 def test_esa_single_point_matches_quadrature():

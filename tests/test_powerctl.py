@@ -171,11 +171,55 @@ def test_common_root_batch_roots_are_certified(which, solver, ll1, ll2,
     cols = (h1, h2, g1, g2, l1, l2)
     if solver is _common_root_batch:
         assert np.all(np.isfinite(x) == f)
-    else:  # one column per root of the resultant cubic
-        cols = tuple(np.repeat(c[:, None], 3, axis=1) for c in cols)
+    else:  # one column per Newton start of the enumerator
+        cols = tuple(np.repeat(c[:, None], x.shape[1], axis=1) for c in cols)
     assert np.all(x[f] > 0) and np.all(y[f] > 0)
     res = _rel_residual(*(c[f] for c in cols), x[f], y[f])
     assert np.all(res <= RESIDUAL_TOL)
+
+
+def test_fallback_starts_go_only_to_rows_without_a_cubic_root(monkeypatch):
+    # one pick ranks the cubic's columns and the fallback columns
+    # together, so a row with a certified cubic root must get no fallback
+    # start: the second Newton pass holds exactly the rows without one,
+    # once per fallback start, column by column
+    sq = sample_batch(PARAMS, 4000, np.random.default_rng(5)).sq()
+    lam = np.full(4000, 1e-5)  # small duals: the cubic misses roots
+    args = (*(2.0 * v for v in sq), lam, lam)
+    _, _, ok = _positive_roots_batch(*args)
+    none = ~ok.any(axis=1)
+    assert none.any() and (~none).any()
+    calls = []
+    polish = powerctl._newton_polish
+
+    def recorded(*a):
+        calls.append(a)
+        return polish(*a)
+
+    monkeypatch.setattr(powerctl, "_newton_polish", recorded)
+    _common_root_batch(*args)
+    assert len(calls) == 2
+    starts = len(powerctl._FALLBACK_STARTS)
+    for got, v in zip(calls[1][:6], args):
+        assert got.tobytes() == np.tile(v[none], starts).tobytes()
+
+
+def test_rel_residual_is_the_system_residual(rng):
+    # _rel_residual writes the two equations out again; they must stay
+    # _system's to the bit, each scaled by its largest term (at least 1)
+    (h1, h2, g1, g2), (l1, l2) = _extreme_states(rng, 20000)
+    h2 = np.where(rng.random(20000) < 0.25, g2, h2)  # user 2 jamming
+    x, y = (10.0 ** rng.uniform(-6.0, 6.0, 20000) for _ in range(2))
+    f1, f2, *_ = powerctl._system(h1, h2, g1, g2, l1, l2, x, y)
+    den = 1.0 + g1 * x + g2 * y
+    one = np.ones_like(x)
+    s1 = np.maximum.reduce([np.abs(h1 * (1.0 + g2 * y)), np.abs(g1),
+                            np.abs(l1 * (1.0 + h1 * x) * den), one])
+    s2 = np.maximum.reduce([np.abs(h2 - g2), np.abs(h2 * g1 * x),
+                            np.abs(l2 * (1.0 + h2 * y) * den), one])
+    want = np.maximum(np.abs(f1) / s1, np.abs(f2) / s2)
+    got = _rel_residual(h1, h2, g1, g2, l1, l2, x, y)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_solve_p1q2_grid_verified():
