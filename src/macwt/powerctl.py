@@ -181,7 +181,8 @@ def _cubic_roots(c):
     Closed-form (Cardano plus deflation), fully vectorized; results are
     polished by Newton downstream so modest accuracy is acceptable.
     Rows with a (near-)vanishing leading coefficient fall back to
-    ``np.roots``.
+    ``np.roots``, each on its coefficients from the first one above
+    1e-12 of the row's largest (the trim is found for all rows at once).
     """
     roots = np.full((c.shape[0], 3), np.nan, dtype=complex)
     scale = np.max(np.abs(c), axis=-1)
@@ -198,12 +199,12 @@ def _cubic_roots(c):
         disc = np.sqrt(B * B - 4.0 * C)
         roots[lead_ok] = np.stack(
             [z1, (-B + disc) / 2.0, (-B - disc) / 2.0], axis=-1)
-    for idx in np.nonzero(~lead_ok)[0]:
-        rev = c[idx, ::-1]
-        nz = np.nonzero(np.abs(rev) > 1e-12 * max(scale[idx], 1e-300))[0]
-        if nz.size == 0:
-            continue
-        r = np.roots(rev[nz[0]:])
+    low = np.flatnonzero(~lead_ok)
+    rev = c[low, ::-1]
+    big = np.abs(rev) > 1e-12 * np.maximum(scale[low], 1e-300)[:, None]
+    keep = big.any(axis=1)
+    for idx, row, lo in zip(low[keep], rev[keep], big[keep].argmax(axis=1)):
+        r = np.roots(row[lo:])
         roots[idx, :r.size] = r
     return roots
 

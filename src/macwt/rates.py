@@ -21,7 +21,9 @@ import numpy as np
 from .channel import FadingParams, StateBatch, sample_batch
 
 LOG2 = math.log(2.0)
-SBA_CHUNK = 4096  # odd-slot states per block of the two-slot inner expectation
+# float64 elements per (rows, m_inner) block of the two-slot inner
+# expectation: each of its two block arrays stays within a core's L2 cache
+SBA_BLOCK_ELEMS = 1 << 15
 
 
 def _log2p1(x):
@@ -185,6 +187,13 @@ class RudimentarySbaPolicy:
     den = 1 + C (p1 + p2) = 1 + (p1 + p2)(|c_i|^2 + |d_j|^2).  A state is on
     when mean_j ln(num / den) >= 0, the sign of the mean sum rate: only
     per-state vectors and real outer products are formed.
+
+    The outer products are built in blocks of ``max(1, SBA_BLOCK_ELEMS //
+    m_inner)`` odd-slot states, so each of the two block arrays holds at
+    most ``SBA_BLOCK_ELEMS`` floats (or one row) whatever the batch size
+    and ``m_inner``: the working set stays in cache, and memory does not
+    grow with the shard.  Each state's mean runs over its own row, so
+    the block size never changes a decision.
     """
 
     def __init__(self, budget: PowerBudget, params: FadingParams,
@@ -207,8 +216,9 @@ class RudimentarySbaPolicy:
         c *= self.p1 + self.p2
         alpha = self.p1 * a1 + self.p2 * a2 - c  # alpha - 1 - (p1 + p2)|c|^2
         on = np.empty(n, dtype=bool)
-        for lo in range(0, n, SBA_CHUNK):
-            i = slice(lo, lo + SBA_CHUNK)
+        rows = max(1, SBA_BLOCK_ELEMS // beta.size)
+        for lo in range(0, n, rows):
+            i = slice(lo, lo + rows)
             x, t = a2[i, None] * pb1, a1[i, None] * pb2
             x += t  # p1 p2 Dsq, expanded
             x -= np.multiply(u.real[i, None], vr, out=t)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,13 +257,41 @@ def test_sba_policy_identical_slots_finite(scale):
 
 
 def test_sba_policy_chunking_invariant(monkeypatch, rng):
-    policy = RudimentarySbaPolicy(PowerBudget(10.0, 10.0), PARAMS,
-                                  m_inner=200, seed=3)
     batch = sample_batch(PARAMS, 50, rng)
-    base = policy.decide_batch(batch)
-    monkeypatch.setattr(rates, "SBA_CHUNK", 7)
-    for a, b in zip(policy.decide_batch(batch), base):
-        assert np.array_equal(a, b)
+    for m_inner, elems in [
+        (200, 7),        # budget below m_inner: 1-row blocks
+        (200, 7 * 200),  # 7-row blocks, 50 states: a last block of 1
+        (200, 2345),     # 11-row blocks, not a multiple of m_inner
+        (1, 7),          # m_inner = 1: 7-row blocks of one column
+        (1, 1),
+    ]:
+        # inner seed 0: on and off states at m_inner 1 (seed 3 has no off)
+        policy = RudimentarySbaPolicy(PowerBudget(10.0, 10.0), PARAMS,
+                                      m_inner=m_inner, seed=0)
+        monkeypatch.setattr(rates, "SBA_BLOCK_ELEMS", 50 * m_inner)
+        base = policy.decide_batch(batch)  # the whole batch in one block
+        assert 0 < np.count_nonzero(base[0]) < 50
+        monkeypatch.setattr(rates, "SBA_BLOCK_ELEMS", elems)
+        for a, b in zip(policy.decide_batch(batch), base):
+            assert np.array_equal(a, b)
+
+
+def test_sba_policy_memory_is_bounded_by_the_block_budget():
+    # The block arrays hold at most SBA_BLOCK_ELEMS floats each (256 KiB
+    # at 2^15), so the peak stays at a few blocks (a block's two arrays
+    # and the previous block's, until rebound) plus the per-state vectors
+    # of the batch, whatever n * m_inner is: 1.3 MiB at 2^15.  Blocks of
+    # a fixed 4096 rows peaked at 62.9 MiB here.
+    policy = RudimentarySbaPolicy(PowerBudget(10.0, 10.0), PARAMS,
+                                  m_inner=1000, seed=3)
+    batch = sample_batch(PARAMS, 4096, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        policy.decide_batch(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_sba_policy_decision_stable_across_inner_seeds():
