@@ -18,7 +18,12 @@ no-jamming one with h2 replaced by g2.  Each transmit/jam orientation is
 therefore the seven-case tree on substituted gains, and the whole
 jamming tree is one :func:`esa_policy_batch` call on stacked rows.
 
-The coupled quadratics are eliminated to a scalar cubic in P1 (a
+Rows that cannot hold a positive common root are ruled out first: in
+the eavesdropper factor ``u = 1/(1 + g1 P1 + g2 P2)`` the system is one
+cubic ``psi(u)``, negative at 0, and a row whose ``psi`` stays below 0
+(with a ``RESIDUAL_TOL`` margin) up to the largest ``u`` with positive
+powers gets no Newton start (:func:`_root_free`).  On the rows left, the
+coupled quadratics are eliminated to a scalar cubic in P1 (a
 resultant whose quartic term cancels) and solved batched in closed form
 (Cardano plus deflation; rows with a vanishing leading coefficient go to
 ``np.roots``).  Every Newton start (each real root of the cubic and, on
@@ -375,28 +380,74 @@ def _best_by_lagrangian(args, x, y, ok):
     return np.argmax(ok & near, axis=1)
 
 
+def _root_free(h1, h2, g1, g2, l1, l2):
+    """Rows whose quadratics provably have no positive common root: the
+    cubic ``psi`` of :func:`_common_root_batch` stays below
+    ``-RESIDUAL_TOL`` times its term scale on ``[0, u_max]``.
+
+    ``psi(0) < 0``, so its largest value there is at ``u_max`` or at a
+    real root of the quadratic ``psi'`` (closed form, clipped into the
+    interval).  Anything not finite leaves its row open.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = (h2 - g2) / h2
+        c, c_abs = w - g1 / h1, np.abs(w) + g1 / h1
+        gg, lg, ll = g1 * g2, l1 * g2 + l2 * g1, l1 * l2
+        # psi(u) = p3 u^3 + p2 u^2 + p1 u - ll
+        p3, p2, p1 = c * gg, c * lg + gg, c * ll
+        u_max = np.clip(np.fmin((h1 - l1) / g1, (h2 - l2) / g2), 0.0, 1.0)
+        # roots of psi' = 3 p3 u^2 + 2 p2 u + p1, cancellation-free
+        q = -(p2 + np.copysign(np.sqrt(p2 * p2 - 3.0 * p3 * p1), p2))
+        u = np.stack([u_max, q / (3.0 * p3), p1 / q])
+        u = np.fmax(np.fmin(u, u_max), 0.0)  # NaN (no real root) -> u_max
+        psi = ((p3 * u + p2) * u + p1) * u - ll
+        # the same sum with every product's magnitude: its rounding scale
+        scale = ((c_abs * gg * u + c_abs * lg + gg) * u + c_abs * ll) * u + ll
+        return np.all(psi < -RESIDUAL_TOL * scale, axis=0)
+
+
 def _common_root_batch(h1, h2, g1, g2, l1, l2):
     """Best positive common root per row, or NaN where none exists.
 
-    Returns ``(x, y, found)``.  The candidates are a row's certified
-    roots from :func:`_positive_roots_batch` and, on rows left without
-    one (the resultant coefficients cancel badly at extreme gain ratios),
-    the roots polished from the dual-scaled ``_FALLBACK_STARTS``; one
+    Returns ``(x, y, found)``.  Rows that cannot hold a root are ruled
+    out first (:func:`_root_free`) and get no Newton start.  In the
+    eavesdropper factor ``u = 1/(1 + g1 x + g2 y)`` the two equations
+    read ``h1/(1 + h1 x) = l1 + g1 u`` and ``h2/(1 + h2 y) = l2 + g2 u``,
+    so ``x = 1/(l1 + g1 u) - 1/h1`` and ``y = 1/(l2 + g2 u) - 1/h2``.
+    Putting these into ``1/u = 1 + g1 x + g2 y`` and clearing
+    ``u (l1 + g1 u)(l2 + g2 u) > 0`` leaves
+
+        psi(u) = C g1 g2 u^3 + (C (l1 g2 + l2 g1) + g1 g2) u^2
+                 + C l1 l2 u - l1 l2 = 0,   C = (h2 - g2)/h2 - g1/h1,
+
+    with ``C`` written so that it is exact when h2 = g2 (user 2 jams).
+    ``x > 0`` and ``y > 0`` hold exactly for ``u`` below ``(h1 - l1)/g1``
+    and ``(h2 - l2)/g2``, and ``u <= 1``; so a positive root needs a root
+    of ``psi`` in ``(0, u_max)``, ``u_max`` the least of the three.
+
+    On the open rows the candidates are a row's certified roots from
+    :func:`_positive_roots_batch` and, on rows left without one (the
+    resultant coefficients cancel badly at extreme gain ratios), the
+    roots polished from the dual-scaled ``_FALLBACK_STARTS``; one
     :func:`_best_by_lagrangian` pick ranks them.  Newton stops per row,
     so a row's result does not depend on the other rows of the batch.
     """
-    args = (h1, h2, g1, g2, l1, l2)
+    rows = np.flatnonzero(~_root_free(h1, h2, g1, g2, l1, l2))
+    args = tuple(v[rows] for v in (h1, h2, g1, g2, l1, l2))
     x, y, ok = _positive_roots_batch(*args)
     a, b = np.array(_FALLBACK_STARTS).T
     none = ~ok.any(axis=1, keepdims=True)
-    xf, yf, hit = _polish_starts(args, np.where(none, a / l1[:, None], np.nan),
-                                 b / l2[:, None])
+    lam1, lam2 = args[4][:, None], args[5][:, None]
+    xf, yf, hit = _polish_starts(args, np.where(none, a / lam1, np.nan),
+                                 b / lam2)
     x, y, ok = (np.hstack(c) for c in ((x, xf), (y, yf), (ok, hit)))
     best = _best_by_lagrangian(args, x, y, ok)
-    rows = np.arange(ok.shape[0])
-    found = ok[rows, best]
-    return (np.where(found, x[rows, best], np.nan),
-            np.where(found, y[rows, best], np.nan), found)
+    pick = np.arange(rows.size), best
+    xy = np.full((2, h1.shape[0]), np.nan)
+    found = np.zeros(h1.shape[0], dtype=bool)
+    found[rows] = got = ok[pick]
+    xy[:, rows] = np.where(got, (x[pick], y[pick]), np.nan)
+    return xy[0], xy[1], found
 
 
 def _state_row(s: EffectiveState, duals: DualVars):

@@ -181,14 +181,18 @@ def test_common_root_batch_roots_are_certified(which, solver, ll1, ll2,
 def test_fallback_starts_go_only_to_rows_without_a_cubic_root(monkeypatch):
     # one pick ranks the cubic's columns and the fallback columns
     # together, so a row with a certified cubic root must get no fallback
-    # start: the second Newton pass holds exactly the rows without one,
-    # once per fallback start, column by column
+    # start: the second Newton pass holds exactly the open rows (those
+    # not ruled out) without one, once per fallback start, column by
+    # column; a ruled-out row gets no start in either pass
     sq = sample_batch(PARAMS, 4000, np.random.default_rng(5)).sq()
-    lam = np.full(4000, 1e-5)  # small duals: the cubic misses roots
+    # small duals, where the cubic misses roots, and large ones, where
+    # many rows hold none
+    lam = np.where(np.arange(4000) % 2 == 0, 1e-5, 0.3)
     args = (*(2.0 * v for v in sq), lam, lam)
     _, _, ok = _positive_roots_batch(*args)
-    none = ~ok.any(axis=1)
-    assert none.any() and (~none).any()
+    open_ = ~powerctl._root_free(*args)
+    none = open_ & ~ok.any(axis=1)
+    assert none.any() and (open_ & ~none).any() and (~open_).any()
     calls = []
     polish = powerctl._newton_polish
 
@@ -199,9 +203,84 @@ def test_fallback_starts_go_only_to_rows_without_a_cubic_root(monkeypatch):
     monkeypatch.setattr(powerctl, "_newton_polish", recorded)
     _common_root_batch(*args)
     assert len(calls) == 2
+    assert set(calls[0][0].tolist()) <= set(args[0][open_].tolist())
     starts = len(powerctl._FALLBACK_STARTS)
     for got, v in zip(calls[1][:6], args):
         assert got.tobytes() == np.tile(v[none], starts).tobytes()
+
+
+def _any_start_certifies(args):
+    """Per row: does a cubic start or a ``_FALLBACK_STARTS`` start
+    certify a root?  Every start is tried on every row."""
+    a, b = np.array(powerctl._FALLBACK_STARTS).T
+    # on root-free rows some far-off Newton steps reach inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, ok = _positive_roots_batch(*args)
+        _, _, hit = powerctl._polish_starts(args, a / args[4][:, None],
+                                            b / args[5][:, None])
+    return ok.any(axis=1) | hit.any(axis=1)
+
+
+_gain = st.floats(-6.0, 6.0).map(math.exp)
+
+
+@given(st.booleans(),
+       st.lists(st.tuples(_gain, _gain, st.one_of(st.just(0.0), _gain),
+                          st.one_of(st.just(0.0), _gain),
+                          st.floats(math.log10(LAM_MIN), 1.0),
+                          st.floats(math.log10(LAM_MIN), 1.0)),
+                min_size=1, max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_ruled_out_rows_hold_no_root(jam, states):
+    # soundness of the u-form test: no start certifies a root on a row it
+    # rules out, and a case-7 row (a root is guaranteed) is never ruled out
+    h1, h2, g1, g2, e1, e2 = (np.array(c) for c in zip(*states))
+    if jam:  # user 2 jamming: the same system with h2 = g2
+        g2 = h2
+    args = (h1, h2, g1, g2, 10.0 ** e1, 10.0 ** e2)
+    free = powerctl._root_free(*args)
+    case7 = (h1 - g1 > args[4]) & (h2 - g2 > args[5])
+    assert not np.any(free & case7)
+    assert not np.any(_any_start_certifies(tuple(v[free] for v in args)))
+
+
+@pytest.mark.parametrize("rows", ["stress", "stress-jam", "figure"])
+def test_every_open_row_gets_a_root(rows):
+    # completeness: the rows left open are exactly those where a root is
+    # found, and on the rows ruled out no start would have found one
+    rng = np.random.default_rng(np.random.SeedSequence(15))
+    if rows == "figure":
+        sq = (2.0 * v for v in sample_batch(PARAMS, 5000, rng).sq())
+        gains = tuple(np.tile(v, 4) for v in sq)
+        lam = np.repeat([1.0, 1e-2, 1e-4, 1e-6], 5000)
+        args = (*gains, lam, lam)
+    else:
+        (h1, h2, g1, g2), duals = _extreme_states(rng, 50000)
+        if rows == "stress-jam":  # user 2 jamming
+            h2 = g2
+        args = (h1, h2, g1, g2, *duals)
+    free = powerctl._root_free(*args)
+    _, _, found = _common_root_batch(*args)
+    assert free.any() and found.any()
+    assert np.array_equal(found, ~free)
+    assert not np.any(_any_start_certifies(tuple(v[free] for v in args)))
+
+
+def test_near_pole_case7_root_is_found():
+    # the cubic's starts miss this root: its x sits near the pole of the
+    # back-substitution y = N(x)/D(x) (g1 is tiny), so only a fallback
+    # start reaches it, and the row must stay open for that
+    row = tuple(np.array([v]) for v in (
+        3.9391105088204714, 3.3306504175139438, 5.341654910663143e-06,
+        1.7634221390450846, 0.27709511448705465, 0.26637916324344446))
+    assert not powerctl._root_free(*row)
+    want = pytest.approx((3.354970183504796, 0.5760675387746103),
+                         rel=1e-9)
+    p1, p2, case = esa_policy_batch(*row)
+    assert case[0] == 7 and (p1[0], p2[0]) == want
+    p1, p2, q1, q2, case = esa_cj_policy_batch(*row)
+    assert case[0] == 17 and (p1[0], p2[0]) == want
+    assert q1[0] == q2[0] == 0.0
 
 
 def test_rel_residual_is_the_system_residual(rng):
