@@ -78,9 +78,13 @@ class StateBatch:
 
 
 def _complex_gaussian(rng: np.random.Generator, var: float, n: int) -> np.ndarray:
-    # real/imag each N(0, var/2) -> circularly symmetric, E|x|^2 = var
+    # real/imag each N(0, var/2) -> circularly symmetric, E|x|^2 = var;
+    # the real part is drawn first, both straight into one complex array
     scale = math.sqrt(var / 2.0)
-    return rng.normal(0.0, scale, n) + 1j * rng.normal(0.0, scale, n)
+    x = np.empty(n, dtype=complex)
+    x.real = rng.normal(0.0, scale, n)
+    x.imag = rng.normal(0.0, scale, n)
+    return x
 
 
 def sample_batch(params: FadingParams, n: int, rng: np.random.Generator) -> StateBatch:

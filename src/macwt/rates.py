@@ -22,7 +22,7 @@ from .channel import FadingParams, StateBatch, sample_batch
 
 LOG2 = math.log(2.0)
 # float64 elements per (rows, m_inner) block of the two-slot inner
-# expectation: each of its two block arrays stays within a core's L2 cache
+# expectation: each of its two block buffers stays within a core's L2 cache
 SBA_BLOCK_ELEMS = 1 << 15
 
 
@@ -169,6 +169,27 @@ def _slot_products(batch: StateBatch):
             np.abs(batch.g1 * batch.g2) ** 2)
 
 
+def _odd_factor(a1, a2, u):
+    """The (4, n) odd-slot factor [|a2|^2, |a1|^2, Re u, Im u] of the
+    two-slot rule's p1 p2 Dsq, one row per term.
+
+    Its rows lie n + 1 apart, so no block of it is contiguous along the
+    terms: a 1 x 1 block (one state, m_inner = 1) would otherwise take
+    einsum's contiguous reduction, which sums (t0 + t2) + (t1 + t3)."""
+    odd = np.empty((4, a1.size + 1))[:, :a1.size]
+    return np.stack((a2, a1, u.real, u.imag), out=odd)
+
+
+def _pp_dsq(odd, even, out):
+    """p1 p2 Dsq of a block, expanded, into ``out``: one rank-4 product
+    of an odd factor block and the (4, m_inner) even factor.
+
+    Plain einsum sums the four terms in order, ((a2 pb1 + a1 pb2) - ur vr)
+    + ui vi, for every block shape; a BLAS product (@, np.dot,
+    optimize=True) would not keep these bits."""
+    return np.einsum("ki,kj->ij", odd, even, out=out)
+
+
 class RudimentarySbaPolicy:
     """On/off from the inner even-slot expectation, with candidate powers
     scaled by the eavesdropper variances.
@@ -185,15 +206,18 @@ class RudimentarySbaPolicy:
     + p1 p2 (|a2_i b1_j|^2 + |a1_i b2_j|^2 - 2 Re(u_i v_j)) with
     alpha = 1 + p1|a1|^2 + p2|a2|^2, beta = p1|b1|^2 + p2|b2|^2, and
     den = 1 + C (p1 + p2) = 1 + (p1 + p2)(|c_i|^2 + |d_j|^2).  A state is on
-    when mean_j ln(num / den) >= 0, the sign of the mean sum rate: only
-    per-state vectors and real outer products are formed.
+    when mean_j ln(num / den) >= 0, the sign of the mean sum rate.  Only
+    per-state vectors and one real rank-4 product per block are formed:
+    p1 p2 Dsq is the (4, n) odd factor [|a2|^2, |a1|^2, Re u, Im u] times
+    the (4, m_inner) even factor [p1p2|b1|^2, p1p2|b2|^2, -2p1p2 Re v,
+    2p1p2 Im v], built once from the inner sample (see :func:`_pp_dsq`).
 
-    The outer products are built in blocks of ``max(1, SBA_BLOCK_ELEMS //
-    m_inner)`` odd-slot states, so each of the two block arrays holds at
-    most ``SBA_BLOCK_ELEMS`` floats (or one row) whatever the batch size
-    and ``m_inner``: the working set stays in cache, and memory does not
-    grow with the shard.  Each state's mean runs over its own row, so
-    the block size never changes a decision.
+    Blocks hold ``max(1, SBA_BLOCK_ELEMS // m_inner)`` odd-slot states.
+    Each call allocates two block buffers once, of at most
+    ``SBA_BLOCK_ELEMS`` floats (or one row) each whatever the batch size
+    and ``m_inner``, and every block reuses them: the working set stays
+    in cache, and memory does not grow with the shard.  Each state's mean
+    runs over its own row, so the block size never changes a decision.
     """
 
     def __init__(self, budget: PowerBudget, params: FadingParams,
@@ -205,24 +229,29 @@ class RudimentarySbaPolicy:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         b1, b2, w, d = _slot_products(sample_batch(params, m_inner, rng))
         pp, eve = self.p1 * self.p2, (self.p1 + self.p2) * d
-        # read-only, shared by all shards: p1p2|b_k|^2, 2p1p2 v, beta - eve, eve
-        self._even = (pp * b1, pp * b2, 2.0 * pp * w.real, -2.0 * pp * w.imag,
+        # read-only, shared by all shards: the even factor of p1 p2 Dsq
+        # (w = conj v), beta - eve and eve
+        self._even = (np.stack([pp * b1, pp * b2, -2.0 * pp * w.real,
+                                -2.0 * pp * w.imag]),
                       self.p1 * b1 + self.p2 * b2 - eve, eve)
 
     def decide_batch(self, batch: StateBatch):
         n = len(batch)
-        pb1, pb2, vr, vi, beta, eve = self._even
+        even, beta, eve = self._even
         a1, a2, u, c = _slot_products(batch)
+        odd = _odd_factor(a1, a2, u)
         c *= self.p1 + self.p2
         alpha = self.p1 * a1 + self.p2 * a2 - c  # alpha - 1 - (p1 + p2)|c|^2
         on = np.empty(n, dtype=bool)
         rows = max(1, SBA_BLOCK_ELEMS // beta.size)
+        # two allocations, not one (2, rows, m_inner) array: at 2^15 that
+        # single 512 KiB block read 0.9 MB more peak RSS in `macwt figure1`
+        shape = (min(rows, n), beta.size)
+        X, T = np.empty(shape), np.empty(shape)
         for lo in range(0, n, rows):
             i = slice(lo, lo + rows)
-            x, t = a2[i, None] * pb1, a1[i, None] * pb2
-            x += t  # p1 p2 Dsq, expanded
-            x -= np.multiply(u.real[i, None], vr, out=t)
-            x += np.multiply(u.imag[i, None], vi, out=t)
+            x, t = X[:n - lo], T[:n - lo]
+            _pp_dsq(odd[:, i], even, x)
             # p1 p2 Dsq >= 0 can round below 0 as the determinant vanishes;
             # x = (num - den) / den keeps log1p's accuracy near num = den = 1
             np.maximum(x, 0.0, out=x)

@@ -46,6 +46,20 @@ def test_sample_mean_squared_magnitudes(rng):
         assert abs(arr.mean() - target) < 0.01 * max(target, 1.0)
 
 
+@pytest.mark.parametrize("n", [0, 1, 1250, 20_000])
+def test_sample_batch_matches_two_draw_reference(n):
+    # each gain is a real draw plus 1j times the next draw, gains in the
+    # order h1, h2, g1, g2: every figure CSV depends on these bytes
+    params = FadingParams(1.0, 2.0, 0.75, 0.25)
+    batch = sample_batch(params, n, np.random.default_rng(42))
+    rng = np.random.default_rng(42)
+    for name in ("h1", "h2", "g1", "g2"):
+        scale = math.sqrt(getattr(params, "var_" + name) / 2.0)
+        ref = rng.normal(0.0, scale, n) + 1j * rng.normal(0.0, scale, n)
+        got = getattr(batch, name)
+        assert got.dtype == complex and got.tobytes() == ref.tobytes()
+
+
 def test_tiny_variance_degenerates_to_zero(rng):
     params = FadingParams(1e-30, 1.0, 1.0, 1.0)
     s = sample_batch(params, 1, rng).state(0)

@@ -276,12 +276,48 @@ def test_sba_policy_chunking_invariant(monkeypatch, rng):
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+@pytest.mark.parametrize("m_inner, n, rows", [
+    (200, 50, 1),   # 1-row blocks
+    (200, 50, 7),   # a short last block of 1
+    (200, 50, 50),  # the whole batch in one block
+    (1, 50, 7),     # m_inner = 1
+    (1, 1, 1),      # one state at m_inner = 1: 1 x 1 blocks
+])
+def test_sba_rank4_einsum_is_the_sequential_expansion(scale, m_inner, n,
+                                                      rows):
+    # The two-slot rule builds p1 p2 |det|^2 as one plain einsum over the
+    # four (odd, even) terms into a reused buffer.  Every block must keep
+    # the bits of ((a2 pb1 + a1 pb2) - ur vr) + ui vi: a reordered einsum
+    # sum or a BLAS product (@, np.dot, optimize=True) fails here.  Gains
+    # scaled by `scale` at unscaled powers put the terms near 1e-12, 1 and
+    # 1e12.  The 50 states go in calls of n, as decide_batch gets them.
+    params = FadingParams.symmetric(scale ** 2, 0.75 * scale ** 2)
+    policy = RudimentarySbaPolicy(PowerBudget(100.0, 100.0), params,
+                                  m_inner, seed=4)
+    even = policy._even[0]
+    pb1, pb2, vr, vi = even[0], even[1], -even[2], even[3]
+    a1, a2, u, _ = rates._slot_products(
+        sample_batch(params, 50, np.random.default_rng(5)))
+    ref = ((a2[:, None] * pb1 + a1[:, None] * pb2)
+           - u.real[:, None] * vr) + u.imag[:, None] * vi
+    buf = np.empty((rows, m_inner))
+    for call in range(0, 50, n):
+        c = slice(call, call + n)
+        odd = rates._odd_factor(a1[c], a2[c], u[c])
+        for lo in range(0, n, rows):
+            x = buf[:n - lo]
+            rates._pp_dsq(odd[:, lo:lo + rows], even, x)
+            assert x.tobytes() == ref[c][lo:lo + rows].tobytes()
+
+
 def test_sba_policy_memory_is_bounded_by_the_block_budget():
-    # The block arrays hold at most SBA_BLOCK_ELEMS floats each (256 KiB
-    # at 2^15), so the peak stays at a few blocks (a block's two arrays
-    # and the previous block's, until rebound) plus the per-state vectors
-    # of the batch, whatever n * m_inner is: 1.3 MiB at 2^15.  Blocks of
-    # a fixed 4096 rows peaked at 62.9 MiB here.
+    # The two block buffers are allocated once per call and hold at most
+    # SBA_BLOCK_ELEMS floats each (256 KiB at 2^15), so the peak stays at
+    # those two plus the per-state vectors of the batch, whatever
+    # n * m_inner is: 0.93 MiB at 2^15.  Two fresh arrays per block, with
+    # the previous block's still alive, peaked at 1.29 MiB; blocks of a
+    # fixed 4096 rows at 62.9 MiB.
     policy = RudimentarySbaPolicy(PowerBudget(10.0, 10.0), PARAMS,
                                   m_inner=1000, seed=3)
     batch = sample_batch(PARAMS, 4096, np.random.default_rng(1))
@@ -291,7 +327,7 @@ def test_sba_policy_memory_is_bounded_by_the_block_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2 ** 20
+    assert peak < 1.125 * 2 ** 20
 
 
 def test_sba_policy_decision_stable_across_inner_seeds():
