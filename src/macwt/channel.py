@@ -77,24 +77,25 @@ class StateBatch:
                      for k in ("h1", "h2", "g1", "g2")))
 
 
-def _complex_gaussian(rng: np.random.Generator, var: float, n: int) -> np.ndarray:
+def _complex_gaussian(rng: np.random.Generator, var: float, n: int,
+                      x: np.ndarray):
     # real/imag each N(0, var/2) -> circularly symmetric, E|x|^2 = var;
-    # the real part is drawn first, both straight into one complex array
+    # the real part is drawn first, both straight into the complex array x
     scale = math.sqrt(var / 2.0)
-    x = np.empty(n, dtype=complex)
     x.real = rng.normal(0.0, scale, n)
     x.imag = rng.normal(0.0, scale, n)
-    return x
 
 
-def sample_batch(params: FadingParams, n: int, rng: np.random.Generator) -> StateBatch:
-    """Draw ``n`` independent channel states."""
-    return StateBatch(
-        h1=_complex_gaussian(rng, params.var_h1, n),
-        h2=_complex_gaussian(rng, params.var_h2, n),
-        g1=_complex_gaussian(rng, params.var_g1, n),
-        g2=_complex_gaussian(rng, params.var_g2, n),
-    )
+def sample_batch(params: FadingParams, n: int, rng: np.random.Generator,
+                 out: StateBatch | None = None) -> StateBatch:
+    """Draw ``n`` independent channel states, into ``out`` (a batch of
+    ``n`` states, whose arrays may be views into larger ones) if given."""
+    if out is None:
+        out = StateBatch(*(np.empty(n, dtype=complex) for _ in range(4)))
+    for x, var in ((out.h1, params.var_h1), (out.h2, params.var_h2),
+                   (out.g1, params.var_g1), (out.g2, params.var_g2)):
+        _complex_gaussian(rng, var, n, x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +115,15 @@ def sba_block_gains(odd: StateBatch, even: StateBatch):
     ``A2`` is the user-2 analogue, ``C = |g1o*g2o|^2 + |g1e*g2e|^2`` and
     ``Dsq`` is the squared magnitude of the 2x2 receiver determinant.
     """
-    a1 = odd.h1 * odd.g2
-    a2 = odd.h2 * odd.g1
-    b1 = even.h1 * even.g2
-    b2 = even.h2 * even.g1
-    c = odd.g1 * odd.g2
-    d = even.g1 * even.g2
-    det = even.h1 * odd.h2 * odd.g1 * even.g2 - odd.h1 * even.h2 * even.g1 * odd.g2
-    A1 = np.abs(a1) ** 2 + np.abs(b1) ** 2
-    A2 = np.abs(a2) ** 2 + np.abs(b2) ** 2
-    C = np.abs(c) ** 2 + np.abs(d) ** 2
-    Dsq = np.abs(det) ** 2
+    def sq(z):
+        return np.abs(z) ** 2
+
+    # one complex product alive at a time: a worker's run can be large
+    A1 = sq(odd.h1 * odd.g2) + sq(even.h1 * even.g2)
+    A2 = sq(odd.h2 * odd.g1) + sq(even.h2 * even.g1)
+    C = sq(odd.g1 * odd.g2) + sq(even.g1 * even.g2)
+    Dsq = sq(even.h1 * odd.h2 * odd.g1 * even.g2
+             - odd.h1 * even.h2 * even.g1 * odd.g2)
     return A1, A2, C, Dsq
 
 

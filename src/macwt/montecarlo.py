@@ -4,7 +4,15 @@ Sampling is split into a fixed number of logical shards regardless of how
 many workers execute them; per-shard generators are spawned from the
 master seed via ``numpy`` ``SeedSequence`` children and partial sums are
 reduced in shard order.  Results are therefore byte-identical for any
-worker count.  :func:`grid_point` evaluates one experiment point.
+worker count.
+
+A shard owns its generator, its rows and its partial sums.  A worker
+thread evaluates one contiguous run of shards as one batch: the shards
+draw into their rows of the run's arrays, one policy call and one pass of
+the rate kernels cover the run, and each shard's sums are taken over its
+own rows.  The serial path evaluates one shard per call, which bounds the
+memory the KKT root solver's scratch holds at any time.
+:func:`grid_point` evaluates one experiment point.
 """
 
 from __future__ import annotations
@@ -16,13 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FadingParams, sample_batch, sba_block_gains
+from .channel import FadingParams, StateBatch, sample_batch, sba_block_gains
 from .powerctl import DualPolicy, RootSolveError, dual_search
 from .rates import (ConstantPolicy, PowerBudget, RateTriple,
                     RudimentaryEsaPolicy, RudimentarySbaPolicy, esa_cj_triple,
                     esa_triple, gs_cj_triple, sba_triple)
 
 SHARDS = 16
+# moment unit of columns whose sum of squares overflows (an exact power of 2)
+_BIG = 2.0 ** 512
 
 GS_CJ = "gs_cj"
 SBA = "sba"
@@ -66,6 +76,17 @@ def _shard_sizes(n: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(SHARDS)]
 
 
+def _shard_runs(workers: int) -> list[range]:
+    """The shards each policy call evaluates, in shard order.
+
+    One shard per call on the serial path; with threads, each worker
+    takes one contiguous run of about ``SHARDS / workers`` shards."""
+    if workers <= 1:
+        return [range(i, i + 1) for i in range(SHARDS)]
+    w = min(workers, SHARDS)
+    return [range(i * SHARDS // w, (i + 1) * SHARDS // w) for i in range(w)]
+
+
 def scheme_rates(scheme: str, gains, p1, p2, q1, q2):
     """Per-state rate triple ``(r1, r2, rsum)`` of ``scheme`` (bits).
 
@@ -84,22 +105,55 @@ def scheme_rates(scheme: str, gains, p1, p2, q1, q2):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _eval_shard(scheme: str, policy, params: FadingParams, m: int, rng) -> np.ndarray:
-    """Returns [sum, sumsq] for (r1, r2, rsum, p1+q1, p2+q2) over m states."""
-    if m == 0:
-        return np.zeros((2, 5))
-    batch = sample_batch(params, m, rng)
+def _draw(params: FadingParams, bounds, rngs) -> StateBatch:
+    """One batch of a run's states: shard ``k`` draws rows
+    ``bounds[k]:bounds[k + 1]`` from its own generator, in place."""
+    run = StateBatch(*(np.empty(bounds[-1], dtype=complex) for _ in range(4)))
+    for k, rng in enumerate(rngs):
+        lo, hi = bounds[k], bounds[k + 1]
+        if hi > lo:
+            sample_batch(params, hi - lo, rng, out=StateBatch(
+                run.h1[lo:hi], run.h2[lo:hi], run.g1[lo:hi], run.g2[lo:hi]))
+    return run
+
+
+def _eval_run(scheme: str, policy, params: FadingParams, sizes, rngs) -> np.ndarray:
+    """Per-shard moments of (r1, r2, rsum, p1+q1, p2+q2) over a run of
+    shards with ``sizes`` states, as a (shards, 3, 5) array.
+
+    Row 0 is the shard's sum and row 1 its sum of squares, each over the
+    shard's own rows.  Row 2 is the sum of squares in units of
+    ``_BIG**2``: ``Σ(x / _BIG)**2`` where row 1 overflowed, else row 1
+    rescaled.  The run's states go through one ``decide_batch`` call.
+    """
+    bounds = np.cumsum([0, *sizes])
+    parts = np.zeros((len(sizes), 3, 5))
+    if bounds[-1] == 0:
+        return parts
+    batch = _draw(params, bounds, rngs)
     p1, p2, q1, q2 = policy.decide_batch(batch)
     for arr, name in ((p1, "p1"), (p2, "p2"), (q1, "q1"), (q2, "q2")):
         if not np.all(arr >= 0):  # also rejects NaN
             raise ValueError(f"policy returned negative or NaN {name}")
     if scheme == SBA:  # the even slot is drawn after the policy has decided
-        gains = sba_block_gains(batch, sample_batch(params, m, rng))
+        gains = sba_block_gains(batch, _draw(params, bounds, rngs))
     else:
         gains = batch.sq()
+    del batch  # a worker's run is large: free its complex gains early
     r1, r2, rsum = scheme_rates(scheme, gains, p1, p2, q1, q2)
     cols = np.stack([r1, r2, rsum, p1 + q1, p2 + q2], axis=1)
-    return np.stack([cols.sum(axis=0), (cols * cols).sum(axis=0)])
+    rows = [slice(bounds[k], bounds[k + 1]) for k in range(len(sizes))]
+    for k, r in enumerate(rows):
+        parts[k, 0] = cols[r].sum(axis=0)
+    with np.errstate(over="ignore"):  # handled by row 2
+        sq = np.multiply(cols, cols, out=cols)
+    for k, r in enumerate(rows):
+        parts[k, 1] = sq[r].sum(axis=0)
+    parts[:, 2] = parts[:, 1] / _BIG / _BIG
+    for k, j in zip(*np.nonzero(np.isinf(parts[:, 1]) & np.isfinite(parts[:, 0]))):
+        x = (r1, r2, rsum, p1 + q1, p2 + q2)[j][rows[k]]
+        parts[k, 2, j] = np.square(x / _BIG).sum()
+    return parts
 
 
 def ergodic_region(scheme: str, policy, params: FadingParams, n: int,
@@ -110,6 +164,17 @@ def ergodic_region(scheme: str, policy, params: FadingParams, n: int,
     scaled scheme it sees the odd-slot states only.  Raw (signed) means
     are reported; the clamped region view is
     :attr:`MonteCarloEstimate.region`.
+
+    The ``n`` states always fall into ``SHARDS`` shards.  A shard owns
+    its generator, its rows and its ``[sum, sumsq]``, and the shards'
+    moments are added in shard order, so the estimate is byte-identical
+    for any worker count.  With ``workers > 1`` each worker evaluates
+    one contiguous run of shards as one batch: one ``decide_batch`` call
+    and one pass of each rate kernel, which keeps both cores busy in
+    numpy rather than in per-call overhead under the GIL.  The serial
+    path keeps one call per shard: a run of all 16 shards would hold the
+    KKT root solver's scratch (about 1 KB per state) for every state at
+    once.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -117,21 +182,29 @@ def ergodic_region(scheme: str, policy, params: FadingParams, n: int,
         workers = worker_count()
     sizes = _shard_sizes(n)
     rngs = spawn_rngs(seed, SHARDS)
+
+    def run(shards):
+        return _eval_run(scheme, policy, params,
+                         sizes[shards.start:shards.stop],
+                         rngs[shards.start:shards.stop])
+
+    runs = _shard_runs(workers)
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda im: _eval_shard(scheme, policy, params, im[1], rngs[im[0]]),
-                enumerate(sizes)))
+        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+            parts = np.concatenate(list(pool.map(run, runs)))
     else:  # inline: a 1-thread pool made figure2 ~20 % slower on 2 cores
-        parts = [_eval_shard(scheme, policy, params, m, rngs[i])
-                 for i, m in enumerate(sizes)]
-    total = np.zeros((2, 5))
+        parts = np.concatenate([run(r) for r in runs])
+    total = np.zeros((3, 5))
     for part in parts:  # fixed-order reduction
         total = total + part
-    s, ss = total[0], total[1]
+    s, ss, ss_big = total
     mean = s / n
-    var = np.maximum(ss / n - mean * mean, 0.0)
-    stderr = np.sqrt(var / n)
+    # a second moment past the float range (powers above about 1e154) is
+    # taken in units of _BIG**2; every finite one keeps its bits
+    big = np.isinf(ss) & np.isfinite(mean)
+    m, ss = np.where(big, mean / _BIG, mean), np.where(big, ss_big, ss)
+    var = np.maximum(ss / n - m * m, 0.0)
+    stderr = np.sqrt(var / n) * np.where(big, _BIG, 1.0)
     return MonteCarloEstimate(
         mean=RateTriple(*mean[:3]),
         stderr=RateTriple(*stderr[:3]),

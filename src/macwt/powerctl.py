@@ -747,8 +747,12 @@ def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
                                          float(lam[1]))
         power, meansq = np.empty(2), np.empty(2)
         for k, tot in enumerate((p1 + q1, p2 + q2)):
-            # dot products, not (tot - mean)**2: no more state-length arrays
-            power[k], meansq[k] = tot.mean(), tot @ tot / n
+            # no (tot - mean)**2, so no more state-length arrays; and einsum,
+            # not BLAS (tot @ tot): on a 20,000-state batch OpenBLAS wakes
+            # helper threads that spin on the other core, and its sum's bits
+            # would depend on the BLAS thread count
+            power[k] = tot.mean()
+            meansq[k] = np.einsum("i,i->", tot, tot) / n
         stderr = np.sqrt(np.maximum(meansq - power * power, 0.0) / n)
         if not np.all(np.isfinite(power)):
             raise RootSolveError(

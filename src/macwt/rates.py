@@ -82,12 +82,33 @@ def gs_cj_triple(h1, h2, g1, g2, p1, p2, q1, q2):
 
 def sba_triple(A1, A2, C, Dsq, p1, p2):
     """Scaled two-slot alignment: A1/A2 are the per-user receiver gains,
-    C the common eavesdropper gain, Dsq the squared receiver determinant."""
+    C the common eavesdropper gain, Dsq the squared receiver determinant.
+
+    Past powers of about 1e154, ``A1 p1 + A2 p2 + Dsq p1 p2`` overflows;
+    there alone its log is taken from the sum scaled by
+    ``max(p1, 1) max(p2, 1)`` (see :func:`_ln_num_scaled`)."""
     r1 = 0.5 * (_log2p1(A1 * p1) - _log2p1(C * p1 / (1.0 + C * p2)))
     r2 = 0.5 * (_log2p1(A2 * p2) - _log2p1(C * p2 / (1.0 + C * p1)))
-    rsum = 0.5 * (_log2p1(A1 * p1 + A2 * p2 + Dsq * p1 * p2)
-                  - _log2p1(C * (p1 + p2)))
+    with np.errstate(over="ignore"):
+        ln_num = np.log1p(A1 * p1 + A2 * p2 + Dsq * p1 * p2)
+    over = np.isinf(ln_num)
+    if over.any():
+        ln_num = np.array(ln_num)
+        ln_num[over] = _ln_num_scaled(*(np.broadcast_to(a, over.shape)[over]
+                                        for a in (A1, A2, Dsq, p1, p2)))
+    rsum = 0.5 * (ln_num / LOG2 - _log2p1(C * (p1 + p2)))
     return r1, r2, rsum
+
+
+def _ln_num_scaled(A1, A2, Dsq, p1, p2):
+    """ln(1 + A1 p1 + A2 p2 + Dsq p1 p2) without overflow, for finite
+    nonnegative inputs: ln M + ln(num / M) with M = max(p1, 1) max(p2, 1),
+    where every term of num / M is at most its gain."""
+    s1, s2 = np.maximum(p1, 1.0), np.maximum(p2, 1.0)
+    f1, f2 = p1 / s1, p2 / s2
+    return (np.log(s1) + np.log(s2)
+            + np.log(1.0 / s1 / s2 + A1 * f1 / s2 + A2 * f2 / s1
+                     + Dsq * f1 * f2))
 
 
 def esa_triple(h1, h2, g1, g2, p1, p2):

@@ -60,6 +60,21 @@ def test_sample_batch_matches_two_draw_reference(n):
         assert got.dtype == complex and got.tobytes() == ref.tobytes()
 
 
+def test_sample_batch_into_views_matches_a_fresh_draw():
+    # the Monte Carlo engine draws each shard into its rows of a run's
+    # arrays: the bytes are those of a batch of its own, and no other row
+    # is written
+    params = FadingParams(1.0, 2.0, 0.75, 0.25)
+    run = StateBatch(*(np.full(10, np.nan + 0j) for _ in range(4)))
+    view = StateBatch(run.h1[3:7], run.h2[3:7], run.g1[3:7], run.g2[3:7])
+    assert sample_batch(params, 4, np.random.default_rng(5), out=view) is view
+    ref = sample_batch(params, 4, np.random.default_rng(5))
+    for name in ("h1", "h2", "g1", "g2"):
+        got = getattr(run, name)
+        assert got[3:7].tobytes() == getattr(ref, name).tobytes()
+        assert np.isnan(np.delete(got, np.s_[3:7])).all()
+
+
 def test_tiny_variance_degenerates_to_zero(rng):
     params = FadingParams(1e-30, 1.0, 1.0, 1.0)
     s = sample_batch(params, 1, rng).state(0)

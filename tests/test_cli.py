@@ -1,7 +1,9 @@
 import csv
 import dataclasses
 import math
+import warnings
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -294,9 +296,16 @@ def test_dof_search_row_is_not_ok(tmp_path, monkeypatch, change, status):
     assert [row.rsplit(",", 1)[1] for row in rows] == [status] * 3
 
 
-def test_dof_non_finite_point_is_recorded(tmp_path):
-    # at 1e200 the two-slot rates overflow: the point is written
-    # non-finite, not dropped, and the slope over it is nan
+def test_dof_non_finite_point_is_recorded(tmp_path, monkeypatch):
+    # a point whose sum rate is not finite (forced here above 1e150) is
+    # written non-finite, not dropped, and the slope over it is nan
+    sba_triple = macwt.montecarlo.sba_triple
+
+    def overflowing(A1, A2, C, Dsq, p1, p2):
+        r1, r2, rsum = sba_triple(A1, A2, C, Dsq, p1, p2)
+        return r1, r2, np.where(p1 > 1e150, np.inf, rsum)
+
+    monkeypatch.setattr(macwt.montecarlo, "sba_triple", overflowing)
     out = tmp_path / "dof.csv"
     res = _run("dof", "--scheme", "sba", "--samples", "200",
                "--powers", "1e100,1e200,1e300", "--out", str(out))
@@ -306,6 +315,25 @@ def test_dof_non_finite_point_is_recorded(tmp_path):
             for row in out.read_text(encoding="utf-8").splitlines()[1:]]
     assert [(r[4], r[5]) for r in rows] == (
         [("200", "ok")] + [("200", "non-finite")] * 2)
+
+
+def test_dof_sba_extreme_powers_are_finite(tmp_path):
+    # past powers of about 1e154 the two-slot sum rate and the realized
+    # powers' second moments leave the float range; every row stays ok
+    out = tmp_path / "dof.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = _run("dof", "--scheme", "sba", "--samples", "200",
+                   "--powers", "1e100,1e200,1e300", "--out", str(out))
+    assert res.exit_code == 0, res.output
+    rows = [row.split(",")
+            for row in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [(r[4], r[5]) for r in rows] == [("200", "ok")] * 3
+    rsum = [float(r[2]) for r in rows]
+    assert all(math.isfinite(float(r[3])) for r in rows)
+    # each factor 1e100 in both powers adds about 0.5 log2(1e100) bits
+    assert np.diff(rsum) == pytest.approx([0.5 * 100 * math.log2(10)] * 2,
+                                          abs=1.0)
 
 
 @pytest.mark.parametrize("cmd, module, scheme", [

@@ -1,4 +1,6 @@
+import decimal
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from macwt.channel import (ChannelState, FadingParams, StateBatch,
                            sample_batch, sba_block_gains)
 from macwt.montecarlo import (ESA, ESA_CJ, GS_CJ, SBA, ergodic_region,
                               scheme_rates, spawn_rngs, worker_count)
+from macwt.powerctl import DualPolicy, DualVars
 from macwt.rates import (ConstantPolicy, PowerBudget, PowerDecision,
                          RudimentaryEsaPolicy, RudimentarySbaPolicy,
                          esa_general_triple, sba_triple)
@@ -78,6 +81,35 @@ def test_sba_hand_values():
     same = (UNIT, UNIT)
     assert _rsum(SBA, same, PowerDecision(1, 1)) == pytest.approx(
         0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("p1, p2", [
+    (1.0, 1.0), (1e100, 1e100), (1e150, 1e160), (1e200, 1e200),
+    (1e300, 1e300), (1e300, 1e-3), (1e300, 0.0), (1e10, 1e300)])
+def test_sba_triple_sum_rate_past_overflow(p1, p2):
+    # where 1 + A1 p1 + A2 p2 + Dsq p1 p2 is finite, the sum rate keeps
+    # the bits of the plain expression; where it overflows, it is the
+    # exact log (a 60-digit decimal reference), with no warning
+    rng = np.random.default_rng(3)
+    A1, A2, C, Dsq = (rng.exponential(1.0, 64) for _ in range(4))
+    Dsq[-2:] = 0.0  # the determinant vanishes
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        rsum = sba_triple(A1, A2, C, Dsq, p1, p2)[2]
+    with np.errstate(over="ignore"):
+        num = A1 * p1 + A2 * p2 + Dsq * p1 * p2
+    fin = np.isfinite(num)
+    plain = 0.5 * (np.log1p(num[fin]) / math.log(2.0)
+                   - np.log1p(C[fin] * (p1 + p2)) / math.log(2.0))
+    assert rsum[fin].tobytes() == plain.tobytes()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for i in np.flatnonzero(~fin):
+            d1, d2 = decimal.Decimal(p1), decimal.Decimal(p2)
+            exact = (1 + decimal.Decimal(A1[i]) * d1 + decimal.Decimal(A2[i]) * d2
+                     + decimal.Decimal(Dsq[i]) * d1 * d2).ln() / decimal.Decimal(2).ln()
+            ref = 0.5 * (float(exact) - math.log1p(C[i] * (p1 + p2)) / math.log(2.0))
+            assert rsum[i] == pytest.approx(ref, rel=1e-13)
+    assert np.isfinite(rsum).all()
 
 
 def test_esa_hand_values():
@@ -388,10 +420,15 @@ def test_ergodic_region_stderr_scaling():
     assert ratio == pytest.approx(2.0, rel=0.2)  # 4x samples -> half stderr
 
 
+# uneven runs (5/5/6 and 3/3/3/3/4 shards), one shard per worker, and
+# more workers than shards
+WORKERS = (2, 3, 4, 5, 16, 20)
+
+
 def test_ergodic_region_worker_invariance():
     policy = RudimentaryEsaPolicy(PowerBudget(4.0, 4.0))
     base = ergodic_region(ESA, policy, PARAMS, 10_000, seed=7, workers=1)
-    for workers in (2, 4):
+    for workers in WORKERS:
         est = ergodic_region(ESA, policy, PARAMS, 10_000, seed=7,
                              workers=workers)
         assert est == base  # byte-identical reduction order
@@ -401,10 +438,52 @@ def test_ergodic_region_sba_worker_invariance():
     policy = RudimentarySbaPolicy(PowerBudget(4.0, 4.0), PARAMS,
                                   m_inner=200, seed=9)
     base = ergodic_region(SBA, policy, PARAMS, 4000, seed=7, workers=1)
-    for workers in (2, 4):
+    for workers in WORKERS:
         est = ergodic_region(SBA, policy, PARAMS, 4000, seed=7,
                              workers=workers)
         assert est == base  # shards share the policy's even-slot vectors
+
+
+@pytest.mark.parametrize("scheme, policy", [
+    (ESA, DualPolicy(ESA, DualVars(0.05, 0.08))),
+    (ESA_CJ, DualPolicy(ESA_CJ, DualVars(0.05, 0.08))),
+    (GS_CJ, DualPolicy(GS_CJ, DualVars(0.2, 0.3))),
+    (ESA, ConstantPolicy(2.0, 3.0)),
+    (GS_CJ, ConstantPolicy(2.0, 3.0, 0.5, 0.25)),
+], ids=["dual-esa", "dual-esa_cj", "dual-gs_cj", "constant-esa",
+        "constant-gs_cj"])
+def test_ergodic_region_policy_worker_invariance(scheme, policy):
+    # a worker's run of shards goes through one policy call: the case
+    # trees and the rate kernels must give every row the bits it gets in
+    # a shard of its own
+    base = ergodic_region(scheme, policy, PARAMS, 5000, seed=21, workers=1)
+    assert math.isfinite(base.mean.rsum)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
+    try:
+        for workers in WORKERS:
+            est = ergodic_region(scheme, policy, PARAMS, 5000, seed=21,
+                                 workers=workers)
+            assert est == base
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers, runs", [
+    (1, [1] * 16), (2, [8, 8]), (3, [5, 5, 6]), (5, [3, 3, 3, 3, 4]),
+    (16, [1] * 16), (20, [1] * 16)])
+def test_ergodic_region_one_policy_call_per_run(workers, runs):
+    # one call per shard on the serial path, one per worker otherwise
+    sizes = []
+
+    class Counting(ConstantPolicy):
+        def decide_batch(self, batch):
+            sizes.append(len(batch))  # list.append is atomic under the GIL
+            return super().decide_batch(batch)
+
+    ergodic_region(ESA, Counting(1.0, 1.0), PARAMS, 1600, seed=3,
+                   workers=workers)
+    assert sorted(sizes) == sorted(100 * k for k in runs)
 
 
 def test_ergodic_region_sba_uses_two_slots():
