@@ -28,7 +28,7 @@ from .channel import FadingParams, StateBatch, sample_batch, sba_block_gains
 from .powerctl import DualPolicy, RootSolveError, dual_search
 from .rates import (ConstantPolicy, PowerBudget, RateTriple,
                     RudimentaryEsaPolicy, RudimentarySbaPolicy, esa_cj_triple,
-                    esa_triple, gs_cj_triple, sba_triple)
+                    esa_triple, gs_cj_triple, sba_powers, sba_triple)
 
 SHARDS = 16
 # moment unit of columns whose sum of squares overflows (an exact power of 2)
@@ -214,8 +214,10 @@ def ergodic_region(scheme: str, policy, params: FadingParams, n: int,
     )
 
 
-# Power-control rules of a grid point
+# Power-control rules of a grid point and the schemes each has a policy for
 CONSTANT, RUDIMENTARY, DUAL = "constant", "rudimentary", "dual"
+KIND_SCHEMES = {CONSTANT: SCHEMES, RUDIMENTARY: (SBA, ESA),
+                DUAL: (GS_CJ, ESA, ESA_CJ)}
 # Dual-search tolerance of every grid point, and the sampling allowance
 # (in combined standard errors) of the over-budget fence
 DUAL_TOL = 0.02
@@ -232,18 +234,21 @@ def grid_point(scheme: str, kind: str, params: FadingParams,
     policy by ``dual_search`` on ``dual_n`` states from ``dual_seed``;
     ``RUDIMENTARY`` is on/off at full budget (the two-slot rule's inner
     expectation uses ``inner_n`` states from ``inner_seed``); ``CONSTANT``
-    powers meet the budgets.  The estimate uses ``n`` states from ``seed``.
-    The status is ``dual-failed:<reason>`` if the search meets a power
-    that is not finite (the estimate is then NaN over 0 states), else
-    ``non-finite``, else ``dual-not-converged``, else
-    ``over-budget`` (a user's realized power exceeds its budget by more
-    than ``DUAL_TOL`` plus ``BUDGET_SIGMAS`` combined standard errors of
-    the estimate and the search batch), else ``ok``.
+    powers meet the budgets; any other pair (:data:`KIND_SCHEMES`) raises
+    ``ValueError``.  The estimate uses ``n`` states from ``seed``.  The
+    status is ``dual-failed:<reason>`` if the search meets a power that
+    is not finite (the estimate is then NaN over 0 states), else
+    ``non-finite``, else ``dual-not-converged``, else ``over-budget`` (a
+    user's realized power exceeds its budget by more than ``DUAL_TOL``
+    plus ``BUDGET_SIGMAS`` combined standard errors of the estimate and
+    the search batch), else ``ok``.
 
     ``search`` and ``estimate`` default to ``dual_search`` and
     :func:`ergodic_region`; a caller passing its own module's names lets
     wrappers set on them (perfbench's figure probe) see each call.
     """
+    if scheme not in KIND_SCHEMES.get(kind, ()):
+        raise ValueError(f"no {kind!r} power control for scheme {scheme!r}")
     res = None
     if kind == DUAL:
         try:
@@ -259,9 +264,8 @@ def grid_point(scheme: str, kind: str, params: FadingParams,
                                       seed=inner_seed)
     elif kind == RUDIMENTARY:
         policy = RudimentaryEsaPolicy(budget)
-    elif scheme == SBA:  # the two-slot scheme's budget-meeting powers
-        policy = ConstantPolicy(budget.pbar1 / (2.0 * params.var_g2),
-                                budget.pbar2 / (2.0 * params.var_g1))
+    elif scheme == SBA:
+        policy = ConstantPolicy(*sba_powers(budget, params))
     else:
         policy = ConstantPolicy(budget.pbar1, budget.pbar2)
     est = (estimate or ergodic_region)(scheme, policy, params, n, seed)

@@ -6,36 +6,32 @@ produced by coherent repetition.  Stationarity, closed forms and the case
 trees are expressed in natural-log units (the Lagrangian of the sum-rate
 objective); reported rates stay in bits elsewhere.
 
-The per-state allocation without jamming is a seven-way partition of the
-gain/dual space: the boundary single-user powers have closed forms, and
-interior allocations are a positive common root of a pair of coupled
-quadratics.  The jamming tree first splits on which user's receiver gain
-beats its eavesdropper gain; power splitting (P_k > 0 and Q_k > 0 for the
-same user) never occurs.  It needs no system of its own: while user 2
-jams, its rate term ``log1p(h2 Q2)`` cancels against the jamming penalty
-and ``log1p(g2 Q2)`` is left, so the jamming Lagrangian is the
-no-jamming one with h2 replaced by g2.  Each transmit/jam orientation is
-therefore the seven-case tree on substituted gains, and the whole
-jamming tree is one :func:`esa_policy_batch` call on stacked rows.
+The per-state allocation without jamming is one pick among the state's
+candidates: the positive common roots of a pair of coupled quadratics,
+each user alone (a closed form) and silence; the seven-way partition of
+the gain/dual space survives only as a case label.  The jamming tree
+first splits on which user's receiver gain beats its eavesdropper gain;
+power splitting (P_k > 0 and Q_k > 0 for the same user) never occurs.
+While user 2 jams, its rate term ``log1p(h2 Q2)`` cancels against the
+jamming penalty and ``log1p(g2 Q2)`` is left, so the jamming Lagrangian
+is the no-jamming one with h2 replaced by g2: the whole jamming tree is
+one :func:`esa_policy_batch` call on stacked rows.
 
-Rows that cannot hold a positive common root are ruled out first: in
-the eavesdropper factor ``u = 1/(1 + g1 P1 + g2 P2)`` the system is one
-cubic ``psi(u)``, negative at 0, and a row whose ``psi`` stays below 0
-(with a ``RESIDUAL_TOL`` margin) up to the largest ``u`` with positive
-powers gets no Newton start (:func:`_root_free`).  On the rows left, the
-coupled quadratics are eliminated to a scalar cubic in P1 (a
-resultant whose quartic term cancels) and solved batched in closed form
+Rows that cannot hold a positive common root (a user priced out by
+``h <= lambda``, or :func:`_root_free`) get no Newton start.  On the
+rows left, the coupled quadratics are eliminated to a scalar cubic in P1
+(a resultant whose quartic term cancels), solved batched in closed form
 (Cardano plus deflation; rows with a vanishing leading coefficient go to
 ``np.roots``).  Every Newton start (each real root of the cubic and, on
 rows without a certified root, the dual-scaled fallback starts) goes
 through :func:`_polish_starts`: one stacked Newton pass (kept in the
-nonnegative quadrant) that stops each start on its own step, never on
-its batch-mates'; a root counts only if it is strictly positive with a
-small residual.  A root is only stationary, and the dual method needs
-each state's maximizer of the Lagrangian: every choice between
-candidate allocations in both trees, a row's roots included, is made by
-that one rule, :func:`_best_by_lagrangian`.  A state's powers do not
-depend on the batch it is solved in.
+nonnegative quadrant) that stops each start on its own step; a root
+counts only if it is strictly positive with a small residual.  A root is
+only stationary, and the dual method needs each state's maximizer of the
+Lagrangian: a state's candidates are ranked once, by
+:func:`_best_by_lagrangian`, which the jamming tree also uses between
+its two transmit/jam orientations.  A state's powers do not depend on
+the batch it is solved in.
 
 The dual policies of the three schemes with a multiplier search (``esa``,
 ``esa_cj`` and the ``gs_cj`` baseline) are dispatched in one place,
@@ -214,16 +210,20 @@ def _cubic_roots(c):
     return roots
 
 
-def _system(h1, h2, g1, g2, l1, l2, x, y):
-    """Residuals and Jacobian of the two cleared stationarity quadratics.
-
-    User 2's equation keeps ``h2 - g2`` apart so that it is exact when
-    h2 = g2 (user 2 jamming); ``h2 * (1 + g1 x) - g2`` cancels there
-    when g1 x << 1.
-    """
+def _equations(h1, h2, g1, g2, l1, l2, x, y):
+    """The cleared stationarity quadratics ``f1 = a1 - g1 - c1`` and
+    ``f2 = a2 + b2 - c2`` at (x, y): ``(f1, f2, den, (a1, c1), (a2, b2,
+    c2))``.  ``a2 = h2 - g2`` is exact when h2 = g2 (user 2 jamming);
+    ``h2 (1 + g1 x) - g2`` would cancel there when g1 x << 1."""
     den = 1.0 + g1 * x + g2 * y
-    f1 = h1 * (1.0 + g2 * y) - g1 - l1 * (1.0 + h1 * x) * den
-    f2 = (h2 - g2) + h2 * g1 * x - l2 * (1.0 + h2 * y) * den
+    a1, c1 = h1 * (1.0 + g2 * y), l1 * (1.0 + h1 * x) * den
+    a2, b2, c2 = h2 - g2, h2 * g1 * x, l2 * (1.0 + h2 * y) * den
+    return a1 - g1 - c1, a2 + b2 - c2, den, (a1, c1), (a2, b2, c2)
+
+
+def _system(h1, h2, g1, g2, l1, l2, x, y):
+    """Residuals and Jacobian of the two :func:`_equations`."""
+    f1, f2, den, *_ = _equations(h1, h2, g1, g2, l1, l2, x, y)
     j11 = -l1 * (h1 * den + (1.0 + h1 * x) * g1)
     j12 = h1 * g2 - l1 * (1.0 + h1 * x) * g2
     j21 = h2 * g1 - l2 * (1.0 + h2 * y) * g1
@@ -274,12 +274,10 @@ def _newton_polish(h1, h2, g1, g2, l1, l2, x, y):
 
 
 def _rel_residual(h1, h2, g1, g2, l1, l2, x, y):
-    """Largest residual of the two equations of :func:`_system`, written
-    as there, each relative to its largest term (and at least 1)."""
-    den = 1.0 + g1 * x + g2 * y
-    a1, c1 = h1 * (1.0 + g2 * y), l1 * (1.0 + h1 * x) * den
-    a2, b2, c2 = h2 - g2, h2 * g1 * x, l2 * (1.0 + h2 * y) * den
-    f1, f2 = a1 - g1 - c1, a2 + b2 - c2
+    """Largest residual of the two :func:`_equations`, each relative to
+    its largest term (and at least 1)."""
+    f1, f2, _, (a1, c1), (a2, b2, c2) = _equations(h1, h2, g1, g2, l1, l2,
+                                                   x, y)
     one = np.ones_like(f1)
     s1 = np.maximum.reduce([np.abs(a1), np.abs(g1), np.abs(c1), one])
     s2 = np.maximum.reduce([np.abs(a2), np.abs(b2), np.abs(c2), one])
@@ -407,11 +405,14 @@ def _root_free(h1, h2, g1, g2, l1, l2):
 
 
 def _common_root_batch(h1, h2, g1, g2, l1, l2):
-    """Best positive common root per row, or NaN where none exists.
+    """Every row's common-root candidates ``(x, y, ok)``, each ``(m, 8)``:
+    3 cubic columns and one per ``_FALLBACK_STARTS`` start, ``ok`` on the
+    certified roots; ranking them is the caller's.  Rows that cannot hold
+    a root get no Newton start (NaN, no ``ok``): a user with ``h <= l``
+    (``x > 0`` needs ``h1/(1 + h1 x) = l1 + g1 u > l1``) and the rows
+    :func:`_root_free` rules out.
 
-    Returns ``(x, y, found)``.  Rows that cannot hold a root are ruled
-    out first (:func:`_root_free`) and get no Newton start.  In the
-    eavesdropper factor ``u = 1/(1 + g1 x + g2 y)`` the two equations
+    In the eavesdropper factor ``u = 1/(1 + g1 x + g2 y)`` the two equations
     read ``h1/(1 + h1 x) = l1 + g1 u`` and ``h2/(1 + h2 y) = l2 + g2 u``,
     so ``x = 1/(l1 + g1 u) - 1/h1`` and ``y = 1/(l2 + g2 u) - 1/h2``.
     Putting these into ``1/u = 1 + g1 x + g2 y`` and clearing
@@ -425,14 +426,14 @@ def _common_root_batch(h1, h2, g1, g2, l1, l2):
     and ``(h2 - l2)/g2``, and ``u <= 1``; so a positive root needs a root
     of ``psi`` in ``(0, u_max)``, ``u_max`` the least of the three.
 
-    On the open rows the candidates are a row's certified roots from
-    :func:`_positive_roots_batch` and, on rows left without one (the
-    resultant coefficients cancel badly at extreme gain ratios), the
-    roots polished from the dual-scaled ``_FALLBACK_STARTS``; one
-    :func:`_best_by_lagrangian` pick ranks them.  Newton stops per row,
-    so a row's result does not depend on the other rows of the batch.
+    On the open rows the cubic columns come from
+    :func:`_positive_roots_batch`; rows left without a certified root (the
+    resultant coefficients cancel badly at extreme gain ratios) get the
+    dual-scaled fallback starts.  Newton stops per row, so a row's columns
+    do not depend on the rest of the batch.
     """
-    rows = np.flatnonzero(~_root_free(h1, h2, g1, g2, l1, l2))
+    priced_out = (h1 <= l1) | (h2 <= l2)
+    rows = np.flatnonzero(~(priced_out | _root_free(h1, h2, g1, g2, l1, l2)))
     args = tuple(v[rows] for v in (h1, h2, g1, g2, l1, l2))
     x, y, ok = _positive_roots_batch(*args)
     a, b = np.array(_FALLBACK_STARTS).T
@@ -440,13 +441,11 @@ def _common_root_batch(h1, h2, g1, g2, l1, l2):
     lam1, lam2 = args[4][:, None], args[5][:, None]
     xf, yf, hit = _polish_starts(args, np.where(none, a / lam1, np.nan),
                                  b / lam2)
-    x, y, ok = (np.hstack(c) for c in ((x, xf), (y, yf), (ok, hit)))
-    best = _best_by_lagrangian(args, x, y, ok)
-    pick = np.arange(rows.size), best
-    xy = np.full((2, h1.shape[0]), np.nan)
-    found = np.zeros(h1.shape[0], dtype=bool)
-    found[rows] = got = ok[pick]
-    xy[:, rows] = np.where(got, (x[pick], y[pick]), np.nan)
+    shape = (h1.shape[0], 3 + a.size)
+    xy = np.full((2, *shape), np.nan)
+    found = np.zeros(shape, dtype=bool)
+    xy[0, rows], xy[1, rows] = np.hstack((x, xf)), np.hstack((y, yf))
+    found[rows] = np.hstack((ok, hit))
     return xy[0], xy[1], found
 
 
@@ -457,61 +456,47 @@ def _state_row(s: EffectiveState, duals: DualVars):
 
 
 # ---------------------------------------------------------------------------
-# Case tree without jamming (seven cases)
+# Allocation without jamming: one pick, seven case labels
 # ---------------------------------------------------------------------------
 
-def esa_policy_batch(h1, h2, g1, g2, l1, l2):
-    """Vectorized seven-case allocation.  Returns (p1, p2, case).
+# case code by user 1's class (row) and user 2's (column): A if h <= l,
+# C if h - g > l, else B
+_CASE = np.array([[1, 1, 2], [1, 4, 5], [3, 6, 7]])
 
-    Cases 1-3 hold their closed form or silence; cases 4-7 take the best
-    of the common root, the single-user forms that apply and silence.
+
+def esa_policy_batch(h1, h2, g1, g2, l1, l2):
+    """Vectorized allocation without jamming.  Returns (p1, p2, case).
+
+    One :func:`_best_by_lagrangian` pick on every row ranks all of a
+    state's candidates: the :func:`_common_root_batch` columns, each user
+    alone where its class is C, and silence.  ``case`` (:data:`_CASE`) is
+    a label that chooses no power; a class-A user (``h <= l``) leaves no
+    root, and a case-7 row without one raises :class:`CaseSolverError`.
     """
     h1, h2, g1, g2 = (np.asarray(a, dtype=float) for a in (h1, h2, g1, g2))
-    m = h1.shape[0]
     l1a = np.broadcast_to(np.asarray(l1, dtype=float), h1.shape)
     l2a = np.broadcast_to(np.asarray(l2, dtype=float), h1.shape)
-    A1 = h1 <= l1a
     C1 = h1 - g1 > l1a
-    B1 = ~A1 & ~C1
-    A2 = h2 <= l2a
     C2 = h2 - g2 > l2a
-    B2 = ~A2 & ~C2
+    case = _CASE[np.where(h1 <= l1a, 0, 1 + C1),
+                 np.where(h2 <= l2a, 0, 1 + C2)]
 
-    case = np.zeros(m, dtype=int)
-    case[(A1 & A2) | (A1 & B2) | (B1 & A2)] = 1
-    case[A1 & C2] = 2
-    case[C1 & A2] = 3
-    case[B1 & B2] = 4
-    case[B1 & C2] = 5
-    case[C1 & B2] = 6
-    case[C1 & C2] = 7
-
-    cf1 = _closed_form_where(C1, h1, g1, l1a)
-    cf2 = _closed_form_where(C2, h2, g2, l2a)
-    p1 = np.where(case == 3, cf1, 0.0)
-    p2 = np.where(case == 2, cf2, 0.0)
-
-    need = np.nonzero(case >= 4)[0]
-    if need.size:
-        args = tuple(a[need] for a in (h1, h2, g1, g2, l1a, l2a))
-        x, y, found = _common_root_batch(*args)
-        bad7 = (case[need] == 7) & ~found
-        if np.any(bad7):
-            j = need[np.nonzero(bad7)[0][0]]
-            raise CaseSolverError(
-                "no positive common root found in the both-users-active case "
-                f"(h1={h1[j]}, h2={h2[j]}, g1={g1[j]}, g2={g2[j]}, "
-                f"l1={l1a[j]}, l2={l2a[j]})")
-        # the root, user 1 alone, user 2 alone, silence
-        z = np.zeros(need.size)
-        cx = np.stack([x, cf1[need], z, z], axis=1)
-        cy = np.stack([y, z, cf2[need], z], axis=1)
-        ok = np.stack([found, C1[need], C2[need], np.ones_like(found)],
-                      axis=1)
-        best = _best_by_lagrangian(args, cx, cy, ok)
-        rows = np.arange(need.size)
-        p1[need], p2[need] = cx[rows, best], cy[rows, best]
-    return p1, p2, case
+    args = (h1, h2, g1, g2, l1a, l2a)
+    x, y, ok = _common_root_batch(*args)
+    bad7 = (case == 7) & ~ok.any(axis=1)
+    if np.any(bad7):
+        j = np.flatnonzero(bad7)[0]
+        raise CaseSolverError(
+            "no positive common root found in the both-users-active case "
+            f"(h1={h1[j]}, h2={h2[j]}, g1={g1[j]}, g2={g2[j]}, "
+            f"l1={l1a[j]}, l2={l2a[j]})")
+    # the roots, user 1 alone, user 2 alone, silence
+    z = np.zeros(h1.shape)
+    cx = np.column_stack([x, _closed_form_where(C1, h1, g1, l1a), z, z])
+    cy = np.column_stack([y, z, _closed_form_where(C2, h2, g2, l2a), z])
+    ok = np.column_stack([ok, C1, C2, np.ones(h1.shape, dtype=bool)])
+    pick = np.arange(h1.shape[0]), _best_by_lagrangian(args, cx, cy, ok)
+    return cx[pick], cy[pick], case
 
 
 def esa_case_id(s: EffectiveState, duals: DualVars) -> int:
@@ -527,9 +512,9 @@ def esa_case_id(s: EffectiveState, duals: DualVars) -> int:
 # case codes: 10+k -> no-jamming case k; 2x -> branch 2 sub-case x (1..4);
 # 3x mirror; 40+x -> branch 4 sub-case x, with 45/46 marking the two-root
 # sub-case resolved to solution A / solution B.  A transmit/jam row is
-# the seven-case tree on gains (hT, gJ, gT, gJ): the jammer's class is A
-# (gJ <= lJ) or B, never C (that would need 0 > lJ), so only cases 1, 3,
-# 4 and 6 occur, and they are sub-cases 1..4.
+# the no-jamming allocation on gains (hT, gJ, gT, gJ): the jammer's class
+# is A (gJ <= lJ) or B, never C (that would need 0 > lJ), so only cases
+# 1, 3, 4 and 6 occur, and they are sub-cases 1..4.
 _TJ_SUB = np.array([0, 1, 0, 2, 3, 0, 4, 0])
 
 

@@ -211,6 +211,13 @@ def _pp_dsq(odd, even, out):
     return np.einsum("ki,kj->ij", odd, even, out=out)
 
 
+def sba_powers(budget: PowerBudget, params: FadingParams) -> tuple:
+    """The two-slot scheme's scaled full-budget powers: its constant
+    powers, and the on powers of its on/off rule."""
+    return (budget.pbar1 / (2.0 * params.var_g2),
+            budget.pbar2 / (2.0 * params.var_g1))
+
+
 class RudimentarySbaPolicy:
     """On/off from the inner even-slot expectation, with candidate powers
     scaled by the eavesdropper variances.
@@ -245,8 +252,7 @@ class RudimentarySbaPolicy:
                  m_inner: int = 1000, seed: int = 0):
         if m_inner < 1:
             raise ValueError("m_inner must be >= 1")
-        self.p1 = budget.pbar1 / (2.0 * params.var_g2)
-        self.p2 = budget.pbar2 / (2.0 * params.var_g1)
+        self.p1, self.p2 = sba_powers(budget, params)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         b1, b2, w, d = _slot_products(sample_batch(params, m_inner, rng))
         pp, eve = self.p1 * self.p2, (self.p1 + self.p2) * d

@@ -4,9 +4,10 @@ KKT-valid decision of one state, per-state Lagrangians, a grid oracle."""
 
 import numpy as np
 
-from macwt.powerctl import (DualVars, EffectiveState, _closed_form_root,
-                            _common_root_batch, _lagrangian_vals,
-                            _positive_roots_batch, _state_row)
+from macwt.powerctl import (DualVars, EffectiveState, _best_by_lagrangian,
+                            _closed_form_root, _common_root_batch,
+                            _lagrangian_vals, _positive_roots_batch,
+                            _state_row)
 from macwt.rates import PowerDecision
 
 
@@ -27,11 +28,23 @@ def _system_gains(which, s: EffectiveState) -> EffectiveState:
     return s if which == "esa" else EffectiveState(s.h1, s.g2, s.g1, s.g2)
 
 
+def best_common_root(h1, h2, g1, g2, l1, l2):
+    """Best positive common root per row, ``(x, y, found)``, NaN where
+    none: one :func:`_best_by_lagrangian` pick over the candidate columns
+    of :func:`_common_root_batch`."""
+    args = (h1, h2, g1, g2, l1, l2)
+    x, y, ok = _common_root_batch(*args)
+    pick = np.arange(x.shape[0]), _best_by_lagrangian(args, x, y, ok)
+    found = ok[pick]
+    return (np.where(found, x[pick], np.nan),
+            np.where(found, y[pick], np.nan), found)
+
+
 def common_root(which, s: EffectiveState, duals: DualVars):
     """Best positive common root of one state under the ``which`` system
     (:func:`_system_gains`), or None: row 0 of a length-1
-    :func:`_common_root_batch` call."""
-    x, y, found = _common_root_batch(
+    :func:`best_common_root` call."""
+    x, y, found = best_common_root(
         *_state_row(_system_gains(which, s), duals))
     return (float(x[0]), float(y[0])) if found[0] else None
 

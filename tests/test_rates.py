@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from macwt import rates
 from macwt.channel import (ChannelState, FadingParams, StateBatch,
                            sample_batch, sba_block_gains)
-from macwt.montecarlo import (ESA, ESA_CJ, GS_CJ, SBA, ergodic_region,
+from macwt.montecarlo import (CONSTANT, DUAL, ESA, ESA_CJ, GS_CJ,
+                              RUDIMENTARY, SBA, ergodic_region, grid_point,
                               scheme_rates, spawn_rngs, worker_count)
 from macwt.powerctl import DualPolicy, DualVars
 from macwt.rates import (ConstantPolicy, PowerBudget, PowerDecision,
                          RudimentaryEsaPolicy, RudimentarySbaPolicy,
-                         esa_general_triple, sba_triple)
+                         esa_general_triple, sba_powers, sba_triple)
 
 UNIT = ChannelState(1, 1, 1, 1)
 PARAMS = FadingParams.symmetric(1.0, 0.75)
@@ -515,3 +516,46 @@ def test_worker_count_env(monkeypatch):
     assert worker_count(default=2) == 2
     monkeypatch.delenv("MACWT_WORKERS")
     assert worker_count() == 1
+
+
+def _recorders():
+    """A dual search and an estimator for :func:`grid_point` that record
+    their calls and sample nothing."""
+    calls = []
+
+    def search(*args, **kwargs):
+        calls.append("search")
+        raise AssertionError("searched")
+
+    def estimate(scheme, policy, *args):
+        calls.append(policy)
+        raise AssertionError("estimated")
+
+    return calls, search, estimate
+
+
+@pytest.mark.parametrize("scheme, kind", [
+    (GS_CJ, RUDIMENTARY), (ESA_CJ, RUDIMENTARY), (SBA, DUAL), (ESA, "bogus")])
+def test_grid_point_rejects_pairs_without_a_policy(scheme, kind):
+    # (gs_cj, rudimentary) used to run ESA's on/off rule on gs_cj rates
+    # and report the row ok; (sba, dual) sampled its search batch before
+    # failing inside the search
+    calls, search, estimate = _recorders()
+    with pytest.raises(ValueError, match=f"{kind}.*{scheme}"):
+        grid_point(scheme, kind, PARAMS, PowerBudget(100.0, 100.0), 200, 1,
+                   200, 2, search=search, estimate=estimate)
+    assert calls == []
+
+
+def test_sba_constant_and_on_off_powers_are_one_scaling():
+    params = FadingParams(1.0, 1.0, 0.5, 0.25)
+    budget = PowerBudget(3.0, 5.0)
+    assert sba_powers(budget, params) == (6.0, 5.0)
+    on_off = RudimentarySbaPolicy(budget, params, m_inner=4, seed=1)
+    assert (on_off.p1, on_off.p2) == (6.0, 5.0)
+    calls, search, estimate = _recorders()
+    with pytest.raises(AssertionError, match="estimated"):
+        grid_point(SBA, CONSTANT, params, budget, 200, 1, 200, 2,
+                   search=search, estimate=estimate)
+    (policy,) = calls
+    assert policy.decision == PowerDecision(6.0, 5.0, 0.0, 0.0)

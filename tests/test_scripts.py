@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+# one SNR point on a few hundred states: every command runs in seconds
+TINY_CONFIG = ("samples = 200\ndual_samples = 200\ninner_samples = 10\n"
+               "snr_db = 0\n")
 
 
 def _run(argv, env=(), cwd=None):
@@ -40,8 +43,7 @@ def test_run_figures_script(tmp_path):
     shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m macwt.cli "$@"\n')
     shim.chmod(0o755)
     cfg = tmp_path / "tiny.cfg"
-    cfg.write_text("samples = 200\ndual_samples = 200\ninner_samples = 10\n"
-                   "snr_db = 0\n")
+    cfg.write_text(TINY_CONFIG)
     path = os.pathsep.join((str(bin_dir), os.environ["PATH"]))
     proc = _run(["bash", str(ROOT / "scripts" / "run_figures.sh"),
                  "--config", str(cfg)], cwd=tmp_path,
@@ -51,3 +53,18 @@ def test_run_figures_script(tmp_path):
     for name, rows in (("figure1.csv", 6), ("figure2.csv", 8)):
         lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + rows
+
+
+def test_output_digests_script(tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    proc = _run([sys.executable, str(ROOT / "scripts" / "output_digests.py"),
+                 "--config", str(cfg), "--workers", "1,2"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "identical across workers"
+    rows = [line.split() for line in lines[:-1]]
+    assert [r[:2] for r in rows] == [[f"{c}.csv", f"workers={w}"]
+                                     for c in ("figure1", "figure2", "dof")
+                                     for w in (1, 2)]
+    assert all(len(r[2]) == 64 and int(r[2], 16) >= 0 for r in rows)
