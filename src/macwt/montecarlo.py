@@ -10,21 +10,22 @@ A shard owns its generator, its rows and its partial sums.  A worker
 thread evaluates one contiguous run of shards as one batch: the shards
 draw into their rows of the run's arrays, one policy call and one pass of
 the rate kernels cover the run, and each shard's sums are taken over its
-own rows.  The serial path evaluates one shard per call, which bounds the
-memory the KKT root solver's scratch holds at any time.
+own rows.  The runs go to the process's one worker pool
+(:mod:`macwt.pool`), which the dual searches share.  The serial path
+evaluates one shard per call, which bounds the memory the KKT root
+solver's scratch holds at any time.
 :func:`grid_point` evaluates one experiment point.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import FadingParams, StateBatch, sample_batch, sba_block_gains
+from .pool import run_all, worker_count
 from .powerctl import DualPolicy, RootSolveError, dual_search
 from .rates import (ConstantPolicy, PowerBudget, RateTriple,
                     RudimentaryEsaPolicy, RudimentarySbaPolicy, esa_cj_triple,
@@ -44,14 +45,6 @@ SCHEMES = (GS_CJ, SBA, ESA, ESA_CJ)
 def spawn_rngs(seed: int, n: int):
     """Independent generators derived from a master seed (documented split)."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
-def worker_count(default: int = 1) -> int:
-    """Worker count from the MACWT_WORKERS environment variable."""
-    try:
-        return max(1, int(os.environ.get("MACWT_WORKERS", default)))
-    except ValueError:
-        return default
 
 
 @dataclass(frozen=True)
@@ -171,9 +164,11 @@ def ergodic_region(scheme: str, policy, params: FadingParams, n: int,
     for any worker count.  With ``workers > 1`` each worker evaluates
     one contiguous run of shards as one batch: one ``decide_batch`` call
     and one pass of each rate kernel, which keeps both cores busy in
-    numpy rather than in per-call overhead under the GIL.  The serial
-    path keeps one call per shard: a run of all 16 shards would hold the
-    KKT root solver's scratch (about 1 KB per state) for every state at
+    numpy rather than in per-call overhead under the GIL.  The runs go
+    to the process's shared pool (:func:`macwt.pool.run_all`), the one
+    the dual searches use, while the caller waits.  The serial path
+    keeps one call per shard: a run of all 16 shards would hold the KKT
+    root solver's scratch (about 1 KB per state) for every state at
     once.
     """
     if n < 2:
@@ -188,12 +183,8 @@ def ergodic_region(scheme: str, policy, params: FadingParams, n: int,
                          sizes[shards.start:shards.stop],
                          rngs[shards.start:shards.stop])
 
-    runs = _shard_runs(workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
-            parts = np.concatenate(list(pool.map(run, runs)))
-    else:  # inline: a 1-thread pool made figure2 ~20 % slower on 2 cores
-        parts = np.concatenate([run(r) for r in runs])
+    # inline at one worker: a 1-thread pool made figure2 ~20 % slower
+    parts = np.concatenate(run_all(run, _shard_runs(workers), workers))
     total = np.zeros((3, 5))
     for part in parts:  # fixed-order reduction
         total = total + part

@@ -40,7 +40,9 @@ and ``macwt query --duals``; it also returns the case trees' codes.
 :func:`dual_search` prices both budgets at once: a quasi-Newton (Broyden)
 solve of the two budget equations in ``log(lambda)`` on one frozen state
 batch, stopped only when complementary slackness holds at the final
-multipliers.  It needs a handful of case-tree evaluations per search.
+multipliers.  It needs a handful of case-tree evaluations per search;
+with more than one worker, each evaluation runs one contiguous chunk of
+the batch per worker on the process's shared pool (:mod:`macwt.pool`).
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelState, FadingParams, sample_batch
+from .pool import run_all, worker_count
 from .rates import PowerBudget, PowerDecision
 
 RESIDUAL_TOL = 1e-9   # relative residual for accepting a common root
@@ -127,9 +130,12 @@ def _closed_form_root(h, g, lam):
 
 def _closed_form_where(mask, h, g, lam):
     """:func:`_closed_form_root` on the rows where ``mask`` holds, 0
-    elsewhere; masked-out rows never reach the formula."""
+    elsewhere; masked-out rows never reach the formula.  ``lam`` is per
+    row or one scalar for every row."""
     out = np.zeros(mask.shape)
-    out[mask] = _closed_form_root(h[mask], g[mask], lam[mask])
+    lam = np.asarray(lam, dtype=float)
+    out[mask] = _closed_form_root(h[mask], g[mask],
+                                  lam[mask] if lam.ndim else lam)
     return out
 
 
@@ -363,19 +369,26 @@ def _positive_roots_batch(h1, h2, g1, g2, l1, l2):
 
 def _best_by_lagrangian(args, x, y, ok):
     """Per row, the ``ok`` column of the ``(m, k)`` candidates ``(x, y)``
-    with the largest :func:`_lagrangian_vals` (0 if no column is ok),
-    evaluated at the ``ok`` cells only; ``args`` are per row, ``(m,)``,
-    or per candidate, ``(m, k)``.  Values within 1e-12 * max(1, |L|) of
-    the largest tie, and ties go to the earliest column, so copies of one
-    root a few ulps apart pick the same column in any summation order.
+    with the largest :func:`_lagrangian_vals` (0 if no column is ok);
+    ``args`` are per row, ``(m,)``, or per candidate, ``(m, k)``.  Values
+    within 1e-12 * max(1, |L|) of the largest tie, and ties go to the
+    earliest column, so copies of one root a few ulps apart pick the same
+    column in any summation order.  Only rows with a choice (two or more
+    ``ok`` columns) are ranked, at their ``ok`` cells; a row with one
+    ``ok`` column takes it, as the ranking would.
     """
+    pick = np.argmax(ok, axis=1)
+    rows = np.flatnonzero(np.count_nonzero(ok, axis=1) > 1)
+    ok = ok[rows]
     r, c = np.nonzero(ok)
+    rr = rows[r]  # the cells' rows in the full batch
     L = np.full(ok.shape, -np.inf)
-    L[r, c] = _lagrangian_vals(*(v[r, c] if v.ndim == 2 else v[r]
-                                 for v in args), x[r, c], y[r, c])
+    L[r, c] = _lagrangian_vals(*(v[rr, c] if v.ndim == 2 else v[rr]
+                                 for v in args), x[rr, c], y[rr, c])
     top = L.max(axis=1, keepdims=True)
     near = L >= top - 1e-12 * np.maximum(1.0, np.abs(top))
-    return np.argmax(ok & near, axis=1)
+    pick[rows] = np.argmax(ok & near, axis=1)
+    return pick
 
 
 def _root_free(h1, h2, g1, g2, l1, l2):
@@ -467,9 +480,10 @@ _CASE = np.array([[1, 1, 2], [1, 4, 5], [3, 6, 7]])
 def esa_policy_batch(h1, h2, g1, g2, l1, l2):
     """Vectorized allocation without jamming.  Returns (p1, p2, case).
 
-    One :func:`_best_by_lagrangian` pick on every row ranks all of a
+    One :func:`_best_by_lagrangian` pick over every row ranks all of a
     state's candidates: the :func:`_common_root_batch` columns, each user
-    alone where its class is C, and silence.  ``case`` (:data:`_CASE`) is
+    alone where its class is C, and silence (a row whose only candidate
+    is silence takes it unranked).  ``case`` (:data:`_CASE`) is
     a label that chooses no power; a class-A user (``h <= l``) leaves no
     root, and a case-7 row without one raises :class:`CaseSolverError`.
     """
@@ -610,23 +624,24 @@ def gs_cj_baseline_batch(h1, h2, g1, g2, l1, l2):
     normative.
     """
     h1, h2, g1, g2 = (np.asarray(a, dtype=float) for a in (h1, h2, g1, g2))
-    l1a = np.broadcast_to(np.asarray(l1, dtype=float), h1.shape)
-    l2a = np.broadcast_to(np.asarray(l2, dtype=float), h1.shape)
+    # scalar duals stay scalar: the closed forms take them without a gather
+    l1, l2 = (np.broadcast_to(np.asarray(lam, dtype=float), h1.shape)
+              if np.ndim(lam) else float(lam) for lam in (l1, l2))
 
     s1 = h1 > g1  # user-1 receiver beats its eavesdropper gain
     s2 = h2 > g2
-    a1 = s1 & (h1 - g1 > l1a)
-    a2 = s2 & (h2 - g2 > l2a)
-    j1 = ~s1 & (g1 - h1 > l1a)
-    j2 = ~s2 & (g2 - h2 > l2a)
+    a1 = s1 & (h1 - g1 > l1)
+    a2 = s2 & (h2 - g2 > l2)
+    j1 = ~s1 & (g1 - h1 > l1)
+    j2 = ~s2 & (g2 - h2 > l2)
 
     d1 = s1 & s2
     d2 = s1 & ~s2
     d3 = ~s1 & s2
-    p1 = _closed_form_where((d1 | d2) & a1, h1, g1, l1a)
-    p2 = _closed_form_where((d1 | d3) & a2, h2, g2, l2a)
-    q1 = _closed_form_where(d3 & j1, g1, h1, l1a)
-    q2 = _closed_form_where(d2 & j2, g2, h2, l2a)
+    p1 = _closed_form_where((d1 | d2) & a1, h1, g1, l1)
+    p2 = _closed_form_where((d1 | d3) & a2, h2, g2, l2)
+    q1 = _closed_form_where(d3 & j1, g1, h1, l1)
+    q2 = _closed_form_where(d2 & j2, g2, h2, l2)
     return p1, p2, q1, q2
 
 
@@ -698,7 +713,8 @@ def _newton_step(jac, resid, free):
 
 
 def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
-                n: int, seed: int, tol: float = 0.01) -> DualSearchResult:
+                n: int, seed: int, tol: float = 0.01,
+                workers: int | None = None) -> DualSearchResult:
     """Multipliers that price ``scheme``'s dual policy into the budgets.
 
     Solves ``r(u) = log E[P(e^u)] - log pbar = 0`` jointly in
@@ -717,19 +733,46 @@ def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
     of its budget or sits at ``LAM_MIN`` within ``(1 + tol) * pbar``:
     complementary slackness checked at one point.  Deterministic given
     the seed.
+
+    ``workers`` defaults to :func:`~macwt.pool.worker_count`.  At one
+    worker each evaluation is one policy call on the whole batch; with
+    more, the batch is cut into ``min(workers, n)`` contiguous chunks,
+    one policy call each on the process's shared pool
+    (:func:`~macwt.pool.run_all`), and their powers are put back in
+    batch order.  A state's powers do not depend on its batch, so every
+    sum, and the result, keeps its bits for any worker count; if several
+    chunks fail, the first chunk's error is raised, as a single call
+    would raise it.
     """
     if not (budget.pbar1 > 0 and budget.pbar2 > 0):
         raise ValueError("budgets must be strictly positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sq = sample_batch(params, n, rng).sq()
     pbar = np.array([budget.pbar1, budget.pbar2])
+    if workers is None:
+        workers = worker_count()
+    chunks = max(1, min(workers, n))
+    cuts = [k * n // chunks for k in range(chunks + 1)]
     evals = 0
+
+    def powers(l1, l2):
+        """Per-state ``(p1, p2, q1, q2)`` of the batch at ``(l1, l2)``."""
+        if len(cuts) <= 2:
+            return _dual_powers(scheme, sq, l1, l2)[:4]
+        out = np.empty((4, n))
+
+        def chunk(k):
+            i = slice(cuts[k], cuts[k + 1])
+            out[:, i] = _dual_powers(scheme, tuple(v[i] for v in sq),
+                                     l1, l2)[:4]
+
+        run_all(chunk, range(len(cuts) - 1), workers)
+        return out
 
     def evaluate(lam):
         nonlocal evals
         evals += 1
-        p1, p2, q1, q2, _ = _dual_powers(scheme, sq, float(lam[0]),
-                                         float(lam[1]))
+        p1, p2, q1, q2 = powers(float(lam[0]), float(lam[1]))
         power, meansq = np.empty(2), np.empty(2)
         for k, tot in enumerate((p1 + q1, p2 + q2)):
             # no (tot - mean)**2, so no more state-length arrays; and einsum,

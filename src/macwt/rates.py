@@ -24,6 +24,15 @@ LOG2 = math.log(2.0)
 # float64 elements per (rows, m_inner) block of the two-slot inner
 # expectation: each of its two block buffers stays within a core's L2 cache
 SBA_BLOCK_ELEMS = 1 << 15
+# the on/off rule's screen: states per chunk, float64 elements per block of
+# its table build (both keep its temporaries to a few tens of KiB), and its
+# tables' grid of SCREEN_GRID points z_k = e^(k SCREEN_STEP)
+SCREEN_ROWS = 512
+SCREEN_TABLE_ELEMS = 4096
+SCREEN_STEP = 0.05
+SCREEN_GRID = 700
+_SCREEN_Z = np.exp(SCREEN_STEP * np.arange(SCREEN_GRID))
+_EPS = np.finfo(float).eps
 
 
 def _log2p1(x):
@@ -211,6 +220,19 @@ def _pp_dsq(odd, even, out):
     return np.einsum("ki,kj->ij", odd, even, out=out)
 
 
+def _mean_log_table(v, out):
+    """mean_j ln(z_k + v_j) at each point z_k of the screen's grid, into
+    ``out``, in blocks of at most ``SCREEN_TABLE_ELEMS`` floats (or one
+    grid point)."""
+    z = _SCREEN_Z
+    rows = max(1, SCREEN_TABLE_ELEMS // v.size)
+    buf = np.empty((min(rows, z.size), v.size))
+    for lo in range(0, z.size, rows):
+        x = buf[:z.size - lo]
+        np.add(z[lo:lo + rows, None], v, out=x)
+        out[lo:lo + rows] = np.log(x, out=x).mean(axis=1)
+
+
 def sba_powers(budget: PowerBudget, params: FadingParams) -> tuple:
     """The two-slot scheme's scaled full-budget powers: its constant
     powers, and the on powers of its on/off rule."""
@@ -226,26 +248,17 @@ class RudimentarySbaPolicy:
     every call (common random numbers), so sharded outer evaluation does
     not change the decisions.
 
-    The mean of :func:`sba_triple`'s sum rate is taken in separable form.
-    With a1 = h1 g2, a2 = h2 g1, c = g1 g2 in the odd slot, b1, b2, d in
-    the even one, u = a2 conj(a1) and v = b1 conj(b2), the block (i, j) has
-    Dsq = |a2_i b1_j - a1_i b2_j|^2, so
-    num = 1 + A1 p1 + A2 p2 + Dsq p1 p2 = alpha_i + beta_j
-    + p1 p2 (|a2_i b1_j|^2 + |a1_i b2_j|^2 - 2 Re(u_i v_j)) with
-    alpha = 1 + p1|a1|^2 + p2|a2|^2, beta = p1|b1|^2 + p2|b2|^2, and
-    den = 1 + C (p1 + p2) = 1 + (p1 + p2)(|c_i|^2 + |d_j|^2).  A state is on
-    when mean_j ln(num / den) >= 0, the sign of the mean sum rate.  Only
-    per-state vectors and one real rank-4 product per block are formed:
-    p1 p2 Dsq is the (4, n) odd factor [|a2|^2, |a1|^2, Re u, Im u] times
-    the (4, m_inner) even factor [p1p2|b1|^2, p1p2|b2|^2, -2p1p2 Re v,
-    2p1p2 Im v], built once from the inner sample (see :func:`_pp_dsq`).
+    A state is on when the mean over the inner sample of
+    :func:`sba_triple`'s sum rate is nonnegative.  With a1 = h1 g2,
+    a2 = h2 g1, c = g1 g2 in the odd slot and b1, b2, d in the even one,
+    cell (i, j) of that mean is ln((A_i + B_j + D_ij) / (C_i + E_j)) with
+    A = 1 + p1|a1|^2 + p2|a2|^2, B = p1|b1|^2 + p2|b2|^2,
+    C = 1 + (p1 + p2)|c|^2, E = (p1 + p2)|d|^2 and
+    D = p1 p2 |a2_i b1_j - a1_i b2_j|^2 >= 0.
 
-    Blocks hold ``max(1, SBA_BLOCK_ELEMS // m_inner)`` odd-slot states.
-    Each call allocates two block buffers once, of at most
-    ``SBA_BLOCK_ELEMS`` floats (or one row) each whatever the batch size
-    and ``m_inner``, and every block reuses them: the working set stays
-    in cache, and memory does not grow with the shard.  Each state's mean
-    runs over its own row, so the block size never changes a decision.
+    Most states are decided from certified bounds on their mean
+    (:meth:`_screen`); only the states the bounds leave open take the
+    exact mean (:meth:`_inner_means`), whose bits decide them as before.
     """
 
     def __init__(self, budget: PowerBudget, params: FadingParams,
@@ -256,20 +269,112 @@ class RudimentarySbaPolicy:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         b1, b2, w, d = _slot_products(sample_batch(params, m_inner, rng))
         pp, eve = self.p1 * self.p2, (self.p1 + self.p2) * d
+        beta = self.p1 * b1 + self.p2 * b2
         # read-only, shared by all shards: the even factor of p1 p2 Dsq
         # (w = conj v), beta - eve and eve
         self._even = (np.stack([pp * b1, pp * b2, -2.0 * pp * w.real,
-                                -2.0 * pp * w.imag]),
-                      self.p1 * b1 + self.p2 * b2 - eve, eve)
+                                -2.0 * pp * w.imag]), beta - eve, eve)
+        # the screen's tables F and G, each with +inf past the grid's end,
+        # in one allocation, and its inner means (correctly rounded sums)
+        fg = np.empty((2, SCREEN_GRID + 1))
+        fg[:, -1] = np.inf
+        _mean_log_table(beta, out=fg[0, :-1])
+        _mean_log_table(eve, out=fg[1, :-1])
+        self._screen_tables = (fg, math.fsum(beta) / m_inner,
+                               math.fsum(eve) / m_inner,
+                               [math.fsum(t) / m_inner for t in self._even[0]])
 
     def decide_batch(self, batch: StateBatch):
         n = len(batch)
+        prods = _slot_products(batch)
+        on, open_ = self._screen(*prods)
+        rows = np.flatnonzero(open_)
+        if rows.size:
+            prods = tuple(v[rows] for v in prods)  # frees the full vectors
+            on[rows] = self._inner_means(*prods) >= 0.0
+        return (np.where(on, self.p1, 0.0), np.where(on, self.p2, 0.0),
+                np.zeros(n), np.zeros(n))
+
+    def _screen(self, a1, a2, u, c):
+        """Per state ``(on, open)``: on where a lower bound L of its inner
+        mean exceeds ``tau``, off where an upper bound U is below
+        ``-tau``, open otherwise.
+
+        F(z) = mean_j ln(z + B_j) and G(z) = mean_j ln(z + E_j) increase
+        in z and are tabulated once on the grid z_k = e^(k SCREEN_STEP),
+        so a table entry at a grid point at or below (above) the argument
+        bounds them from below (above).  Dropping D >= 0 and Jensen's
+        inequality on the denominator give
+        L = F(z <= A) - min(G(z >= C), ln(C + mean E)); Jensen on the
+        numerator, with mean_j D_ij the odd factor times the even
+        factor's means (the product is separable), gives
+        U = ln(A + mean B + mean_j D_ij) - max(G(z <= C), ln C), which
+        also covers mean_j ln E_j as z >= 1.
+
+        ``tau`` bounds the rounding of both the exact mean and the
+        bounds, to first order with a factor of at least 2 to spare:
+        64 eps (1 + (C + mean E)/A + min(A, mean B) + (m + 1) Lambda),
+        Lambda = ln(A + mean B + mean D) + ln(C + mean E) + SCREEN_STEP.
+        A cell of the exact mean errs by eps (1 + den/num) times a small
+        constant, and mean den/num <= (C + mean E)/A; the expanded D
+        cancels, with an error of eps times its terms' magnitudes, which
+        (by AM-GM) are at most 2 min(A - 1, B_j) times num; and a mean
+        of m logs, each at most ln num + ln den in size (their means are
+        below Lambda, by Jensen), errs by at most (m + 1) eps Lambda, as
+        do the tables' entries.  Anything not finite leaves its state
+        open.
+        """
+        z = _SCREEN_Z
+        (F, G), b_mean, e_mean, ebar = self._screen_tables
+        m = self._even[2].size
+        n = a1.size
+        on, off = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+        for lo in range(0, n, SCREEN_ROWS):
+            i = slice(lo, lo + SCREEN_ROWS)
+            A = 1.0 + self.p1 * a1[i] + self.p2 * a2[i]
+            C = 1.0 + (self.p1 + self.p2) * c[i]
+            d_mean = (ebar[0] * a2[i] + ebar[1] * a1[i]
+                      + ebar[2] * u[i].real + ebar[3] * u[i].imag)
+            ln_num = np.log(A + b_mean + np.maximum(d_mean, 0.0))
+            ln_den = np.log(C + e_mean)
+            L = (F[np.searchsorted(z, A, "right") - 1]
+                 - np.minimum(G[np.searchsorted(z, C)], ln_den))
+            U = ln_num - np.maximum(G[np.searchsorted(z, C, "right") - 1],
+                                    np.log(C))
+            tau = 64.0 * _EPS * (1.0 + (C + e_mean) / A
+                                 + np.minimum(A, b_mean)
+                                 + (m + 1) * (ln_num + ln_den + SCREEN_STEP))
+            on[i], off[i] = L > tau, U < -tau
+        return on, ~(on | off)
+
+    def _inner_means(self, a1, a2, u, c):
+        """Each state's exact inner mean, mean_j ln(num_ij / den_ij).
+
+        With u = a2 conj(a1) and v = b1 conj(b2), Dsq = |a2_i b1_j -
+        a1_i b2_j|^2, so num = 1 + A1 p1 + A2 p2 + Dsq p1 p2 = alpha_i +
+        beta_j + p1 p2 (|a2_i b1_j|^2 + |a1_i b2_j|^2 - 2 Re(u_i v_j)) with
+        alpha = 1 + p1|a1|^2 + p2|a2|^2, beta = p1|b1|^2 + p2|b2|^2, and
+        den = 1 + C (p1 + p2) = 1 + (p1 + p2)(|c_i|^2 + |d_j|^2).  Only
+        per-state vectors and one real rank-4 product per block are
+        formed: p1 p2 Dsq is the (4, n) odd factor [|a2|^2, |a1|^2, Re u,
+        Im u] times the (4, m_inner) even factor [p1p2|b1|^2, p1p2|b2|^2,
+        -2p1p2 Re v, 2p1p2 Im v], built once from the inner sample (see
+        :func:`_pp_dsq`).
+
+        Blocks hold ``max(1, SBA_BLOCK_ELEMS // m_inner)`` states.  Each
+        call allocates two block buffers once, of at most
+        ``SBA_BLOCK_ELEMS`` floats (or one row) each whatever the number
+        of states and ``m_inner``, and every block reuses them: the
+        working set stays in cache, and memory does not grow with the
+        shard.  Each state's mean runs over its own row, so neither the
+        block size nor the other states change its bits.
+        """
+        n = a1.size
         even, beta, eve = self._even
-        a1, a2, u, c = _slot_products(batch)
         odd = _odd_factor(a1, a2, u)
-        c *= self.p1 + self.p2
+        c = c * (self.p1 + self.p2)
         alpha = self.p1 * a1 + self.p2 * a2 - c  # alpha - 1 - (p1 + p2)|c|^2
-        on = np.empty(n, dtype=bool)
+        means = np.empty(n)
         rows = max(1, SBA_BLOCK_ELEMS // beta.size)
         # two allocations, not one (2, rows, m_inner) array: at 2^15 that
         # single 512 KiB block read 0.9 MB more peak RSS in `macwt figure1`
@@ -284,6 +389,5 @@ class RudimentarySbaPolicy:
             np.maximum(x, 0.0, out=x)
             x += np.add(alpha[i, None], beta, out=t)
             x /= np.add(1.0 + c[i, None], eve, out=t)
-            on[i] = np.log1p(x, out=x).mean(axis=1) >= 0.0
-        return (np.where(on, self.p1, 0.0), np.where(on, self.p2, 0.0),
-                np.zeros(n), np.zeros(n))
+            means[i] = np.log1p(x, out=x).mean(axis=1)
+        return means

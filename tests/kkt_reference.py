@@ -28,6 +28,19 @@ def _system_gains(which, s: EffectiveState) -> EffectiveState:
     return s if which == "esa" else EffectiveState(s.h1, s.g2, s.g1, s.g2)
 
 
+def full_pick(args, x, y, ok):
+    """:func:`_best_by_lagrangian` ranking every row, also rows with one
+    ``ok`` column or none: the reference its rows-with-a-choice shortcut
+    must match."""
+    r, c = np.nonzero(ok)
+    L = np.full(ok.shape, -np.inf)
+    L[r, c] = _lagrangian_vals(*(v[r, c] if v.ndim == 2 else v[r]
+                                 for v in args), x[r, c], y[r, c])
+    top = L.max(axis=1, keepdims=True)
+    near = L >= top - 1e-12 * np.maximum(1.0, np.abs(top))
+    return np.argmax(ok & near, axis=1)
+
+
 def best_common_root(h1, h2, g1, g2, l1, l2):
     """Best positive common root per row, ``(x, y, found)``, NaN where
     none: one :func:`_best_by_lagrangian` pick over the candidate columns

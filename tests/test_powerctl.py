@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -6,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kkt_reference import (best_common_root, closed_form, cj_modes,
-                           common_root, grid_oracle, lagrangian_cj_batch,
+                           common_root, full_pick, grid_oracle,
+                           lagrangian_cj_batch,
                            lagrangian_esa, lagrangian_esa_cj,
                            stationary_candidates)
 from macwt import powerctl
 from macwt.channel import ChannelState, FadingParams, StateBatch, sample_batch
-from macwt.powerctl import (LAM_MIN, RESIDUAL_TOL, DualPolicy,
+from macwt.powerctl import (LAM_MIN, RESIDUAL_TOL, CaseSolverError,
+                            DualPolicy,
                             DualSearchResult, DualVars, EffectiveState,
                             RootSolveError, _closed_form_root,
                             _common_root_batch,
@@ -246,21 +250,27 @@ def test_ruled_out_rows_hold_no_root(jam, states):
     assert not np.any(_any_start_certifies(tuple(v[free] for v in args)))
 
 
-@pytest.mark.parametrize("rows", ["stress", "stress-jam", "figure"])
-def test_every_open_row_gets_a_root(rows):
-    # completeness: the rows left open are exactly those where a root is
-    # found, and on the rows ruled out no start would have found one
+def _solver_rows(rows):
+    """Tree arguments of a row set: 50,000 ``stress`` rows (extreme gains
+    and duals), the same with user 2 jamming (``stress-jam``), or 5,000
+    ``figure`` states at each of four duals."""
     rng = np.random.default_rng(np.random.SeedSequence(15))
     if rows == "figure":
         sq = (2.0 * v for v in sample_batch(PARAMS, 5000, rng).sq())
         gains = tuple(np.tile(v, 4) for v in sq)
         lam = np.repeat([1.0, 1e-2, 1e-4, 1e-6], 5000)
-        args = (*gains, lam, lam)
-    else:
-        (h1, h2, g1, g2), duals = _extreme_states(rng, 50000)
-        if rows == "stress-jam":  # user 2 jamming
-            h2 = g2
-        args = (h1, h2, g1, g2, *duals)
+        return (*gains, lam, lam)
+    (h1, h2, g1, g2), duals = _extreme_states(rng, 50000)
+    if rows == "stress-jam":  # user 2 jamming
+        h2 = g2
+    return (h1, h2, g1, g2, *duals)
+
+
+@pytest.mark.parametrize("rows", ["stress", "stress-jam", "figure"])
+def test_every_open_row_gets_a_root(rows):
+    # completeness: the rows left open are exactly those where a root is
+    # found, and on the rows ruled out no start would have found one
+    args = _solver_rows(rows)
     free = powerctl._root_free(*args)
     x, _, ok = _common_root_batch(*args)
     found = ok.any(axis=1)
@@ -268,6 +278,20 @@ def test_every_open_row_gets_a_root(rows):
     assert free.any() and found.any()
     assert np.array_equal(found, ~free)
     assert not np.any(_any_start_certifies(tuple(v[free] for v in args)))
+
+
+@pytest.mark.parametrize("rows", ["stress", "stress-jam", "figure"])
+def test_pick_ranks_only_rows_with_a_choice(rows, monkeypatch):
+    # a row with one ok column (silence, in most) takes it unranked: both
+    # trees' outputs keep every bit of the pick that ranks every row
+    args = _solver_rows(rows)
+    got = (*esa_policy_batch(*args), *esa_cj_policy_batch(*args))
+    _, _, ok = _common_root_batch(*args)
+    assert not ok.any(axis=1).all()  # rows whose roots leave no choice
+    monkeypatch.setattr(powerctl, "_best_by_lagrangian", full_pick)
+    want = (*esa_policy_batch(*args), *esa_cj_policy_batch(*args))
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_class_a_rows_get_no_root_start():
@@ -970,6 +994,66 @@ def test_dual_search_deterministic():
     b = dual_search(PARAMS, PowerBudget(5.0, 5.0), "esa", 2000, seed=31)
     assert a == b
     assert isinstance(a, DualSearchResult)
+
+
+@pytest.mark.parametrize("scheme", ["esa", "esa_cj", "gs_cj"])
+def test_pooled_dual_search_is_byte_identical(scheme, monkeypatch):
+    # more workers cut the frozen batch into one contiguous chunk each, on
+    # the shared pool; every result field keeps the one-worker bits
+    budget = PowerBudget(30.0, 10.0)
+    ref = dual_search(PARAMS, budget, scheme, 3001, seed=32, workers=1)
+    sizes, real = [], powerctl._dual_powers
+
+    def counted(scheme, sq, l1, l2):
+        sizes.append(sq[0].size)
+        return real(scheme, sq, l1, l2)
+
+    monkeypatch.setattr(powerctl, "_dual_powers", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # chunks interleave as often as they can
+    try:
+        for workers in (2, 3, 5):
+            sizes.clear()
+            res = dual_search(PARAMS, budget, scheme, 3001, seed=32,
+                              workers=workers)
+            assert repr(res) == repr(ref)
+            assert sorted(sizes) == sorted(
+                [3001 * (k + 1) // workers - 3001 * k // workers
+                 for k in range(workers)] * ref.sweeps)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pooled_dual_search_raises_the_serial_error(monkeypatch):
+    # a stubbed policy fails on chosen rows; with several failing chunks
+    # the first chunk's error surfaces (even when a later one fails
+    # first), as the one-worker search raises it
+    n, seed = 1200, 33
+    h1 = sample_batch(PARAMS, n, np.random.default_rng(
+        np.random.SeedSequence(seed))).sq()[0]
+    real = powerctl._dual_powers
+
+    def failing(bad):
+        def stub(scheme, sq, l1, l2):
+            hit = np.isin(sq[0], h1[bad])
+            if hit.any():
+                if h1[bad[0]] in sq[0]:
+                    time.sleep(0.05)  # the later chunk fails first
+                raise CaseSolverError(f"row with h1={sq[0][hit][0]!r}")
+            return real(scheme, sq, l1, l2)
+        return stub
+
+    for bad in ([700, 1150], [5, 1100], [1199]):
+        monkeypatch.setattr(powerctl, "_dual_powers", failing(bad))
+        with pytest.raises(CaseSolverError) as serial:
+            dual_search(PARAMS, PowerBudget(10.0, 10.0), "esa", n, seed,
+                        workers=1)
+        assert repr(h1[bad[0]]) in str(serial.value)
+        for workers in (2, 3, 5):
+            with pytest.raises(CaseSolverError) as pooled:
+                dual_search(PARAMS, PowerBudget(10.0, 10.0), "esa", n, seed,
+                            workers=workers)
+            assert str(pooled.value) == str(serial.value)
 
 
 def test_dual_search_monotone_in_lambda(rng):

@@ -348,9 +348,11 @@ def test_sba_policy_memory_is_bounded_by_the_block_budget():
     # The two block buffers are allocated once per call and hold at most
     # SBA_BLOCK_ELEMS floats each (256 KiB at 2^15), so the peak stays at
     # those two plus the per-state vectors of the batch, whatever
-    # n * m_inner is: 0.93 MiB at 2^15.  Two fresh arrays per block, with
-    # the previous block's still alive, peaked at 1.29 MiB; blocks of a
-    # fixed 4096 rows at 62.9 MiB.
+    # n * m_inner is: 0.69 MiB at 2^15, where the screen leaves 17 % of
+    # these states to the block loop (1.03 MiB if it left them all, 0.93
+    # MiB before the screen).  Two fresh arrays per block, with the
+    # previous block's still alive, peaked at 1.29 MiB; blocks of a fixed
+    # 4096 rows at 62.9 MiB.
     policy = RudimentarySbaPolicy(PowerBudget(10.0, 10.0), PARAMS,
                                   m_inner=1000, seed=3)
     batch = sample_batch(PARAMS, 4096, np.random.default_rng(1))
@@ -361,6 +363,68 @@ def test_sba_policy_memory_is_bounded_by_the_block_budget():
     finally:
         tracemalloc.stop()
     assert peak < 1.125 * 2 ** 20
+
+
+def _stress_policies(seed):
+    """60 (policy, odd-slot batch) pairs: FadingParams(v, v/2, vg1, vg2)
+    with v, vg1 and vg2 from e^U(-3, 3), budgets 10^U(-3, 7), m_inner
+    cycling through 1, 7, 200 and 1000, and 5,000 states each."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    for trial in range(60):
+        v, vg1, vg2 = np.exp(rng.uniform(-3.0, 3.0, 3))
+        params = FadingParams(v, v / 2, vg1, vg2)
+        budget = PowerBudget(*10.0 ** rng.uniform(-3.0, 7.0, 2))
+        m_inner = (1, 7, 200, 1000)[trial % 4]
+        yield (RudimentarySbaPolicy(budget, params, m_inner, seed=trial),
+               sample_batch(params, 5000, rng))
+
+
+def test_sba_screen_decides_as_the_exact_mean():
+    # the screened decisions equal the exact inner mean's sign on every
+    # row, and the screen decides most rows
+    decided = total = 0
+    for policy, batch in _stress_policies(20):
+        prods = rates._slot_products(batch)
+        exact = policy._inner_means(*prods) >= 0.0
+        assert np.array_equal(_on(policy, batch), exact)
+        on, open_ = policy._screen(*prods)
+        assert np.array_equal(on[~open_], exact[~open_])
+        decided += np.count_nonzero(~open_)
+        total += open_.size
+    assert decided > 0.5 * total
+
+
+@pytest.mark.parametrize("m_inner", [1, 200])
+def test_sba_screen_leaves_near_zero_means_open(m_inner):
+    # odd-slot states whose exact inner mean is within 1e-12 of 0: the
+    # eavesdropper gain |c|^2 is bisected to the sign change of the mean
+    policy = RudimentarySbaPolicy(PowerBudget(30.0, 30.0), PARAMS, m_inner,
+                                  seed=2)
+    a1, a2, u, c = rates._slot_products(
+        sample_batch(PARAMS, 400, np.random.default_rng(6)))
+    lo, hi = np.zeros_like(c), np.full_like(c, 1e6)
+    live = policy._inner_means(a1, a2, u, lo) >= 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        up = policy._inner_means(a1, a2, u, mid) >= 0.0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    means = policy._inner_means(a1, a2, u, lo)
+    near = live & (np.abs(means) <= 1e-12)
+    assert np.count_nonzero(near) > 300
+    _, open_ = policy._screen(a1[near], a2[near], u[near], lo[near])
+    assert open_.all()
+
+
+@pytest.mark.parametrize("var_g, floor", [(0.75, 0.70), (0.25, 0.95)])
+def test_sba_screen_coverage_at_30_db(var_g, floor):
+    # the screen must decide most of the figure's states, or the exact
+    # path runs on all of them again
+    params = FadingParams.symmetric(1.0, var_g)
+    policy = RudimentarySbaPolicy(PowerBudget(1e3, 1e3), params, 200,
+                                  seed=9)
+    batch = sample_batch(params, 20000, np.random.default_rng(10))
+    _, open_ = policy._screen(*rates._slot_products(batch))
+    assert np.count_nonzero(~open_) >= floor * open_.size
 
 
 def test_sba_policy_decision_stable_across_inner_seeds():

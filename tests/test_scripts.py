@@ -68,3 +68,25 @@ def test_output_digests_script(tmp_path):
                                      for c in ("figure1", "figure2", "dof")
                                      for w in (1, 2)]
     assert all(len(r[2]) == 64 and int(r[2], 16) >= 0 for r in rows)
+
+
+def test_output_digests_script_seeds(tmp_path):
+    # --seeds passes each --seed to every command: one digest per
+    # (command, seed, workers), and seeds change the figures
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    proc = _run([sys.executable, str(ROOT / "scripts" / "output_digests.py"),
+                 "--config", str(cfg), "--workers", "1,2",
+                 "--seeds", "3,4"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "identical across workers"
+    rows = [line.split() for line in lines[:-1]]
+    assert [r[:3] for r in rows] == [
+        [f"{c}.csv", f"seed={s}", f"workers={w}"]
+        for c in ("figure1", "figure2", "dof") for s in (3, 4)
+        for w in (1, 2)]
+    digest = {tuple(r[:3]): r[3] for r in rows}
+    for c in ("figure1", "figure2", "dof"):
+        assert (digest[f"{c}.csv", "seed=3", "workers=1"]
+                != digest[f"{c}.csv", "seed=4", "workers=1"])
