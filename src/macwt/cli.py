@@ -3,8 +3,8 @@
 Subcommands produce deterministic CSV files (UTF-8, ``\\n`` line endings,
 12 significant digits) or single-shot policy reports.  The SNR axis is
 the dB value of the average power ``(pbar1 + pbar2) / 2``; budgets are
-symmetric.  Worker count is read from the ``MACWT_WORKERS`` environment
-variable.
+symmetric.  The worker count is the ``MACWT_WORKERS`` environment
+variable, which only :mod:`macwt.pool` reads.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from .channel import ChannelState, FadingParams, StateBatch, sba_block_gains
 from .config import ConfigError, ExperimentConfig, load_config
 from .dof import DOF_KINDS, estimate_dof, sum_rate_curve
 from .montecarlo import (CONSTANT, DUAL, ESA, ESA_CJ, GS_CJ, RUDIMENTARY, SBA,
-                         ergodic_region, grid_point, scheme_rates)
-from .powerctl import (DualVars, EffectiveState, _dual_powers, cj_case_label,
-                       dual_search, effective_state, esa_cj_kkt_residual)
+                         _point_seed, ergodic_region, grid_point, scheme_rates)
+from .powerctl import (CaseSolverError, DualVars, EffectiveState, _dual_powers,
+                       cj_case_label, dual_search, effective_state,
+                       esa_cj_kkt_residual)
 from .rates import PowerBudget, PowerDecision
 
 
@@ -38,10 +39,6 @@ def _write_csv(path: str, header: list, rows: list) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def _point_seed(seed: int, *tags) -> int:
-    return int(np.random.SeedSequence((seed,) + tags).generate_state(1)[0])
 
 
 def _load(config, **overrides) -> ExperimentConfig:
@@ -217,6 +214,15 @@ def _parse_values(text, conv, name, counts):
             for i, tok in enumerate(parts)]
 
 
+def _finite(what, values):
+    """``values`` as floats; a usage error if one of them is not finite."""
+    values = [float(v) for v in values]
+    if not all(np.isfinite(values)):
+        raise click.ClickException(
+            f"{what} are not finite: {' '.join(_fmt(v) for v in values)}")
+    return values
+
+
 @main.command()
 @click.option("--scheme", required=True,
               type=click.Choice([GS_CJ, SBA, ESA, ESA_CJ]))
@@ -228,18 +234,20 @@ def _parse_values(text, conv, name, counts):
               help="effective gains 2|h1|^2,2|h2|^2,2|g1|^2,2|g2|^2")
 @click.option("--powers", default=None, help="p1,p2 or p1,p2,q1,q2")
 @click.option("--duals", default=None, help="lambda1,lambda2")
+@np.errstate(all="ignore")  # a value that is not finite is refused instead
 def query(scheme, state, even, effective, powers, duals):
     """Report integrands, case branch and stationarity residuals."""
     if (state is None) == (effective is None):
         raise click.ClickException("provide exactly one of --state / --effective")
     if (powers is None) == (duals is None):
         raise click.ClickException("provide exactly one of --powers / --duals")
-    eff = None
     if state is not None:
         st = ChannelState(*_parse_values(state, complex, "--state", {4}))
-        sq = st.sq()
-        if scheme in (ESA, ESA_CJ):
-            eff = effective_state(st)
+        try:
+            sq = st.sq()
+            eff = effective_state(st) if scheme in (ESA, ESA_CJ) else None
+        except (OverflowError, ValueError):  # |z|^2 or 2|z|^2 overflows
+            raise click.ClickException("--state: a squared gain overflows")
     else:
         vals = _parse_values(effective, float, "--effective", {4})
         if min(vals) < 0:
@@ -266,7 +274,7 @@ def query(scheme, state, even, effective, powers, duals):
             ev = ChannelState(*_parse_values(even, complex, "--even", {4}))
             gains = [float(a[0]) for a in
                      sba_block_gains(StateBatch.of(st), StateBatch.of(ev))]
-        t = [float(v) for v in scheme_rates(scheme, gains, *vals)]
+        t = _finite("rates", scheme_rates(scheme, gains, *vals))
         lines.append(f"r1    = {_fmt(t[0])} bits")
         lines.append(f"r2    = {_fmt(t[1])} bits")
         lines.append(f"rsum  = {_fmt(t[2])} bits")
@@ -278,9 +286,12 @@ def query(scheme, state, even, effective, powers, duals):
         if scheme == SBA:
             raise click.ClickException(
                 "no dual-variable policy for the two-slot scaled scheme")
-        *p, case = _dual_powers(scheme, [np.array([v]) for v in sq], l1, l2)
+        try:
+            *p, case = _dual_powers(scheme, np.array(sq)[:, None], l1, l2)
+        except (CaseSolverError, ArithmeticError) as exc:
+            raise click.ClickException(f"the {scheme} policy failed: {exc}")
         # the scheme without jamming reports its two transmit powers
-        p = [float(v[0]) for v in p[:2 if scheme == ESA else 4]]
+        p = _finite("powers", [v[0] for v in p[:2 if scheme == ESA else 4]])
         if scheme == ESA:
             lines.append(f"branch    = A.{int(case[0])}")
         elif scheme == ESA_CJ:
@@ -288,7 +299,8 @@ def query(scheme, state, even, effective, powers, duals):
         lines.append("powers    = " + " ".join(
             f"{k}={_fmt(v)}" for k, v in zip(("P1", "P2", "Q1", "Q2"), p)))
         if case is not None:
-            res = esa_cj_kkt_residual(eff, PowerDecision(*p), dv)[:len(p)]
+            res = _finite("residuals", esa_cj_kkt_residual(
+                eff, PowerDecision(*p), dv)[:len(p)])
             lines.append("residuals = " + " ".join(_fmt(r) for r in res))
     click.echo("\n".join(lines))
 

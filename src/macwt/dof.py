@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelState, FadingParams, sample_batch
-from .montecarlo import CONSTANT, DUAL, ESA, GS_CJ, SBA, grid_point
+from .montecarlo import (CONSTANT, DUAL, ESA, GS_CJ, SBA, _point_seed,
+                         grid_point)
 from .rates import PowerBudget, _log2p1 as _l2
 
 # Power control of each scheme on the scaling grid, in output order
@@ -69,7 +70,7 @@ def sum_rate_curve(scheme: str, params: FadingParams, powers, n: int,
         raise ValueError("powers must be positive and strictly increasing")
     points = []
     for i, p in enumerate(powers):
-        point_seed = int(np.random.SeedSequence((seed, i)).generate_state(1)[0])
+        point_seed = _point_seed(seed, i)
         points.append(grid_point(scheme, DOF_KINDS[scheme], params,
                                  PowerBudget(p, p), n, point_seed, dual_n,
                                  point_seed ^ 0x5F5F))

@@ -27,19 +27,14 @@ import numpy as np
 from .channel import FadingParams, StateBatch, sample_batch, sba_block_gains
 from .pool import run_all, worker_count
 from .powerctl import DualPolicy, RootSolveError, dual_search
-from .rates import (ConstantPolicy, PowerBudget, RateTriple,
-                    RudimentaryEsaPolicy, RudimentarySbaPolicy, esa_cj_triple,
-                    esa_triple, gs_cj_triple, sba_powers, sba_triple)
+from .rates import (ESA, ESA_CJ, GS_CJ, SBA, SCHEMES, ConstantPolicy,
+                    PowerBudget, RateTriple, RudimentaryEsaPolicy,
+                    RudimentarySbaPolicy, esa_cj_triple, esa_triple,
+                    gs_cj_triple, sba_powers, sba_triple)
 
 SHARDS = 16
 # moment unit of columns whose sum of squares overflows (an exact power of 2)
 _BIG = 2.0 ** 512
-
-GS_CJ = "gs_cj"
-SBA = "sba"
-ESA = "esa"
-ESA_CJ = "esa_cj"
-SCHEMES = (GS_CJ, SBA, ESA, ESA_CJ)
 
 
 def spawn_rngs(seed: int, n: int):
@@ -74,9 +69,7 @@ def _shard_runs(workers: int) -> list[range]:
 
     One shard per call on the serial path; with threads, each worker
     takes one contiguous run of about ``SHARDS / workers`` shards."""
-    if workers <= 1:
-        return [range(i, i + 1) for i in range(SHARDS)]
-    w = min(workers, SHARDS)
+    w = SHARDS if workers <= 1 else min(workers, SHARDS)
     return [range(i * SHARDS // w, (i + 1) * SHARDS // w) for i in range(w)]
 
 
@@ -150,7 +143,7 @@ def _eval_run(scheme: str, policy, params: FadingParams, sizes, rngs) -> np.ndar
 
 
 def ergodic_region(scheme: str, policy, params: FadingParams, n: int,
-                   seed: int, workers: int | None = None) -> MonteCarloEstimate:
+                   seed: int) -> MonteCarloEstimate:
     """Monte Carlo mean and standard error of the per-state rate triple.
 
     ``policy`` must provide ``decide_batch(StateBatch)``; for the two-slot
@@ -161,20 +154,18 @@ def ergodic_region(scheme: str, policy, params: FadingParams, n: int,
     The ``n`` states always fall into ``SHARDS`` shards.  A shard owns
     its generator, its rows and its ``[sum, sumsq]``, and the shards'
     moments are added in shard order, so the estimate is byte-identical
-    for any worker count.  With ``workers > 1`` each worker evaluates
-    one contiguous run of shards as one batch: one ``decide_batch`` call
-    and one pass of each rate kernel, which keeps both cores busy in
-    numpy rather than in per-call overhead under the GIL.  The runs go
-    to the process's shared pool (:func:`macwt.pool.run_all`), the one
-    the dual searches use, while the caller waits.  The serial path
-    keeps one call per shard: a run of all 16 shards would hold the KKT
-    root solver's scratch (about 1 KB per state) for every state at
-    once.
+    for any worker count.  With more than one worker
+    (:func:`~macwt.pool.worker_count`), each evaluates one contiguous
+    run of shards as one batch: one ``decide_batch`` call and one pass of
+    each rate kernel, which keeps both cores busy in numpy rather than in
+    per-call overhead under the GIL.  The runs go to the process's shared
+    pool (:func:`macwt.pool.run_all`), the one the dual searches use,
+    while the caller waits.  The serial path keeps one call per shard: a
+    run of all 16 shards would hold the KKT root solver's scratch (about
+    1 KB per state) for every state at once.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if workers is None:
-        workers = worker_count()
     sizes = _shard_sizes(n)
     rngs = spawn_rngs(seed, SHARDS)
 
@@ -184,7 +175,7 @@ def ergodic_region(scheme: str, policy, params: FadingParams, n: int,
                          rngs[shards.start:shards.stop])
 
     # inline at one worker: a 1-thread pool made figure2 ~20 % slower
-    parts = np.concatenate(run_all(run, _shard_runs(workers), workers))
+    parts = np.concatenate(run_all(run, _shard_runs(worker_count())))
     total = np.zeros((3, 5))
     for part in parts:  # fixed-order reduction
         total = total + part
@@ -194,7 +185,8 @@ def ergodic_region(scheme: str, policy, params: FadingParams, n: int,
     # taken in units of _BIG**2; every finite one keeps its bits
     big = np.isinf(ss) & np.isfinite(mean)
     m, ss = np.where(big, mean / _BIG, mean), np.where(big, ss_big, ss)
-    var = np.maximum(ss / n - m * m, 0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf: a non-finite row
+        var = np.maximum(ss / n - m * m, 0.0)
     stderr = np.sqrt(var / n) * np.where(big, _BIG, 1.0)
     return MonteCarloEstimate(
         mean=RateTriple(*mean[:3]),
@@ -213,6 +205,11 @@ KIND_SCHEMES = {CONSTANT: SCHEMES, RUDIMENTARY: (SBA, ESA),
 # (in combined standard errors) of the over-budget fence
 DUAL_TOL = 0.02
 BUDGET_SIGMAS = 3.0
+
+
+def _point_seed(seed: int, *tags) -> int:
+    """A grid point's seed from the master seed and its integer tags."""
+    return int(np.random.SeedSequence((seed,) + tags).generate_state(1)[0])
 
 
 def grid_point(scheme: str, kind: str, params: FadingParams,

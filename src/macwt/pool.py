@@ -1,5 +1,5 @@
 """The process's one worker pool, shared by the Monte Carlo estimates and
-the dual searches.
+the dual searches, and the one place that reads the worker count.
 
 :func:`macwt.montecarlo.ergodic_region` runs its shard runs on it and
 :func:`macwt.powerctl.dual_search` its chunked policy evaluations, so no
@@ -16,42 +16,31 @@ from concurrent.futures import ThreadPoolExecutor, wait
 # threads in the pool at most, whatever MACWT_WORKERS asks for
 MAX_THREADS = 16
 
-_lock = threading.Lock()
 _local = threading.local()
-_shared = {"pool": None, "workers": 0}
 
 
-def worker_count(default: int = 1) -> int:
-    """Worker count from the MACWT_WORKERS environment variable."""
+def worker_count() -> int:
+    """MACWT_WORKERS (at least 1), or 1 if unset or not an integer."""
     try:
-        return max(1, int(os.environ.get("MACWT_WORKERS", default)))
+        return max(1, int(os.environ.get("MACWT_WORKERS", 1)))
     except ValueError:
-        return default
+        return 1
 
 
 def _mark_pool_thread():
     _local.in_pool = True
 
 
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """The shared pool, replaced by a larger one if it has fewer than
-    ``workers`` threads."""
-    with _lock:
-        if _shared["workers"] < workers:
-            if _shared["pool"] is not None:
-                _shared["pool"].shutdown(wait=False)
-            _shared["pool"] = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="macwt",
-                initializer=_mark_pool_thread)
-            _shared["workers"] = workers
-        return _shared["pool"]
+# never replaced: a thread starts only when a task finds none idle, and
+# stays, so a call's k tasks run on at most min(k, MAX_THREADS) threads
+_EXECUTOR = ThreadPoolExecutor(max_workers=MAX_THREADS,
+                               thread_name_prefix="macwt",
+                               initializer=_mark_pool_thread)
 
 
-def run_all(fn, items, workers: int) -> list:
+def run_all(fn, items) -> list:
     """``[fn(item) for item in items]``, on the shared pool when
-    ``workers > 1``, in item order.  The pool grows to the most threads
-    a call can use, ``min(workers, len(items), MAX_THREADS)``, and keeps
-    them.
+    :func:`worker_count` is above one, in item order.
 
     Every task finishes before this returns or raises; if several fail,
     the error of the lowest-numbered one is raised, the one a serial
@@ -59,9 +48,9 @@ def run_all(fn, items, workers: int) -> list:
     (where waiting on the pool could deadlock it), the items run inline.
     """
     items = list(items)
-    if workers <= 1 or len(items) <= 1 or getattr(_local, "in_pool", False):
+    if (worker_count() <= 1 or len(items) <= 1
+            or getattr(_local, "in_pool", False)):
         return [fn(item) for item in items]
-    pool = _pool(min(workers, len(items), MAX_THREADS))
-    futures = [pool.submit(fn, item) for item in items]
+    futures = [_EXECUTOR.submit(fn, item) for item in items]
     wait(futures)
     return [f.result() for f in futures]

@@ -54,7 +54,7 @@ import numpy as np
 
 from .channel import ChannelState, FadingParams, sample_batch
 from .pool import run_all, worker_count
-from .rates import PowerBudget, PowerDecision
+from .rates import ESA, ESA_CJ, GS_CJ, PowerBudget, PowerDecision
 
 RESIDUAL_TOL = 1e-9   # relative residual for accepting a common root
 CLAMP_TOL = 1e-9      # components in (-CLAMP_TOL, 0) are clamped to 0
@@ -668,13 +668,13 @@ def _dual_powers(scheme: str, sq, l1, l2):
     case trees run on the effective gains ``2 * sq``.
     """
     h1, h2, g1, g2 = sq
-    if scheme == "esa":
+    if scheme == ESA:
         p1, p2, case = esa_policy_batch(2 * h1, 2 * h2, 2 * g1, 2 * g2, l1, l2)
         z = np.zeros_like(p1)
         return p1, p2, z, z, case
-    if scheme == "esa_cj":
+    if scheme == ESA_CJ:
         return esa_cj_policy_batch(2 * h1, 2 * h2, 2 * g1, 2 * g2, l1, l2)
-    if scheme == "gs_cj":
+    if scheme == GS_CJ:
         return (*gs_cj_baseline_batch(h1, h2, g1, g2, l1, l2), None)
     raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -713,8 +713,7 @@ def _newton_step(jac, resid, free):
 
 
 def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
-                n: int, seed: int, tol: float = 0.01,
-                workers: int | None = None) -> DualSearchResult:
+                n: int, seed: int, tol: float = 0.01) -> DualSearchResult:
     """Multipliers that price ``scheme``'s dual policy into the budgets.
 
     Solves ``r(u) = log E[P(e^u)] - log pbar = 0`` jointly in
@@ -734,24 +733,21 @@ def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
     complementary slackness checked at one point.  Deterministic given
     the seed.
 
-    ``workers`` defaults to :func:`~macwt.pool.worker_count`.  At one
-    worker each evaluation is one policy call on the whole batch; with
-    more, the batch is cut into ``min(workers, n)`` contiguous chunks,
-    one policy call each on the process's shared pool
-    (:func:`~macwt.pool.run_all`), and their powers are put back in
-    batch order.  A state's powers do not depend on its batch, so every
-    sum, and the result, keeps its bits for any worker count; if several
-    chunks fail, the first chunk's error is raised, as a single call
-    would raise it.
+    At one worker (:func:`~macwt.pool.worker_count`) each evaluation is
+    one policy call on the whole batch; at ``w > 1`` workers the batch is
+    cut into ``min(w, n)`` contiguous chunks, one policy call each on the
+    process's shared pool (:func:`~macwt.pool.run_all`), and their
+    powers are put back in batch order.  A state's powers do not depend
+    on its batch, so every sum, and the result, keeps its bits for any
+    worker count; if several chunks fail, the first chunk's error is
+    raised, as a single call would raise it.
     """
     if not (budget.pbar1 > 0 and budget.pbar2 > 0):
         raise ValueError("budgets must be strictly positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sq = sample_batch(params, n, rng).sq()
     pbar = np.array([budget.pbar1, budget.pbar2])
-    if workers is None:
-        workers = worker_count()
-    chunks = max(1, min(workers, n))
+    chunks = max(1, min(worker_count(), n))
     cuts = [k * n // chunks for k in range(chunks + 1)]
     evals = 0
 
@@ -766,7 +762,7 @@ def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
             out[:, i] = _dual_powers(scheme, tuple(v[i] for v in sq),
                                      l1, l2)[:4]
 
-        run_all(chunk, range(len(cuts) - 1), workers)
+        run_all(chunk, range(len(cuts) - 1))
         return out
 
     def evaluate(lam):

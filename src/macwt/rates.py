@@ -20,6 +20,9 @@ import numpy as np
 
 from .channel import FadingParams, StateBatch, sample_batch
 
+# the scheme names every module dispatches on
+GS_CJ, SBA, ESA, ESA_CJ = SCHEMES = ("gs_cj", "sba", "esa", "esa_cj")
+
 LOG2 = math.log(2.0)
 # float64 elements per (rows, m_inner) block of the two-slot inner
 # expectation: each of its two block buffers stays within a core's L2 cache

@@ -149,13 +149,27 @@ def test_query_argument_combinations():
     ("figure2", "--seed", "-1"),
     ("figure1", "--scheme", "esa_cj"),  # selects none of the figure's rows
     ("dof", "--scheme", "esa_cj"),
+    # |h1|^2 overflows, and finite |h1|^2 whose effective gain overflows
+    ("query", "--scheme", "esa", "--state", "1e200,1,1,1",
+     "--duals", "0.1,0.1"),
+    ("query", "--scheme", "esa", "--state", "1.3e154,1,1,1",
+     "--duals", "0.1,0.1"),
+    # the jamming tree's powers come out NaN
+    ("query", "--scheme", "esa_cj", "--effective", "1e308,1,1,1",
+     "--duals", "0.1,0.1"),
+    # the case tree finds no common root at a subnormal multiplier
+    ("query", "--scheme", "esa", "--effective", "2,2,1,1",
+     "--duals", "1e-320,0.1"),
+    # rates that leave the float range
+    ("query", "--scheme", "esa", "--effective", "1e308,1e308,1,1",
+     "--powers", "1e308,1e308"),
 ])
 def test_malformed_input_fails_cleanly(tmp_path, args):
     out = tmp_path / "out.csv"
     extra = ("--out", str(out)) if args[0] != "query" else ()
     res = _run(*args, *extra)
-    # a usage error: non-zero exit, no traceback, nothing before the message
-    assert res.exit_code != 0
+    # a usage error: exit 1, no traceback, nothing before the message
+    assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit), res.exception
     assert res.output.startswith("Error: ")
     assert not out.exists()
@@ -307,8 +321,11 @@ def test_dof_non_finite_point_is_recorded(tmp_path, monkeypatch):
 
     monkeypatch.setattr(macwt.montecarlo, "sba_triple", overflowing)
     out = tmp_path / "dof.csv"
-    res = _run("dof", "--scheme", "sba", "--samples", "200",
-               "--powers", "1e100,1e200,1e300", "--out", str(out))
+    # the row's status says it: no warning from the moments either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = _run("dof", "--scheme", "sba", "--samples", "200",
+                   "--powers", "1e100,1e200,1e300", "--out", str(out))
     assert res.exit_code == 0, res.output
     assert "eta sba nan" in res.output.splitlines()
     rows = [row.split(",")

@@ -16,16 +16,25 @@ def _thread(item):
     return item, threading.current_thread().name
 
 
-def test_run_all_keeps_item_order_on_the_pool():
-    out = pool.run_all(_thread, range(7), workers=3)
+def test_run_all_keeps_item_order_on_the_pool(monkeypatch):
+    monkeypatch.setenv("MACWT_WORKERS", "3")
+    out = pool.run_all(_thread, range(7))
     assert [item for item, _ in out] == list(range(7))
     assert all(name.startswith("macwt") for _, name in out)
     main = threading.current_thread().name
-    assert pool.run_all(_thread, range(3), workers=1) == [
-        (k, main) for k in range(3)]
+    monkeypatch.setenv("MACWT_WORKERS", "1")
+    assert pool.run_all(_thread, range(3)) == [(k, main) for k in range(3)]
 
 
-def test_run_all_raises_the_first_failure_after_every_task():
+def test_run_all_uses_at_most_max_threads(monkeypatch):
+    monkeypatch.setenv("MACWT_WORKERS", "40")
+    out = pool.run_all(_thread, range(40))
+    assert [item for item, _ in out] == list(range(40))
+    assert len({name for _, name in out}) <= pool.MAX_THREADS
+
+
+def test_run_all_raises_the_first_failure_after_every_task(monkeypatch):
+    monkeypatch.setenv("MACWT_WORKERS", "2")
     done = []
 
     def task(k):
@@ -36,18 +45,20 @@ def test_run_all_raises_the_first_failure_after_every_task():
         done.append(k)
 
     with pytest.raises(ValueError, match="item 1"):
-        pool.run_all(task, range(5), workers=2)
+        pool.run_all(task, range(5))
     assert sorted(done) == [0, 2, 4]
 
 
-def test_run_all_in_a_pool_thread_runs_inline():
+def test_run_all_in_a_pool_thread_runs_inline(monkeypatch):
     # waiting on the pool from its own threads could deadlock it
+    monkeypatch.setenv("MACWT_WORKERS", "2")
+
     def outer(k):
-        return pool.run_all(_thread, [k, k + 10], workers=2)
+        return pool.run_all(_thread, [k, k + 10])
 
     out = []
     caller = threading.Thread(target=lambda: out.extend(
-        pool.run_all(outer, range(4), workers=2)), daemon=True)
+        pool.run_all(outer, range(4))), daemon=True)
     caller.start()
     caller.join(timeout=60)
     assert not caller.is_alive() and len(out) == 4
@@ -55,12 +66,17 @@ def test_run_all_in_a_pool_thread_runs_inline():
         assert a == b and a.startswith("macwt")
 
 
-def test_estimates_and_searches_share_one_pool():
-    ergodic_region(ESA, ConstantPolicy(1.0, 1.0), PARAMS, 2000, seed=1,
-                   workers=2)
-    shared = pool._shared["pool"]
-    dual_search(PARAMS, PowerBudget(5.0, 5.0), "gs_cj", 2000, seed=2,
-                workers=2)
-    ergodic_region(ESA, ConstantPolicy(1.0, 1.0), PARAMS, 2000, seed=1,
-                   workers=2)
-    assert shared is not None and pool._shared["pool"] is shared
+def test_estimates_and_searches_share_one_pool(monkeypatch):
+    # one executor for the process; a call that asks for more workers
+    # adds threads and keeps the ones already started
+    executor = pool._EXECUTOR
+    monkeypatch.setenv("MACWT_WORKERS", "2")
+    ergodic_region(ESA, ConstantPolicy(1.0, 1.0), PARAMS, 2000, seed=1)
+    started = set(executor._threads)
+    dual_search(PARAMS, PowerBudget(5.0, 5.0), "gs_cj", 2000, seed=2)
+    monkeypatch.setenv("MACWT_WORKERS", "4")
+    ergodic_region(ESA, ConstantPolicy(1.0, 1.0), PARAMS, 2000, seed=1)
+    assert pool._EXECUTOR is executor
+    assert started and started <= set(executor._threads)
+    assert all(t.is_alive() for t in started)
+    assert len(executor._threads) <= pool.MAX_THREADS

@@ -897,6 +897,39 @@ def test_trees_beat_a_dense_grid_at_multi_candidate_states(scheme, lam):
     assert not lost, lost
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 2 (one root solver): the x-resultant cubic is not "
+    "scale-invariant and loses common roots of some scaled states, so the "
+    "pick moves by up to 15.6 nats of Lagrangian; item 2 removes this mark")
+def test_trees_are_scale_equivariant():
+    # the Lagrangian at (c h, c g, c lambda) is the one at (h, g, lambda)
+    # with every power scaled by 1/c: c times the scaled state's powers
+    # are the state's own, on extreme gains and duals
+    n = 5000
+    rng = np.random.default_rng(2024)
+    gains = tuple(np.exp(rng.uniform(-6.0, 6.0, (4, n))))
+    args = (*gains, *(10.0 ** rng.uniform(-8.0, 1.0, (2, n))))
+    z = np.zeros(n)
+    trees = {"esa": lambda *a: esa_policy_batch(*a)[:2] + (z, z),
+             "esa_cj": lambda *a: esa_cj_policy_batch(*a)[:4]}
+    off = {}
+    with np.errstate(all="ignore"):
+        for name, tree in trees.items():
+            ref = tree(*args)
+            for c in (1e-3, 1e3, 1e6):
+                got = tree(*(c * v for v in args))
+                bad = np.zeros(n, dtype=bool)
+                for p, q in zip(ref, got):
+                    bad |= ~(np.abs(c * q - p) <= 1e-12 * np.abs(p))
+                if bad.any():
+                    moved = np.abs(lagrangian_cj_batch(*args, *ref)
+                                   - lagrangian_cj_batch(
+                                       *args, *(c * q for q in got)))
+                    off[name, c] = (int(bad.sum()), float(moved[bad].max()))
+    assert not off, off
+
+
 def test_grid_oracle_basics():
     s = EffectiveState(0.4, 0.4, 0.5, 0.5)
     duals = DualVars(0.5, 0.5)
@@ -1001,7 +1034,8 @@ def test_pooled_dual_search_is_byte_identical(scheme, monkeypatch):
     # more workers cut the frozen batch into one contiguous chunk each, on
     # the shared pool; every result field keeps the one-worker bits
     budget = PowerBudget(30.0, 10.0)
-    ref = dual_search(PARAMS, budget, scheme, 3001, seed=32, workers=1)
+    monkeypatch.setenv("MACWT_WORKERS", "1")
+    ref = dual_search(PARAMS, budget, scheme, 3001, seed=32)
     sizes, real = [], powerctl._dual_powers
 
     def counted(scheme, sq, l1, l2):
@@ -1014,8 +1048,8 @@ def test_pooled_dual_search_is_byte_identical(scheme, monkeypatch):
     try:
         for workers in (2, 3, 5):
             sizes.clear()
-            res = dual_search(PARAMS, budget, scheme, 3001, seed=32,
-                              workers=workers)
+            monkeypatch.setenv("MACWT_WORKERS", str(workers))
+            res = dual_search(PARAMS, budget, scheme, 3001, seed=32)
             assert repr(res) == repr(ref)
             assert sorted(sizes) == sorted(
                 [3001 * (k + 1) // workers - 3001 * k // workers
@@ -1045,14 +1079,14 @@ def test_pooled_dual_search_raises_the_serial_error(monkeypatch):
 
     for bad in ([700, 1150], [5, 1100], [1199]):
         monkeypatch.setattr(powerctl, "_dual_powers", failing(bad))
+        monkeypatch.setenv("MACWT_WORKERS", "1")
         with pytest.raises(CaseSolverError) as serial:
-            dual_search(PARAMS, PowerBudget(10.0, 10.0), "esa", n, seed,
-                        workers=1)
+            dual_search(PARAMS, PowerBudget(10.0, 10.0), "esa", n, seed)
         assert repr(h1[bad[0]]) in str(serial.value)
         for workers in (2, 3, 5):
+            monkeypatch.setenv("MACWT_WORKERS", str(workers))
             with pytest.raises(CaseSolverError) as pooled:
-                dual_search(PARAMS, PowerBudget(10.0, 10.0), "esa", n, seed,
-                            workers=workers)
+                dual_search(PARAMS, PowerBudget(10.0, 10.0), "esa", n, seed)
             assert str(pooled.value) == str(serial.value)
 
 

@@ -490,22 +490,24 @@ def test_ergodic_region_stderr_scaling():
 WORKERS = (2, 3, 4, 5, 16, 20)
 
 
-def test_ergodic_region_worker_invariance():
+def test_ergodic_region_worker_invariance(monkeypatch):
     policy = RudimentaryEsaPolicy(PowerBudget(4.0, 4.0))
-    base = ergodic_region(ESA, policy, PARAMS, 10_000, seed=7, workers=1)
+    monkeypatch.setenv("MACWT_WORKERS", "1")
+    base = ergodic_region(ESA, policy, PARAMS, 10_000, seed=7)
     for workers in WORKERS:
-        est = ergodic_region(ESA, policy, PARAMS, 10_000, seed=7,
-                             workers=workers)
+        monkeypatch.setenv("MACWT_WORKERS", str(workers))
+        est = ergodic_region(ESA, policy, PARAMS, 10_000, seed=7)
         assert est == base  # byte-identical reduction order
 
 
-def test_ergodic_region_sba_worker_invariance():
+def test_ergodic_region_sba_worker_invariance(monkeypatch):
     policy = RudimentarySbaPolicy(PowerBudget(4.0, 4.0), PARAMS,
                                   m_inner=200, seed=9)
-    base = ergodic_region(SBA, policy, PARAMS, 4000, seed=7, workers=1)
+    monkeypatch.setenv("MACWT_WORKERS", "1")
+    base = ergodic_region(SBA, policy, PARAMS, 4000, seed=7)
     for workers in WORKERS:
-        est = ergodic_region(SBA, policy, PARAMS, 4000, seed=7,
-                             workers=workers)
+        monkeypatch.setenv("MACWT_WORKERS", str(workers))
+        est = ergodic_region(SBA, policy, PARAMS, 4000, seed=7)
         assert est == base  # shards share the policy's even-slot vectors
 
 
@@ -517,18 +519,20 @@ def test_ergodic_region_sba_worker_invariance():
     (GS_CJ, ConstantPolicy(2.0, 3.0, 0.5, 0.25)),
 ], ids=["dual-esa", "dual-esa_cj", "dual-gs_cj", "constant-esa",
         "constant-gs_cj"])
-def test_ergodic_region_policy_worker_invariance(scheme, policy):
+def test_ergodic_region_policy_worker_invariance(scheme, policy,
+                                                 monkeypatch):
     # a worker's run of shards goes through one policy call: the case
     # trees and the rate kernels must give every row the bits it gets in
     # a shard of its own
-    base = ergodic_region(scheme, policy, PARAMS, 5000, seed=21, workers=1)
+    monkeypatch.setenv("MACWT_WORKERS", "1")
+    base = ergodic_region(scheme, policy, PARAMS, 5000, seed=21)
     assert math.isfinite(base.mean.rsum)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
     try:
         for workers in WORKERS:
-            est = ergodic_region(scheme, policy, PARAMS, 5000, seed=21,
-                                 workers=workers)
+            monkeypatch.setenv("MACWT_WORKERS", str(workers))
+            est = ergodic_region(scheme, policy, PARAMS, 5000, seed=21)
             assert est == base
     finally:
         sys.setswitchinterval(interval)
@@ -537,7 +541,7 @@ def test_ergodic_region_policy_worker_invariance(scheme, policy):
 @pytest.mark.parametrize("workers, runs", [
     (1, [1] * 16), (2, [8, 8]), (3, [5, 5, 6]), (5, [3, 3, 3, 3, 4]),
     (16, [1] * 16), (20, [1] * 16)])
-def test_ergodic_region_one_policy_call_per_run(workers, runs):
+def test_ergodic_region_one_policy_call_per_run(workers, runs, monkeypatch):
     # one call per shard on the serial path, one per worker otherwise
     sizes = []
 
@@ -546,8 +550,8 @@ def test_ergodic_region_one_policy_call_per_run(workers, runs):
             sizes.append(len(batch))  # list.append is atomic under the GIL
             return super().decide_batch(batch)
 
-    ergodic_region(ESA, Counting(1.0, 1.0), PARAMS, 1600, seed=3,
-                   workers=workers)
+    monkeypatch.setenv("MACWT_WORKERS", str(workers))
+    ergodic_region(ESA, Counting(1.0, 1.0), PARAMS, 1600, seed=3)
     assert sorted(sizes) == sorted(100 * k for k in runs)
 
 
@@ -577,7 +581,7 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("MACWT_WORKERS", "3")
     assert worker_count() == 3
     monkeypatch.setenv("MACWT_WORKERS", "garbage")
-    assert worker_count(default=2) == 2
+    assert worker_count() == 1
     monkeypatch.delenv("MACWT_WORKERS")
     assert worker_count() == 1
 
