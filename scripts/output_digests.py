@@ -7,17 +7,15 @@ Runs ``macwt figure1``, ``macwt figure2`` and ``macwt dof`` for one config
 config's seed if not given) and each ``MACWT_WORKERS`` value, each command
 in a fresh process, and prints one digest per (CSV, seed, worker count).
 Exits with status 1 if some CSV's digest at a seed differs between worker
-counts.  With ``--expect FILE``, the saved output of an earlier run (of
-another checkout, say), it also exits with status 1 if a printed digest
-line differs from the line of the same CSV, seed and worker count in
-FILE, or FILE has no such line.  So a change keeps every CSV
-byte-identical to its parent if, with the parent checked out,
+counts.  The same arguments print the same lines in the same order, so
+a change keeps every CSV byte-identical to its parent if one run with
+each checked out,
 
     PYTHONPATH=src python scripts/output_digests.py --workers 1,2,4 \
         --seeds 12345,901,902,903,904,905,906,907,908,909 > parent.txt
 
-and then, with the change checked out, the same command with
-``--expect parent.txt`` added exits with status 0.
+(``> change.txt`` for the change), gives files that
+``diff parent.txt change.txt`` finds equal.
 """
 
 import argparse
@@ -53,17 +51,6 @@ def digests(config, seeds, workers, out_dir):
     return out
 
 
-def _saved(path):
-    """``{line less its digest: digest}`` of the digest lines in a saved
-    run's output."""
-    out = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        fields = line.split()
-        if len(fields) > 1 and len(fields[-1]) == 64:
-            out[" ".join(fields[:-1])] = fields[-1]
-    return out
-
-
 def _ints(text):
     return [int(v) for v in text.split(",") if v.strip()]
 
@@ -76,32 +63,20 @@ def main():
     ap.add_argument("--seeds", default=None,
                     help="comma-separated --seed values (default: the "
                          "config's seed)")
-    ap.add_argument("--expect", default=None, metavar="FILE",
-                    help="saved output of an earlier run; exit 1 if a "
-                         "digest differs from it")
     args = ap.parse_args()
-    expect = _saved(args.expect) if args.expect else None
     workers = _ints(args.workers)
     seeds = _ints(args.seeds) if args.seeds else [None]
     with tempfile.TemporaryDirectory() as tmp:
         got = digests(args.config, seeds, workers, tmp)
-    same, changed = True, []
+    same = True
     for cmd in COMMANDS:
         for seed in seeds:
             tag = "" if seed is None else f" seed={seed}"
             for w in workers:
-                key = f"{cmd}.csv{tag} workers={w}"
-                print(f"{key} {got[cmd, seed, w]}")
-                if expect is not None and expect.get(key) != got[cmd, seed, w]:
-                    changed.append(key)
+                print(f"{cmd}.csv{tag} workers={w} {got[cmd, seed, w]}")
             same &= len({got[cmd, seed, w] for w in workers}) == 1
     print("identical across workers" if same else "DIFFER across workers")
-    if expect is not None:
-        for key in changed:
-            print(f"DIFFERS from {args.expect}: {key}")
-        print(f"identical to {args.expect}" if not changed else
-              f"{len(changed)} DIFFER from {args.expect}")
-    return 0 if same and not changed else 1
+    return 0 if same else 1
 
 
 if __name__ == "__main__":

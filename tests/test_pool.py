@@ -1,15 +1,15 @@
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from macwt import pool
-from macwt.channel import FadingParams
-from macwt.montecarlo import ESA, ergodic_region
-from macwt.powerctl import dual_search
-from macwt.rates import ConstantPolicy, PowerBudget
 
-PARAMS = FadingParams.symmetric(1.0, 0.75)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _thread(item):
@@ -21,16 +21,13 @@ def test_run_all_keeps_item_order_on_the_pool(monkeypatch):
     out = pool.run_all(_thread, range(7))
     assert [item for item, _ in out] == list(range(7))
     assert all(name.startswith("macwt") for _, name in out)
-    main = threading.current_thread().name
-    monkeypatch.setenv("MACWT_WORKERS", "1")
-    assert pool.run_all(_thread, range(3)) == [(k, main) for k in range(3)]
-
-
-def test_run_all_uses_at_most_max_threads(monkeypatch):
     monkeypatch.setenv("MACWT_WORKERS", "40")
     out = pool.run_all(_thread, range(40))
     assert [item for item, _ in out] == list(range(40))
     assert len({name for _, name in out}) <= pool.MAX_THREADS
+    main = threading.current_thread().name
+    monkeypatch.setenv("MACWT_WORKERS", "1")
+    assert pool.run_all(_thread, range(3)) == [(k, main) for k in range(3)]
 
 
 def test_run_all_raises_the_first_failure_after_every_task(monkeypatch):
@@ -66,17 +63,34 @@ def test_run_all_in_a_pool_thread_runs_inline(monkeypatch):
         assert a == b and a.startswith("macwt")
 
 
-def test_estimates_and_searches_share_one_pool(monkeypatch):
-    # one executor for the process; a call that asks for more workers
-    # adds threads and keeps the ones already started
-    executor = pool._EXECUTOR
-    monkeypatch.setenv("MACWT_WORKERS", "2")
-    ergodic_region(ESA, ConstantPolicy(1.0, 1.0), PARAMS, 2000, seed=1)
-    started = set(executor._threads)
-    dual_search(PARAMS, PowerBudget(5.0, 5.0), "gs_cj", 2000, seed=2)
-    monkeypatch.setenv("MACWT_WORKERS", "4")
-    ergodic_region(ESA, ConstantPolicy(1.0, 1.0), PARAMS, 2000, seed=1)
-    assert pool._EXECUTOR is executor
-    assert started and started <= set(executor._threads)
-    assert all(t.is_alive() for t in started)
-    assert len(executor._threads) <= pool.MAX_THREADS
+# a fresh process, so that the pool starts with no threads
+SHARE_ONE_POOL = """
+import os, threading
+from macwt.channel import FadingParams
+from macwt.montecarlo import ESA, ergodic_region
+from macwt.powerctl import dual_search
+from macwt.rates import ConstantPolicy, PowerBudget
+
+def pool_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("macwt")}
+
+params = FadingParams.symmetric(1.0, 0.75)
+os.environ["MACWT_WORKERS"] = "2"
+ergodic_region(ESA, ConstantPolicy(1.0, 1.0), params, 2000, seed=1)
+started = pool_threads()
+dual_search(params, PowerBudget(5.0, 5.0), "gs_cj", 2000, seed=2)
+os.environ["MACWT_WORKERS"] = "4"
+ergodic_region(ESA, ConstantPolicy(1.0, 1.0), params, 2000, seed=1)
+assert started, "no pool thread at 2 workers"
+assert started <= pool_threads(), "a call at 4 workers replaced the pool"
+"""
+
+
+def test_estimates_and_searches_share_one_pool():
+    # the threads an estimate starts at 2 workers are still the pool's
+    # after a search and an estimate at 4: nothing shuts the pool down
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", SHARE_ONE_POOL], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
