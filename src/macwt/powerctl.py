@@ -71,7 +71,8 @@ class RootSolveError(RuntimeError):
 
 
 class CaseSolverError(RuntimeError):
-    """A case that guarantees a positive common root failed to produce one."""
+    """A case that guarantees a positive common root failed to produce
+    one, or a state's candidates could not be ranked."""
 
 
 @dataclass(frozen=True)
@@ -375,7 +376,10 @@ def _best_by_lagrangian(args, x, y, ok):
     earliest column, so copies of one root a few ulps apart pick the same
     column in any summation order.  Only rows with a choice (two or more
     ``ok`` columns) are ranked, at their ``ok`` cells; a row with one
-    ``ok`` column takes it, as the ranking would.
+    ``ok`` column takes it, as the ranking would.  A ranked row whose
+    largest value is not finite (a gain so large that the Lagrangian
+    overflows) raises :class:`CaseSolverError`: no column can be told
+    best there.
     """
     pick = np.argmax(ok, axis=1)
     rows = np.flatnonzero(np.count_nonzero(ok, axis=1) > 1)
@@ -386,6 +390,12 @@ def _best_by_lagrangian(args, x, y, ok):
     L[r, c] = _lagrangian_vals(*(v[rr, c] if v.ndim == 2 else v[rr]
                                  for v in args), x[rr, c], y[rr, c])
     top = L.max(axis=1, keepdims=True)
+    bad = ~np.isfinite(top[:, 0])
+    if bad.any():
+        j = rows[np.flatnonzero(bad)[0]]
+        raise CaseSolverError(
+            "the candidates' Lagrangian is not finite "
+            f"(row {j}: {[float(v[j].flat[0]) for v in args]})")
     near = L >= top - 1e-12 * np.maximum(1.0, np.abs(top))
     pick[rows] = np.argmax(ok & near, axis=1)
     return pick
@@ -447,6 +457,11 @@ def _common_root_batch(h1, h2, g1, g2, l1, l2):
     """
     priced_out = (h1 <= l1) | (h2 <= l2)
     rows = np.flatnonzero(~(priced_out | _root_free(h1, h2, g1, g2, l1, l2)))
+    shape = (h1.shape[0], 3 + len(_FALLBACK_STARTS))
+    xy = np.full((2, *shape), np.nan)
+    found = np.zeros(shape, dtype=bool)
+    if rows.size == 0:
+        return xy[0], xy[1], found
     args = tuple(v[rows] for v in (h1, h2, g1, g2, l1, l2))
     x, y, ok = _positive_roots_batch(*args)
     a, b = np.array(_FALLBACK_STARTS).T
@@ -454,9 +469,6 @@ def _common_root_batch(h1, h2, g1, g2, l1, l2):
     lam1, lam2 = args[4][:, None], args[5][:, None]
     xf, yf, hit = _polish_starts(args, np.where(none, a / lam1, np.nan),
                                  b / lam2)
-    shape = (h1.shape[0], 3 + a.size)
-    xy = np.full((2, *shape), np.nan)
-    found = np.zeros(shape, dtype=bool)
     xy[0, rows], xy[1, rows] = np.hstack((x, xf)), np.hstack((y, yf))
     found[rows] = np.hstack((ok, hit))
     return xy[0], xy[1], found
@@ -613,6 +625,36 @@ def esa_cj_case_label(s: EffectiveState, duals: DualVars) -> str:
 # Baseline single-slot policy (structural form only)
 # ---------------------------------------------------------------------------
 
+def _strong_user_root(h, g, lam):
+    """Per state, :func:`_closed_form_root` of the larger of ``(h, g)``
+    against the smaller, and where their gap exceeds ``lam``.
+
+    One whole-array pass, in place on two fresh arrays: every row goes
+    through the formula, whatever its gap, and the water-filling limit is
+    taken only if some smaller gain is 0.  Each element sees the closed
+    form's operations in its order, so a row's bits are those the formula
+    gives it alone.
+    """
+    hi = np.maximum(h, g, out=np.empty(h.shape))
+    r = np.minimum(h, g, out=np.empty(h.shape))
+    on = hi - r > lam
+    wf = r == 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_hi = np.divide(1.0, hi, out=hi)
+        np.divide(1.0, r, out=r)
+        r -= inv_hi  # t = 1/g - 1/h
+        r *= lam
+        np.divide(4.0, r, out=r)
+        r += 1.0
+        np.sqrt(r, out=r)
+        r += 1.0
+        np.divide(np.divide(2.0, lam), r, out=r)
+        r -= inv_hi
+        if wf.any():
+            np.copyto(r, np.divide(1.0, lam) - inv_hi, where=wf)
+    return r, on
+
+
 def gs_cj_baseline_batch(h1, h2, g1, g2, l1, l2):
     """Structural baseline on raw squared gains.
 
@@ -622,26 +664,22 @@ def gs_cj_baseline_batch(h1, h2, g1, g2, l1, l2):
     use the mirrored root (eavesdropper gain in the transmit slot).  This
     is an explicit approximation: only the structural zero pattern is
     normative.
+
+    Each user's one closed form, on the pair ``(max(h, g), min(h, g))``
+    where the gap exceeds its dual (:func:`_strong_user_root`), is its
+    transmit power where ``h > g``, or its jamming power where ``h <= g``
+    and the partner's ``h > g``.  ``l1`` and ``l2`` are scalars or
+    per-row arrays.
     """
     h1, h2, g1, g2 = (np.asarray(a, dtype=float) for a in (h1, h2, g1, g2))
-    # scalar duals stay scalar: the closed forms take them without a gather
-    l1, l2 = (np.broadcast_to(np.asarray(lam, dtype=float), h1.shape)
-              if np.ndim(lam) else float(lam) for lam in (l1, l2))
-
     s1 = h1 > g1  # user-1 receiver beats its eavesdropper gain
     s2 = h2 > g2
-    a1 = s1 & (h1 - g1 > l1)
-    a2 = s2 & (h2 - g2 > l2)
-    j1 = ~s1 & (g1 - h1 > l1)
-    j2 = ~s2 & (g2 - h2 > l2)
-
-    d1 = s1 & s2
-    d2 = s1 & ~s2
-    d3 = ~s1 & s2
-    p1 = _closed_form_where((d1 | d2) & a1, h1, g1, l1)
-    p2 = _closed_form_where((d1 | d3) & a2, h2, g2, l2)
-    q1 = _closed_form_where(d3 & j1, g1, h1, l1)
-    q2 = _closed_form_where(d2 & j2, g2, h2, l2)
+    p1, on1 = _strong_user_root(h1, g1, np.asarray(l1, dtype=float))
+    p2, on2 = _strong_user_root(h2, g2, np.asarray(l2, dtype=float))
+    q1 = np.where(s2 & ~s1 & on1, p1, 0.0)
+    q2 = np.where(s1 & ~s2 & on2, p2, 0.0)
+    np.copyto(p1, 0.0, where=~(s1 & on1))
+    np.copyto(p2, 0.0, where=~(s2 & on2))
     return p1, p2, q1, q2
 
 

@@ -27,10 +27,11 @@ LOG2 = math.log(2.0)
 # float64 elements per (rows, m_inner) block of the two-slot inner
 # expectation: each of its two block buffers stays within a core's L2 cache
 SBA_BLOCK_ELEMS = 1 << 15
-# the on/off rule's screen: states per chunk, float64 elements per block of
-# its table build (both keep its temporaries to a few tens of KiB), and its
-# tables' grid of SCREEN_GRID points z_k = e^(k SCREEN_STEP)
-SCREEN_ROWS = 512
+# the on/off rule's screen: states per chunk (its temporaries take 32 KiB
+# each; fewer chunks, fewer numpy calls under the GIL), float64 elements per
+# block of its table build, and its tables' grid of at most SCREEN_GRID
+# points z_k = e^(k SCREEN_STEP)
+SCREEN_ROWS = 4096
 SCREEN_TABLE_ELEMS = 4096
 SCREEN_STEP = 0.05
 SCREEN_GRID = 700
@@ -125,13 +126,16 @@ def _ln_num_scaled(A1, A2, Dsq, p1, p2):
 
 def esa_triple(h1, h2, g1, g2, p1, p2):
     """Repetition at the matched partner state (orthogonal receiver MAC)."""
-    r1 = 0.5 * (_log2p1(2.0 * h1 * p1)
-                - _log2p1(2.0 * g1 * p1 / (1.0 + 2.0 * g2 * p2)))
-    r2 = 0.5 * (_log2p1(2.0 * h2 * p2)
-                - _log2p1(2.0 * g2 * p2 / (1.0 + 2.0 * g1 * p1)))
-    rsum = 0.5 * (_log2p1(2.0 * h1 * p1) + _log2p1(2.0 * h2 * p2)
-                  - _log2p1(2.0 * (g1 * p1 + g2 * p2)))
-    return r1, r2, rsum
+    x1, x2 = _log2p1(2.0 * h1 * p1), _log2p1(2.0 * h2 * p2)
+    r1 = 0.5 * (x1 - _log2p1(2.0 * g1 * p1 / (1.0 + 2.0 * g2 * p2)))
+    r2 = 0.5 * (x2 - _log2p1(2.0 * g2 * p2 / (1.0 + 2.0 * g1 * p1)))
+    return r1, r2, _esa_sum(x1, x2, g1, g2, p1, p2)
+
+
+def _esa_sum(x1, x2, g1, g2, p1, p2):
+    """:func:`esa_triple`'s sum rate from its receiver terms
+    ``x_k = log2(1 + 2 h_k p_k)``."""
+    return 0.5 * (x1 + x2 - _log2p1(2.0 * (g1 * p1 + g2 * p2)))
 
 
 def esa_general_triple(h1, h2, g1, g2, theta, omega, p1, p2):
@@ -150,16 +154,14 @@ def esa_general_triple(h1, h2, g1, g2, theta, omega, p1, p2):
 
 def esa_cj_triple(h1, h2, g1, g2, p1, p2, q1, q2):
     """Partner-state repetition with cooperative jamming."""
-    r1 = 0.5 * (_log2p1(2.0 * h1 * p1 / (1.0 + 2.0 * h1 * q1))
-                - _log2p1(2.0 * g1 * p1
-                          / (1.0 + 2.0 * g1 * q1 + 2.0 * g2 * (p2 + q2))))
-    r2 = 0.5 * (_log2p1(2.0 * h2 * p2 / (1.0 + 2.0 * h2 * q2))
-                - _log2p1(2.0 * g2 * p2
-                          / (1.0 + 2.0 * g1 * (p1 + q1) + 2.0 * g2 * q2)))
-    rsum = 0.5 * (_log2p1(2.0 * h1 * p1 / (1.0 + 2.0 * h1 * q1))
-                  + _log2p1(2.0 * h2 * p2 / (1.0 + 2.0 * h2 * q2))
-                  - _log2p1(2.0 * (g1 * p1 + g2 * p2)
-                            / (1.0 + 2.0 * (g1 * q1 + g2 * q2))))
+    x1 = _log2p1(2.0 * h1 * p1 / (1.0 + 2.0 * h1 * q1))
+    x2 = _log2p1(2.0 * h2 * p2 / (1.0 + 2.0 * h2 * q2))
+    r1 = 0.5 * (x1 - _log2p1(2.0 * g1 * p1
+                             / (1.0 + 2.0 * g1 * q1 + 2.0 * g2 * (p2 + q2))))
+    r2 = 0.5 * (x2 - _log2p1(2.0 * g2 * p2
+                             / (1.0 + 2.0 * g1 * (p1 + q1) + 2.0 * g2 * q2)))
+    rsum = 0.5 * (x1 + x2 - _log2p1(2.0 * (g1 * p1 + g2 * p2)
+                                    / (1.0 + 2.0 * (g1 * q1 + g2 * q2))))
     return r1, r2, rsum
 
 
@@ -188,10 +190,10 @@ class RudimentaryEsaPolicy:
 
     def decide_batch(self, batch: StateBatch):
         h1, h2, g1, g2 = batch.sq()
-        _, _, rsum = esa_triple(h1, h2, g1, g2, self.budget.pbar1, self.budget.pbar2)
-        on = rsum >= 0.0
-        return (np.where(on, self.budget.pbar1, 0.0),
-                np.where(on, self.budget.pbar2, 0.0),
+        p1, p2 = self.budget.pbar1, self.budget.pbar2
+        on = _esa_sum(_log2p1(2.0 * h1 * p1), _log2p1(2.0 * h2 * p2),
+                      g1, g2, p1, p2) >= 0.0
+        return (np.where(on, p1, 0.0), np.where(on, p2, 0.0),
                 np.zeros(len(batch)), np.zeros(len(batch)))
 
 
@@ -223,11 +225,9 @@ def _pp_dsq(odd, even, out):
     return np.einsum("ki,kj->ij", odd, even, out=out)
 
 
-def _mean_log_table(v, out):
-    """mean_j ln(z_k + v_j) at each point z_k of the screen's grid, into
-    ``out``, in blocks of at most ``SCREEN_TABLE_ELEMS`` floats (or one
-    grid point)."""
-    z = _SCREEN_Z
+def _mean_log_table(z, v, out):
+    """mean_j ln(z_k + v_j) at each grid point z_k, into ``out``, in
+    blocks of at most ``SCREEN_TABLE_ELEMS`` floats (or one grid point)."""
     rows = max(1, SCREEN_TABLE_ELEMS // v.size)
     buf = np.empty((min(rows, z.size), v.size))
     for lo in range(0, z.size, rows):
@@ -277,13 +277,20 @@ class RudimentarySbaPolicy:
         # (w = conj v), beta - eve and eve
         self._even = (np.stack([pp * b1, pp * b2, -2.0 * pp * w.real,
                                 -2.0 * pp * w.imag]), beta - eve, eve)
-        # the screen's tables F and G, each with +inf past the grid's end,
-        # in one allocation, and its inner means (correctly rounded sums)
-        fg = np.empty((2, SCREEN_GRID + 1))
+        # the screen's grid, up to e^2 past the largest A or C the inner
+        # sample reaches (the whole grid if that is not finite), then NaN;
+        # its tables F and G, each with +inf past the grid's end, in one
+        # allocation; and its inner means (correctly rounded sums)
+        reach = np.log1p(np.maximum(beta.max(), eve.max())) + 2.0
+        top = SCREEN_GRID
+        if reach < SCREEN_GRID * SCREEN_STEP:  # False for NaN
+            top = math.ceil(reach / SCREEN_STEP)
+        z = np.append(_SCREEN_Z[:top], np.nan)
+        fg = np.empty((2, top + 1))
         fg[:, -1] = np.inf
-        _mean_log_table(beta, out=fg[0, :-1])
-        _mean_log_table(eve, out=fg[1, :-1])
-        self._screen_tables = (fg, math.fsum(beta) / m_inner,
+        _mean_log_table(z[:-1], beta, out=fg[0, :-1])
+        _mean_log_table(z[:-1], eve, out=fg[1, :-1])
+        self._screen_tables = (z, fg, math.fsum(beta) / m_inner,
                                math.fsum(eve) / m_inner,
                                [math.fsum(t) / m_inner for t in self._even[0]])
 
@@ -306,8 +313,15 @@ class RudimentarySbaPolicy:
         F(z) = mean_j ln(z + B_j) and G(z) = mean_j ln(z + E_j) increase
         in z and are tabulated once on the grid z_k = e^(k SCREEN_STEP),
         so a table entry at a grid point at or below (above) the argument
-        bounds them from below (above).  Dropping D >= 0 and Jensen's
-        inequality on the denominator give
+        bounds them from below (above).  The grid stops e^2 past the
+        largest A or C of the inner sample (which has the states' law).
+        Past its top, the top entries bound F and G from below and +inf
+        bounds G from above (leaving Jensen's bound below): valid but
+        looser bounds, so such a state more often takes the exact mean.
+        One search on C gives both of its grid points: the first at or
+        above C, k, and the last at or below it, k - 1, or k itself where
+        z_k == C.  Dropping D >= 0 and Jensen's inequality on the
+        denominator give
         L = F(z <= A) - min(G(z >= C), ln(C + mean E)); Jensen on the
         numerator, with mean_j D_ij the odd factor times the even
         factor's means (the product is separable), gives
@@ -327,8 +341,8 @@ class RudimentarySbaPolicy:
         do the tables' entries.  Anything not finite leaves its state
         open.
         """
-        z = _SCREEN_Z
-        (F, G), b_mean, e_mean, ebar = self._screen_tables
+        z_pad, (F, G), b_mean, e_mean, ebar = self._screen_tables
+        z = z_pad[:-1]
         m = self._even[2].size
         n = a1.size
         on, off = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
@@ -340,10 +354,13 @@ class RudimentarySbaPolicy:
                       + ebar[2] * u[i].real + ebar[3] * u[i].imag)
             ln_num = np.log(A + b_mean + np.maximum(d_mean, 0.0))
             ln_den = np.log(C + e_mean)
+            # the grid points at or above C (k) and at or below it (k - 1,
+            # or k where z_k == C; z_pad's NaN past the top equals nothing)
+            k = np.searchsorted(z, C)
             L = (F[np.searchsorted(z, A, "right") - 1]
-                 - np.minimum(G[np.searchsorted(z, C)], ln_den))
-            U = ln_num - np.maximum(G[np.searchsorted(z, C, "right") - 1],
-                                    np.log(C))
+                 - np.minimum(G[k], ln_den))
+            k -= z_pad[k] != C
+            U = ln_num - np.maximum(G[k], np.log(C))
             tau = 64.0 * _EPS * (1.0 + (C + e_mean) / A
                                  + np.minimum(A, b_mean)
                                  + (m + 1) * (ln_num + ln_den + SCREEN_STEP))

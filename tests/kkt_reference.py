@@ -1,11 +1,13 @@
 """Per-state references the tests hold the KKT case trees against
 (acceptance criterion 5): scalar closed forms and common roots, every
-KKT-valid decision of one state, per-state Lagrangians, a grid oracle."""
+KKT-valid decision of one state, per-state Lagrangians, a grid oracle;
+and the masked form of the structural ``gs_cj`` baseline."""
 
 import numpy as np
 
 from macwt.powerctl import (DualVars, EffectiveState, _best_by_lagrangian,
-                            _closed_form_root, _common_root_batch,
+                            _closed_form_root, _closed_form_where,
+                            _common_root_batch,
                             _lagrangian_vals, _positive_roots_batch,
                             _state_row)
 from macwt.rates import PowerDecision
@@ -18,6 +20,25 @@ def closed_form(h, g, lam) -> float:
         raise ValueError(f"closed form needs h > g and lam > 0 "
                          f"(h={h}, g={g}, lam={lam})")
     return float(_closed_form_root(h, g, lam))
+
+
+def gs_cj_baseline_masked(h1, h2, g1, g2, l1, l2):
+    """:func:`~macwt.powerctl.gs_cj_baseline_batch` as four masked
+    closed forms, one per region and role, each only on its own rows:
+    the reference the whole-array pass must match bit for bit."""
+    h1, h2, g1, g2 = (np.asarray(a, dtype=float) for a in (h1, h2, g1, g2))
+    l1, l2 = (np.broadcast_to(np.asarray(lam, dtype=float), h1.shape)
+              if np.ndim(lam) else float(lam) for lam in (l1, l2))
+    s1, s2 = h1 > g1, h2 > g2
+    a1 = s1 & (h1 - g1 > l1)
+    a2 = s2 & (h2 - g2 > l2)
+    j1 = ~s1 & (g1 - h1 > l1)
+    j2 = ~s2 & (g2 - h2 > l2)
+    d1, d2, d3 = s1 & s2, s1 & ~s2, ~s1 & s2
+    return (_closed_form_where((d1 | d2) & a1, h1, g1, l1),
+            _closed_form_where((d1 | d3) & a2, h2, g2, l2),
+            _closed_form_where(d3 & j1, g1, h1, l1),
+            _closed_form_where(d2 & j2, g2, h2, l2))
 
 
 def _system_gains(which, s: EffectiveState) -> EffectiveState:

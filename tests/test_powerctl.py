@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kkt_reference import (best_common_root, closed_form, cj_modes,
                            common_root, full_pick, grid_oracle,
+                           gs_cj_baseline_masked,
                            lagrangian_cj_batch,
                            lagrangian_esa, lagrangian_esa_cj,
                            stationary_candidates)
@@ -134,6 +135,41 @@ def test_symmetric_common_root():
 def test_common_root_none_when_price_too_high():
     s = EffectiveState(1.0, 1.0, 0.5, 0.5)
     assert common_root("esa", s, DualVars(2.0, 2.0)) is None
+
+
+def test_common_root_batch_returns_at_once_without_open_rows(
+        rng, monkeypatch):
+    # at lambda = 10 every row of these gains is class A (h <= l): no row
+    # is open, so the solver never runs and every column is empty
+    h1, h2, g1, g2 = (rng.uniform(0.0, 10.0, 2000) for _ in range(4))
+    l1 = l2 = np.full(2000, 10.0)
+
+    def solver(*args):
+        raise AssertionError("the root solver ran on a batch without "
+                             "open rows")
+
+    monkeypatch.setattr(powerctl, "_positive_roots_batch", solver)
+    x, y, ok = _common_root_batch(h1, h2, g1, g2, l1, l2)
+    assert x.shape == y.shape == ok.shape == (2000, 8)
+    assert np.isnan(x).all() and np.isnan(y).all() and not ok.any()
+    p1, p2, case = esa_policy_batch(h1, h2, g1, g2, l1, l2)
+    assert not p1.any() and not p2.any() and (case == 1).all()
+
+
+@pytest.mark.parametrize("tree", [esa_policy_batch, esa_cj_policy_batch])
+@pytest.mark.parametrize("h1", [1e300, 1e308])
+def test_trees_never_return_nan_at_huge_gains(tree, h1):
+    # at h1 = 1e308 the candidates' Lagrangian overflows: the trees raise
+    # rather than pick an empty (NaN) column; at 1e300 they still solve
+    args = (*(np.array([v]) for v in (h1, 1.0, 1.0, 1.0)), 0.1, 0.1)
+    with np.errstate(all="ignore"):
+        if h1 > 1e300:
+            with pytest.raises(CaseSolverError):
+                tree(*args)
+            return
+        *powers, _ = tree(*args)
+    assert [float(p[0]) for p in powers[:2]] == pytest.approx([5.0, 4.0])
+    assert all(np.isfinite(p).all() for p in powers)
 
 
 def test_common_root_residuals_random(rng):
@@ -980,6 +1016,44 @@ def test_gs_cj_baseline_regions():
     # mixed -> strong transmits, weak jams
     d = _gs(ChannelState(2.0, 0.5, 0.5, 2.0), duals)
     assert d.p1 > 0 and d.p2 == 0 and d.q1 == 0 and d.q2 > 0
+
+
+def _gs_stress_states(rng, n):
+    """Squared gains e^U(-30, 30) times exponentials, with h == g ties,
+    zero eavesdropper gains and zero receiver gains mixed in."""
+    h1, h2, g1, g2 = (rng.exponential(size=n) * np.exp(rng.uniform(-30, 30, n))
+                      for _ in range(4))
+    kind = rng.integers(0, 6, n)
+    g1[kind == 0] = h1[kind == 0]
+    g2[kind == 1] = h2[kind == 1]
+    g1[kind == 2] = 0.0
+    g2[kind == 3] = 0.0
+    h1[kind == 4] = 0.0
+    h2[kind == 5] = 0.0
+    return h1, h2, g1, g2
+
+
+@pytest.mark.parametrize("duals", ["scalar", "rows", "floor", "tiny"])
+def test_gs_cj_baseline_matches_masked_reference(duals):
+    # the whole-array pass gives the masked closed forms' bits, sign bits
+    # and NaN included, on ties, zero gains and every dual form; at 1e-308,
+    # 2/lam overflows, so a zero eavesdropper gain needs the water-filling
+    # form
+    rng = np.random.default_rng(np.random.SeedSequence(22))
+    for _ in range(20):
+        gains = _gs_stress_states(rng, 3000)
+        if duals == "rows":
+            lams = tuple(10.0 ** rng.uniform(-8.0, 1.0, 3000) for _ in "12")
+        elif duals in ("floor", "tiny"):
+            lams = (LAM_MIN, LAM_MIN) if duals == "floor" else (1e-308, 1e-308)
+        else:
+            lams = tuple(float(v) for v in 10.0 ** rng.uniform(-8.0, 1.0, 2))
+        with np.errstate(all="ignore"):
+            want = gs_cj_baseline_masked(*gains, *lams)
+        got = gs_cj_baseline_batch(*gains, *lams)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_gs_cj_baseline_no_splitting(rng):

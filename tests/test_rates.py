@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import math
 import sys
 import tracemalloc
@@ -392,6 +393,68 @@ def test_sba_screen_decides_as_the_exact_mean():
         decided += np.count_nonzero(~open_)
         total += open_.size
     assert decided > 0.5 * total
+
+
+def _three_search_screen(policy, a1, a2, u, c):
+    """The screen's ``(on, open)`` on the policy's own tables, with one
+    grid search per bound: the form its single search on C must match."""
+    z_pad, (F, G), b_mean, e_mean, ebar = policy._screen_tables
+    z, m = z_pad[:-1], policy._even[2].size
+    A = 1.0 + policy.p1 * a1 + policy.p2 * a2
+    C = 1.0 + (policy.p1 + policy.p2) * c
+    d_mean = ebar[0] * a2 + ebar[1] * a1 + ebar[2] * u.real + ebar[3] * u.imag
+    ln_num = np.log(A + b_mean + np.maximum(d_mean, 0.0))
+    ln_den = np.log(C + e_mean)
+    L = (F[np.searchsorted(z, A, "right") - 1]
+         - np.minimum(G[np.searchsorted(z, C)], ln_den))
+    U = ln_num - np.maximum(G[np.searchsorted(z, C, "right") - 1], np.log(C))
+    tau = 64.0 * rates._EPS * (1.0 + (C + e_mean) / A + np.minimum(A, b_mean)
+                               + (m + 1) * (ln_num + ln_den
+                                            + rates.SCREEN_STEP))
+    on, off = L > tau, U < -tau
+    return on, ~(on | off)
+
+
+def _on_grid(z, p, k):
+    """Per index in ``k``, a nonnegative x with ``1 + p * x == z[k]``
+    exactly, searched among the floats next to ``(z[k] - 1) / p``; NaN
+    where none is."""
+    x = (z[k] - 1.0) / p
+    out = np.full(k.size, np.nan)
+    for step in range(-4, 5):
+        t = x.copy()
+        for _ in range(abs(step)):
+            t = np.nextafter(t, np.sign(step) * np.inf)
+        hit = np.isnan(out) & (t >= 0.0) & (1.0 + p * t == z[k])
+        out[hit] = t[hit]
+    return out
+
+
+def test_sba_screen_one_search_matches_three():
+    # states whose A or C lies exactly on a grid point, past the table's
+    # top (inf included), or is a plain sample: the single search on C
+    # decides each one as a search per bound does
+    rng = np.random.default_rng(np.random.SeedSequence(31))
+    for policy, batch in itertools.islice(_stress_policies(30), 24):
+        a1, a2, u, c = rates._slot_products(batch)
+        z = policy._screen_tables[0][:-1]
+        k = rng.integers(0, z.size, 2000)
+        x1 = _on_grid(z, policy.p1, k)
+        xc = _on_grid(z, policy.p1 + policy.p2, k[::-1])
+        x1, xc = x1[~np.isnan(x1)], xc[~np.isnan(xc)]
+        over = np.append(np.exp(rng.uniform(0.0, 700.0, 297)), [np.inf] * 3)
+        n = min(x1.size, xc.size, 1000)
+        assert n > 200
+        A1 = np.concatenate([x1[:n], a1[:n], over, a1[:300], x1[:300]])
+        A2 = np.concatenate([np.zeros(n), a2[:n], a2[:300], over,
+                             np.zeros(300)])
+        U = np.concatenate([np.zeros(n), u[:n], np.zeros(600), u[:300]])
+        C = np.concatenate([c[:n], xc[:n], over[::-1], over, over])
+        with np.errstate(all="ignore"):
+            want = _three_search_screen(policy, A1, A2, U, C)
+            got = policy._screen(A1, A2, U, C)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("m_inner", [1, 200])
