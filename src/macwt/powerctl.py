@@ -458,10 +458,9 @@ def _common_root_batch(h1, h2, g1, g2, l1, l2):
     priced_out = (h1 <= l1) | (h2 <= l2)
     rows = np.flatnonzero(~(priced_out | _root_free(h1, h2, g1, g2, l1, l2)))
     shape = (h1.shape[0], 3 + len(_FALLBACK_STARTS))
-    xy = np.full((2, *shape), np.nan)
-    found = np.zeros(shape, dtype=bool)
     if rows.size == 0:
-        return xy[0], xy[1], found
+        return (np.full(shape, np.nan), np.full(shape, np.nan),
+                np.zeros(shape, dtype=bool))
     args = tuple(v[rows] for v in (h1, h2, g1, g2, l1, l2))
     x, y, ok = _positive_roots_batch(*args)
     a, b = np.array(_FALLBACK_STARTS).T
@@ -469,6 +468,8 @@ def _common_root_batch(h1, h2, g1, g2, l1, l2):
     lam1, lam2 = args[4][:, None], args[5][:, None]
     xf, yf, hit = _polish_starts(args, np.where(none, a / lam1, np.nan),
                                  b / lam2)
+    xy = np.full((2, *shape), np.nan)
+    found = np.zeros(shape, dtype=bool)
     xy[0, rows], xy[1, rows] = np.hstack((x, xf)), np.hstack((y, yf))
     found[rows] = np.hstack((ok, hit))
     return xy[0], xy[1], found
