@@ -113,31 +113,37 @@ def effective_state(state: ChannelState) -> EffectiveState:
 # ---------------------------------------------------------------------------
 
 def _closed_form_root(h, g, lam):
-    """Root of h/(1+hP) - g/(1+gP) = lam, for h > g (array-safe).
+    """Per state, the root P of hi/(1 + hi P) - lo/(1 + lo P) = lam, with
+    hi = max(h, g) and lo = min(h, g): the power of a user whose partner
+    is silent where h > g, and the mirrored (jamming) root where h < g.
+    It is positive where hi - lo > lam; callers keep it only there.
 
     Evaluated in the cancellation- and overflow-free form
-    ``(2/lam) / (sqrt(1 + 4/(t*lam)) + 1) - 1/h`` with ``t = 1/g - 1/h``;
-    the g -> 0 (t -> inf) limit is the water-filling root ``1/lam - 1/h``.
+    ``(2/lam) / (sqrt(1 + 4/(t*lam)) + 1) - 1/hi`` with ``t = 1/lo - 1/hi``;
+    the lo -> 0 (t -> inf) limit is the water-filling root ``1/lam - 1/hi``.
+    One whole-array pass, in place on two fresh arrays, with the
+    water-filling limit taken only if some lo is 0.  Each element sees the
+    formula's operations in its order, so a row's bits do not depend on
+    the rest of the batch.  ``lam`` is per row or one scalar.
     """
-    h = np.asarray(h, dtype=float)
-    g = np.asarray(g, dtype=float)
     lam = np.asarray(lam, dtype=float)
+    hi = np.maximum(h, g, out=np.empty(h.shape))
+    r = np.minimum(h, g, out=np.empty(h.shape))
+    wf = r == 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = 1.0 / g - 1.0 / h
-        root = (2.0 / lam) / (np.sqrt(1.0 + 4.0 / (t * lam)) + 1.0) - 1.0 / h
-        wf = 1.0 / lam - 1.0 / h
-    return np.where(g == 0.0, wf, root)
-
-
-def _closed_form_where(mask, h, g, lam):
-    """:func:`_closed_form_root` on the rows where ``mask`` holds, 0
-    elsewhere; masked-out rows never reach the formula.  ``lam`` is per
-    row or one scalar for every row."""
-    out = np.zeros(mask.shape)
-    lam = np.asarray(lam, dtype=float)
-    out[mask] = _closed_form_root(h[mask], g[mask],
-                                  lam[mask] if lam.ndim else lam)
-    return out
+        inv_hi = np.divide(1.0, hi, out=hi)
+        np.divide(1.0, r, out=r)
+        r -= inv_hi  # t = 1/lo - 1/hi
+        r *= lam
+        np.divide(4.0, r, out=r)
+        r += 1.0
+        np.sqrt(r, out=r)
+        r += 1.0
+        np.divide(np.divide(2.0, lam), r, out=r)
+        r -= inv_hi
+        if wf.any():
+            np.copyto(r, np.divide(1.0, lam) - inv_hi, where=wf)
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +525,10 @@ def esa_policy_batch(h1, h2, g1, g2, l1, l2):
             f"l1={l1a[j]}, l2={l2a[j]})")
     # the roots, user 1 alone, user 2 alone, silence
     z = np.zeros(h1.shape)
-    cx = np.column_stack([x, _closed_form_where(C1, h1, g1, l1a), z, z])
-    cy = np.column_stack([y, z, _closed_form_where(C2, h2, g2, l2a), z])
+    p1 = np.where(C1, _closed_form_root(h1, g1, l1a), 0.0)
+    p2 = np.where(C2, _closed_form_root(h2, g2, l2a), 0.0)
+    cx = np.column_stack([x, p1, z, z])
+    cy = np.column_stack([y, z, p2, z])
     ok = np.column_stack([ok, C1, C2, np.ones(h1.shape, dtype=bool)])
     pick = np.arange(h1.shape[0]), _best_by_lagrangian(args, cx, cy, ok)
     return cx[pick], cy[pick], case
@@ -626,36 +634,6 @@ def esa_cj_case_label(s: EffectiveState, duals: DualVars) -> str:
 # Baseline single-slot policy (structural form only)
 # ---------------------------------------------------------------------------
 
-def _strong_user_root(h, g, lam):
-    """Per state, :func:`_closed_form_root` of the larger of ``(h, g)``
-    against the smaller, and where their gap exceeds ``lam``.
-
-    One whole-array pass, in place on two fresh arrays: every row goes
-    through the formula, whatever its gap, and the water-filling limit is
-    taken only if some smaller gain is 0.  Each element sees the closed
-    form's operations in its order, so a row's bits are those the formula
-    gives it alone.
-    """
-    hi = np.maximum(h, g, out=np.empty(h.shape))
-    r = np.minimum(h, g, out=np.empty(h.shape))
-    on = hi - r > lam
-    wf = r == 0.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv_hi = np.divide(1.0, hi, out=hi)
-        np.divide(1.0, r, out=r)
-        r -= inv_hi  # t = 1/g - 1/h
-        r *= lam
-        np.divide(4.0, r, out=r)
-        r += 1.0
-        np.sqrt(r, out=r)
-        r += 1.0
-        np.divide(np.divide(2.0, lam), r, out=r)
-        r -= inv_hi
-        if wf.any():
-            np.copyto(r, np.divide(1.0, lam) - inv_hi, where=wf)
-    return r, on
-
-
 def gs_cj_baseline_batch(h1, h2, g1, g2, l1, l2):
     """Structural baseline on raw squared gains.
 
@@ -666,8 +644,8 @@ def gs_cj_baseline_batch(h1, h2, g1, g2, l1, l2):
     is an explicit approximation: only the structural zero pattern is
     normative.
 
-    Each user's one closed form, on the pair ``(max(h, g), min(h, g))``
-    where the gap exceeds its dual (:func:`_strong_user_root`), is its
+    Each user's one closed form (:func:`_closed_form_root`, on the pair
+    ``(max(h, g), min(h, g))``), where the gap exceeds its dual, is its
     transmit power where ``h > g``, or its jamming power where ``h <= g``
     and the partner's ``h > g``.  ``l1`` and ``l2`` are scalars or
     per-row arrays.
@@ -675,8 +653,10 @@ def gs_cj_baseline_batch(h1, h2, g1, g2, l1, l2):
     h1, h2, g1, g2 = (np.asarray(a, dtype=float) for a in (h1, h2, g1, g2))
     s1 = h1 > g1  # user-1 receiver beats its eavesdropper gain
     s2 = h2 > g2
-    p1, on1 = _strong_user_root(h1, g1, np.asarray(l1, dtype=float))
-    p2, on2 = _strong_user_root(h2, g2, np.asarray(l2, dtype=float))
+    on1 = np.abs(h1 - g1) > l1
+    on2 = np.abs(h2 - g2) > l2
+    p1 = _closed_form_root(h1, g1, l1)
+    p2 = _closed_form_root(h2, g2, l2)
     q1 = np.where(s2 & ~s1 & on1, p1, 0.0)
     q2 = np.where(s1 & ~s2 & on2, p2, 0.0)
     np.copyto(p1, 0.0, where=~(s1 & on1))

@@ -6,11 +6,37 @@ and the masked form of the structural ``gs_cj`` baseline."""
 import numpy as np
 
 from macwt.powerctl import (DualVars, EffectiveState, _best_by_lagrangian,
-                            _closed_form_root, _closed_form_where,
                             _common_root_batch,
                             _lagrangian_vals, _positive_roots_batch,
                             _state_row)
 from macwt.rates import PowerDecision
+
+
+def closed_form_root(h, g, lam):
+    """Root of h/(1+hP) - g/(1+gP) = lam, for h > g (array-safe), in the
+    form ``(2/lam) / (sqrt(1 + 4/(t*lam)) + 1) - 1/h`` with
+    ``t = 1/g - 1/h``, and its g -> 0 limit ``1/lam - 1/h``: the
+    expression whose bits :func:`~macwt.powerctl._closed_form_root`'s
+    in-place pass must give."""
+    h = np.asarray(h, dtype=float)
+    g = np.asarray(g, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = 1.0 / g - 1.0 / h
+        root = (2.0 / lam) / (np.sqrt(1.0 + 4.0 / (t * lam)) + 1.0) - 1.0 / h
+        wf = 1.0 / lam - 1.0 / h
+    return np.where(g == 0.0, wf, root)
+
+
+def closed_form_where(mask, h, g, lam):
+    """:func:`closed_form_root` on the rows where ``mask`` holds, 0
+    elsewhere; masked-out rows never reach the formula.  ``lam`` is per
+    row or one scalar for every row."""
+    out = np.zeros(mask.shape)
+    lam = np.asarray(lam, dtype=float)
+    out[mask] = closed_form_root(h[mask], g[mask],
+                                 lam[mask] if lam.ndim else lam)
+    return out
 
 
 def closed_form(h, g, lam) -> float:
@@ -19,7 +45,7 @@ def closed_form(h, g, lam) -> float:
     if not (h > g and lam > 0):
         raise ValueError(f"closed form needs h > g and lam > 0 "
                          f"(h={h}, g={g}, lam={lam})")
-    return float(_closed_form_root(h, g, lam))
+    return float(closed_form_root(h, g, lam))
 
 
 def gs_cj_baseline_masked(h1, h2, g1, g2, l1, l2):
@@ -35,10 +61,10 @@ def gs_cj_baseline_masked(h1, h2, g1, g2, l1, l2):
     j1 = ~s1 & (g1 - h1 > l1)
     j2 = ~s2 & (g2 - h2 > l2)
     d1, d2, d3 = s1 & s2, s1 & ~s2, ~s1 & s2
-    return (_closed_form_where((d1 | d2) & a1, h1, g1, l1),
-            _closed_form_where((d1 | d3) & a2, h2, g2, l2),
-            _closed_form_where(d3 & j1, g1, h1, l1),
-            _closed_form_where(d2 & j2, g2, h2, l2))
+    return (closed_form_where((d1 | d2) & a1, h1, g1, l1),
+            closed_form_where((d1 | d3) & a2, h2, g2, l2),
+            closed_form_where(d3 & j1, g1, h1, l1),
+            closed_form_where(d2 & j2, g2, h2, l2))
 
 
 def _system_gains(which, s: EffectiveState) -> EffectiveState:

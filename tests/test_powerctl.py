@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kkt_reference import (best_common_root, closed_form, cj_modes,
+from kkt_reference import (best_common_root, closed_form, closed_form_root,
+                           cj_modes,
                            common_root, full_pick, grid_oracle,
                            gs_cj_baseline_masked,
                            lagrangian_cj_batch,
@@ -837,8 +838,8 @@ def test_trees_return_the_best_candidate(rng, states):
 
     c1 = h1 - g1 > l1
     c2 = h2 - g2 > l2
-    cf1 = np.where(c1, _closed_form_root(h1, g1, l1), 0.0)
-    cf2 = np.where(c2, _closed_form_root(h2, g2, l2), 0.0)
+    cf1 = np.where(c1, closed_form_root(h1, g1, l1), 0.0)
+    cf2 = np.where(c2, closed_form_root(h2, g2, l2), 0.0)
     others = {"silence": (lag(z, z), np.ones(n, dtype=bool)),
               "user 1 alone": (lag(cf1, z), c1),
               "user 2 alone": (lag(z, cf2), c2)}
@@ -1054,6 +1055,15 @@ def test_gs_cj_baseline_matches_masked_reference(duals):
         for a, b in zip(got, want):
             assert np.array_equal(a, b, equal_nan=True)
             assert np.array_equal(np.signbit(a), np.signbit(b))
+        # the root itself, which the esa tree's one-user columns also take,
+        # on every row: the reference on (max(h, g), min(h, g))
+        h, g = gains[0], gains[2]
+        with np.errstate(all="ignore"):
+            want = closed_form_root(np.maximum(h, g), np.minimum(h, g),
+                                    lams[0])
+        got = _closed_form_root(h, g, lams[0])
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_gs_cj_baseline_no_splitting(rng):
