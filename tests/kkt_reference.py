@@ -6,9 +6,8 @@ and the masked form of the structural ``gs_cj`` baseline."""
 import numpy as np
 
 from macwt.powerctl import (DualVars, EffectiveState, _best_by_lagrangian,
-                            _common_root_batch,
-                            _lagrangian_vals, _positive_roots_batch,
-                            _state_row)
+                            _common_root_batch, _lagrangian_vals,
+                            _positive_roots_batch, _state_row)
 from macwt.rates import PowerDecision
 
 

@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kkt_reference import (best_common_root, closed_form, closed_form_root,
-                           cj_modes,
-                           common_root, full_pick, grid_oracle,
-                           gs_cj_baseline_masked,
-                           lagrangian_cj_batch,
+                           cj_modes, common_root, full_pick, grid_oracle,
+                           gs_cj_baseline_masked, lagrangian_cj_batch,
                            lagrangian_esa, lagrangian_esa_cj,
                            stationary_candidates)
 from macwt import powerctl
