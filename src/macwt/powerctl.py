@@ -113,37 +113,20 @@ def effective_state(state: ChannelState) -> EffectiveState:
 # ---------------------------------------------------------------------------
 
 def _closed_form_root(h, g, lam):
-    """Per state, the root P of hi/(1 + hi P) - lo/(1 + lo P) = lam, with
-    hi = max(h, g) and lo = min(h, g): the power of a user whose partner
-    is silent where h > g, and the mirrored (jamming) root where h < g.
-    It is positive where hi - lo > lam; callers keep it only there.
+    """Root of h/(1+hP) - g/(1+gP) = lam, for h > g (array-safe).
 
     Evaluated in the cancellation- and overflow-free form
-    ``(2/lam) / (sqrt(1 + 4/(t*lam)) + 1) - 1/hi`` with ``t = 1/lo - 1/hi``;
-    the lo -> 0 (t -> inf) limit is the water-filling root ``1/lam - 1/hi``.
-    One whole-array pass, in place on two fresh arrays, with the
-    water-filling limit taken only if some lo is 0.  Each element sees the
-    formula's operations in its order, so a row's bits do not depend on
-    the rest of the batch.  ``lam`` is per row or one scalar.
+    ``(2/lam) / (sqrt(1 + 4/(t*lam)) + 1) - 1/h`` with ``t = 1/g - 1/h``;
+    the g -> 0 (t -> inf) limit is the water-filling root ``1/lam - 1/h``.
     """
+    h = np.asarray(h, dtype=float)
+    g = np.asarray(g, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    hi = np.maximum(h, g, out=np.empty(h.shape))
-    r = np.minimum(h, g, out=np.empty(h.shape))
-    wf = r == 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv_hi = np.divide(1.0, hi, out=hi)
-        np.divide(1.0, r, out=r)
-        r -= inv_hi  # t = 1/lo - 1/hi
-        r *= lam
-        np.divide(4.0, r, out=r)
-        r += 1.0
-        np.sqrt(r, out=r)
-        r += 1.0
-        np.divide(np.divide(2.0, lam), r, out=r)
-        r -= inv_hi
-        if wf.any():
-            np.copyto(r, np.divide(1.0, lam) - inv_hi, where=wf)
-    return r
+        t = 1.0 / g - 1.0 / h
+        root = (2.0 / lam) / (np.sqrt(1.0 + 4.0 / (t * lam)) + 1.0) - 1.0 / h
+        wf = 1.0 / lam - 1.0 / h
+    return np.where(g == 0.0, wf, root)
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +446,6 @@ def _common_root_batch(h1, h2, g1, g2, l1, l2):
     """
     priced_out = (h1 <= l1) | (h2 <= l2)
     rows = np.flatnonzero(~(priced_out | _root_free(h1, h2, g1, g2, l1, l2)))
-    shape = (h1.shape[0], 3 + len(_FALLBACK_STARTS))
-    if rows.size == 0:
-        return (np.full(shape, np.nan), np.full(shape, np.nan),
-                np.zeros(shape, dtype=bool))
     args = tuple(v[rows] for v in (h1, h2, g1, g2, l1, l2))
     x, y, ok = _positive_roots_batch(*args)
     a, b = np.array(_FALLBACK_STARTS).T
@@ -474,6 +453,7 @@ def _common_root_batch(h1, h2, g1, g2, l1, l2):
     lam1, lam2 = args[4][:, None], args[5][:, None]
     xf, yf, hit = _polish_starts(args, np.where(none, a / lam1, np.nan),
                                  b / lam2)
+    shape = (h1.shape[0], 3 + a.size)
     xy = np.full((2, *shape), np.nan)
     found = np.zeros(shape, dtype=bool)
     xy[0, rows], xy[1, rows] = np.hstack((x, xf)), np.hstack((y, yf))
@@ -644,7 +624,7 @@ def gs_cj_baseline_batch(h1, h2, g1, g2, l1, l2):
     is an explicit approximation: only the structural zero pattern is
     normative.
 
-    Each user's one closed form (:func:`_closed_form_root`, on the pair
+    Each user's one closed form (:func:`_closed_form_root` on the pair
     ``(max(h, g), min(h, g))``), where the gap exceeds its dual, is its
     transmit power where ``h > g``, or its jamming power where ``h <= g``
     and the partner's ``h > g``.  ``l1`` and ``l2`` are scalars or
@@ -655,8 +635,8 @@ def gs_cj_baseline_batch(h1, h2, g1, g2, l1, l2):
     s2 = h2 > g2
     on1 = np.abs(h1 - g1) > l1
     on2 = np.abs(h2 - g2) > l2
-    p1 = _closed_form_root(h1, g1, l1)
-    p2 = _closed_form_root(h2, g2, l2)
+    p1 = _closed_form_root(np.maximum(h1, g1), np.minimum(h1, g1), l1)
+    p2 = _closed_form_root(np.maximum(h2, g2), np.minimum(h2, g2), l2)
     q1 = np.where(s2 & ~s1 & on1, p1, 0.0)
     q2 = np.where(s1 & ~s2 & on2, p2, 0.0)
     np.copyto(p1, 0.0, where=~(s1 & on1))

@@ -129,13 +129,8 @@ def esa_triple(h1, h2, g1, g2, p1, p2):
     x1, x2 = _log2p1(2.0 * h1 * p1), _log2p1(2.0 * h2 * p2)
     r1 = 0.5 * (x1 - _log2p1(2.0 * g1 * p1 / (1.0 + 2.0 * g2 * p2)))
     r2 = 0.5 * (x2 - _log2p1(2.0 * g2 * p2 / (1.0 + 2.0 * g1 * p1)))
-    return r1, r2, _esa_sum(x1, x2, g1, g2, p1, p2)
-
-
-def _esa_sum(x1, x2, g1, g2, p1, p2):
-    """:func:`esa_triple`'s sum rate from its receiver terms
-    ``x_k = log2(1 + 2 h_k p_k)``."""
-    return 0.5 * (x1 + x2 - _log2p1(2.0 * (g1 * p1 + g2 * p2)))
+    rsum = 0.5 * (x1 + x2 - _log2p1(2.0 * (g1 * p1 + g2 * p2)))
+    return r1, r2, rsum
 
 
 def esa_general_triple(h1, h2, g1, g2, theta, omega, p1, p2):
@@ -190,10 +185,10 @@ class RudimentaryEsaPolicy:
 
     def decide_batch(self, batch: StateBatch):
         h1, h2, g1, g2 = batch.sq()
-        p1, p2 = self.budget.pbar1, self.budget.pbar2
-        on = _esa_sum(_log2p1(2.0 * h1 * p1), _log2p1(2.0 * h2 * p2),
-                      g1, g2, p1, p2) >= 0.0
-        return (np.where(on, p1, 0.0), np.where(on, p2, 0.0),
+        _, _, rsum = esa_triple(h1, h2, g1, g2, self.budget.pbar1, self.budget.pbar2)
+        on = rsum >= 0.0
+        return (np.where(on, self.budget.pbar1, 0.0),
+                np.where(on, self.budget.pbar2, 0.0),
                 np.zeros(len(batch)), np.zeros(len(batch)))
 
 

@@ -6,17 +6,18 @@ and the masked form of the structural ``gs_cj`` baseline."""
 import numpy as np
 
 from macwt.powerctl import (DualVars, EffectiveState, _best_by_lagrangian,
-                            _common_root_batch, _lagrangian_vals,
-                            _positive_roots_batch, _state_row)
+                            _closed_form_root, _common_root_batch,
+                            _lagrangian_vals, _positive_roots_batch,
+                            _state_row)
 from macwt.rates import PowerDecision
 
 
 def closed_form_root(h, g, lam):
     """Root of h/(1+hP) - g/(1+gP) = lam, for h > g (array-safe), in the
     form ``(2/lam) / (sqrt(1 + 4/(t*lam)) + 1) - 1/h`` with
-    ``t = 1/g - 1/h``, and its g -> 0 limit ``1/lam - 1/h``: the
-    expression whose bits :func:`~macwt.powerctl._closed_form_root`'s
-    in-place pass must give."""
+    ``t = 1/g - 1/h``, and its g -> 0 limit ``1/lam - 1/h``: a copy of
+    :func:`~macwt.powerctl._closed_form_root` kept apart from it, so that
+    :func:`gs_cj_baseline_masked` fixes the baseline's bits on its own."""
     h = np.asarray(h, dtype=float)
     g = np.asarray(g, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -44,7 +45,7 @@ def closed_form(h, g, lam) -> float:
     if not (h > g and lam > 0):
         raise ValueError(f"closed form needs h > g and lam > 0 "
                          f"(h={h}, g={g}, lam={lam})")
-    return float(closed_form_root(h, g, lam))
+    return float(_closed_form_root(h, g, lam))
 
 
 def gs_cj_baseline_masked(h1, h2, g1, g2, l1, l2):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kkt_reference import (best_common_root, closed_form, closed_form_root,
-                           cj_modes, common_root, full_pick, grid_oracle,
+from kkt_reference import (best_common_root, closed_form, cj_modes,
+                           common_root, full_pick, grid_oracle,
                            gs_cj_baseline_masked, lagrangian_cj_batch,
                            lagrangian_esa, lagrangian_esa_cj,
                            stationary_candidates)
@@ -134,25 +134,6 @@ def test_symmetric_common_root():
 def test_common_root_none_when_price_too_high():
     s = EffectiveState(1.0, 1.0, 0.5, 0.5)
     assert common_root("esa", s, DualVars(2.0, 2.0)) is None
-
-
-def test_common_root_batch_returns_at_once_without_open_rows(
-        rng, monkeypatch):
-    # at lambda = 10 every row of these gains is class A (h <= l): no row
-    # is open, so the solver never runs and every column is empty
-    h1, h2, g1, g2 = (rng.uniform(0.0, 10.0, 2000) for _ in range(4))
-    l1 = l2 = np.full(2000, 10.0)
-
-    def solver(*args):
-        raise AssertionError("the root solver ran on a batch without "
-                             "open rows")
-
-    monkeypatch.setattr(powerctl, "_positive_roots_batch", solver)
-    x, y, ok = _common_root_batch(h1, h2, g1, g2, l1, l2)
-    assert x.shape == y.shape == ok.shape == (2000, 8)
-    assert np.isnan(x).all() and np.isnan(y).all() and not ok.any()
-    p1, p2, case = esa_policy_batch(h1, h2, g1, g2, l1, l2)
-    assert not p1.any() and not p2.any() and (case == 1).all()
 
 
 @pytest.mark.parametrize("tree", [esa_policy_batch, esa_cj_policy_batch])
@@ -836,8 +817,8 @@ def test_trees_return_the_best_candidate(rng, states):
 
     c1 = h1 - g1 > l1
     c2 = h2 - g2 > l2
-    cf1 = np.where(c1, closed_form_root(h1, g1, l1), 0.0)
-    cf2 = np.where(c2, closed_form_root(h2, g2, l2), 0.0)
+    cf1 = np.where(c1, _closed_form_root(h1, g1, l1), 0.0)
+    cf2 = np.where(c2, _closed_form_root(h2, g2, l2), 0.0)
     others = {"silence": (lag(z, z), np.ones(n, dtype=bool)),
               "user 1 alone": (lag(cf1, z), c1),
               "user 2 alone": (lag(z, cf2), c2)}
@@ -1053,15 +1034,6 @@ def test_gs_cj_baseline_matches_masked_reference(duals):
         for a, b in zip(got, want):
             assert np.array_equal(a, b, equal_nan=True)
             assert np.array_equal(np.signbit(a), np.signbit(b))
-        # the root itself, which the esa tree's one-user columns also take,
-        # on every row: the reference on (max(h, g), min(h, g))
-        h, g = gains[0], gains[2]
-        with np.errstate(all="ignore"):
-            want = closed_form_root(np.maximum(h, g), np.minimum(h, g),
-                                    lams[0])
-        got = _closed_form_root(h, g, lams[0])
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_gs_cj_baseline_no_splitting(rng):
