@@ -11,7 +11,7 @@ thread evaluates one contiguous run of shards as one batch: the shards
 draw into their rows of the run's arrays, one policy call and one pass of
 the rate kernels cover the run, and each shard's sums are taken over its
 own rows.  The runs go to the process's one worker pool
-(:mod:`macwt.pool`), which the dual searches share.  The serial path
+(:mod:`macwt.pool`), its only user.  The serial path
 evaluates one shard per call, which bounds the memory the KKT root
 solver's scratch holds at any time.
 :func:`grid_point` evaluates one experiment point.
@@ -159,8 +159,7 @@ def ergodic_region(scheme: str, policy, params: FadingParams, n: int,
     run of shards as one batch: one ``decide_batch`` call and one pass of
     each rate kernel, which keeps both cores busy in numpy rather than in
     per-call overhead under the GIL.  The runs go to the process's shared
-    pool (:func:`macwt.pool.run_all`), the one the dual searches use,
-    while the caller waits.  The serial path keeps one call per shard: a
+    pool (:func:`macwt.pool.run_all`) while the caller waits.  The serial path keeps one call per shard: a
     run of all 16 shards would hold the KKT root solver's scratch (about
     1 KB per state) for every state at once.
     """

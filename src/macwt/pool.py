@@ -1,10 +1,10 @@
-"""The process's one worker pool, shared by the Monte Carlo estimates and
-the dual searches, and the one place that reads the worker count.
+"""The process's one worker pool, and the one place that reads the worker
+count.
 
-:func:`macwt.montecarlo.ergodic_region` runs its shard runs on it and
-:func:`macwt.powerctl.dual_search` its chunked policy evaluations, so no
-call starts threads of its own.  The caller waits for its tasks, and the
-results come back in task order.
+:func:`macwt.montecarlo.ergodic_region` runs its shard runs on it, so no
+call starts threads of its own; the dual searches stay on the calling
+thread.  The caller waits for its tasks, and the results come back in
+task order.
 """
 
 from __future__ import annotations

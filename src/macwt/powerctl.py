@@ -40,9 +40,8 @@ and ``macwt query --duals``; it also returns the case trees' codes.
 :func:`dual_search` prices both budgets at once: a quasi-Newton (Broyden)
 solve of the two budget equations in ``log(lambda)`` on one frozen state
 batch, stopped only when complementary slackness holds at the final
-multipliers.  It needs a handful of case-tree evaluations per search;
-with more than one worker, each evaluation runs one contiguous chunk of
-the batch per worker on the process's shared pool (:mod:`macwt.pool`).
+multipliers.  It needs a handful of case-tree evaluations per search,
+each one policy call on the whole batch, on the calling thread.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelState, FadingParams, sample_batch
-from .pool import run_all, worker_count
 from .rates import ESA, ESA_CJ, GS_CJ, PowerBudget, PowerDecision
 
 RESIDUAL_TOL = 1e-9   # relative residual for accepting a common root
@@ -732,42 +730,26 @@ def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
     complementary slackness checked at one point.  Deterministic given
     the seed.
 
-    At one worker (:func:`~macwt.pool.worker_count`) each evaluation is
-    one policy call on the whole batch; at ``w > 1`` workers the batch is
-    cut into ``min(w, n)`` contiguous chunks, one policy call each on the
-    process's shared pool (:func:`~macwt.pool.run_all`), and their
-    powers are put back in batch order.  A state's powers do not depend
-    on its batch, so every sum, and the result, keeps its bits for any
-    worker count; if several chunks fail, the first chunk's error is
-    raised, as a single call would raise it.
+    Each evaluation is one policy call on the whole batch, on the calling
+    thread at any worker count: the per-row root loop holds the GIL, so
+    chunks on the worker pool would run one after another, and on the
+    ``gs_cj`` baseline's sub-millisecond calls the pool's round trip
+    costs more than it saves.
     """
     if not (budget.pbar1 > 0 and budget.pbar2 > 0):
         raise ValueError("budgets must be strictly positive")
+    if n < 2:
+        raise ValueError("n must be >= 2")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sq = sample_batch(params, n, rng).sq()
     pbar = np.array([budget.pbar1, budget.pbar2])
-    chunks = max(1, min(worker_count(), n))
-    cuts = [k * n // chunks for k in range(chunks + 1)]
     evals = 0
-
-    def powers(l1, l2):
-        """Per-state ``(p1, p2, q1, q2)`` of the batch at ``(l1, l2)``."""
-        if len(cuts) <= 2:
-            return _dual_powers(scheme, sq, l1, l2)[:4]
-        out = np.empty((4, n))
-
-        def chunk(k):
-            i = slice(cuts[k], cuts[k + 1])
-            out[:, i] = _dual_powers(scheme, tuple(v[i] for v in sq),
-                                     l1, l2)[:4]
-
-        run_all(chunk, range(len(cuts) - 1))
-        return out
 
     def evaluate(lam):
         nonlocal evals
         evals += 1
-        p1, p2, q1, q2 = powers(float(lam[0]), float(lam[1]))
+        p1, p2, q1, q2 = _dual_powers(scheme, sq, float(lam[0]),
+                                      float(lam[1]))[:4]
         power, meansq = np.empty(2), np.empty(2)
         for k, tot in enumerate((p1 + q1, p2 + q2)):
             # no (tot - mean)**2, so no more state-length arrays; and einsum,

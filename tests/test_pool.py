@@ -64,7 +64,7 @@ def test_run_all_in_a_pool_thread_runs_inline(monkeypatch):
 
 
 # a fresh process, so that the pool starts with no threads
-SHARE_ONE_POOL = """
+ONE_POOL = """
 import os, threading
 from macwt.channel import FadingParams
 from macwt.montecarlo import ESA, ergodic_region
@@ -76,9 +76,10 @@ def pool_threads():
 
 params = FadingParams.symmetric(1.0, 0.75)
 os.environ["MACWT_WORKERS"] = "2"
+dual_search(params, PowerBudget(5.0, 5.0), "gs_cj", 2000, seed=2)
+assert not pool_threads(), "a search at 2 workers started a pool thread"
 ergodic_region(ESA, ConstantPolicy(1.0, 1.0), params, 2000, seed=1)
 started = pool_threads()
-dual_search(params, PowerBudget(5.0, 5.0), "gs_cj", 2000, seed=2)
 os.environ["MACWT_WORKERS"] = "4"
 ergodic_region(ESA, ConstantPolicy(1.0, 1.0), params, 2000, seed=1)
 assert started, "no pool thread at 2 workers"
@@ -86,11 +87,12 @@ assert started <= pool_threads(), "a call at 4 workers replaced the pool"
 """
 
 
-def test_estimates_and_searches_share_one_pool():
-    # the threads an estimate starts at 2 workers are still the pool's
-    # after a search and an estimate at 4: nothing shuts the pool down
+def test_searches_leave_the_pool_to_the_estimates():
+    # a search runs on the calling thread at any worker count; the threads
+    # an estimate starts at 2 workers are still the pool's after an
+    # estimate at 4: nothing shuts the pool down
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", SHARE_ONE_POOL], env=env,
+    proc = subprocess.run([sys.executable, "-c", ONE_POOL], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

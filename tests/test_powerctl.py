@@ -1,6 +1,5 @@
 import math
-import sys
-import time
+import threading
 
 import numpy as np
 import pytest
@@ -1085,63 +1084,41 @@ def test_dual_search_deterministic():
 
 @pytest.mark.parametrize("scheme", ["esa", "esa_cj", "gs_cj"])
 def test_pooled_dual_search_is_byte_identical(scheme, monkeypatch):
-    # more workers cut the frozen batch into one contiguous chunk each, on
-    # the shared pool; every result field keeps the one-worker bits
+    # at any worker count each evaluation is one policy call on the whole
+    # frozen batch, on the calling thread; every result field keeps its bits
     budget = PowerBudget(30.0, 10.0)
-    monkeypatch.setenv("MACWT_WORKERS", "1")
-    ref = dual_search(PARAMS, budget, scheme, 3001, seed=32)
-    sizes, real = [], powerctl._dual_powers
+    main = threading.current_thread().name
+    calls, real = [], powerctl._dual_powers
 
     def counted(scheme, sq, l1, l2):
-        sizes.append(sq[0].size)
+        calls.append((sq[0].size, threading.current_thread().name))
         return real(scheme, sq, l1, l2)
 
     monkeypatch.setattr(powerctl, "_dual_powers", counted)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # chunks interleave as often as they can
-    try:
-        for workers in (2, 3, 5):
-            sizes.clear()
-            monkeypatch.setenv("MACWT_WORKERS", str(workers))
-            res = dual_search(PARAMS, budget, scheme, 3001, seed=32)
-            assert repr(res) == repr(ref)
-            assert sorted(sizes) == sorted(
-                [3001 * (k + 1) // workers - 3001 * k // workers
-                 for k in range(workers)] * ref.sweeps)
-    finally:
-        sys.setswitchinterval(interval)
+    ref = None
+    for workers in (1, 2, 5):
+        calls.clear()
+        monkeypatch.setenv("MACWT_WORKERS", str(workers))
+        res = dual_search(PARAMS, budget, scheme, 3001, seed=32)
+        ref = res if ref is None else ref
+        assert repr(res) == repr(ref)
+        assert calls == [(3001, main)] * res.sweeps
 
 
 def test_pooled_dual_search_raises_the_serial_error(monkeypatch):
-    # a stubbed policy fails on chosen rows; with several failing chunks
-    # the first chunk's error surfaces (even when a later one fails
-    # first), as the one-worker search raises it
-    n, seed = 1200, 33
-    h1 = sample_batch(PARAMS, n, np.random.default_rng(
-        np.random.SeedSequence(seed))).sq()[0]
-    real = powerctl._dual_powers
+    # a failing policy's error surfaces unchanged at two workers, as it
+    # does at one
+    err = CaseSolverError("row 700")
 
-    def failing(bad):
-        def stub(scheme, sq, l1, l2):
-            hit = np.isin(sq[0], h1[bad])
-            if hit.any():
-                if h1[bad[0]] in sq[0]:
-                    time.sleep(0.05)  # the later chunk fails first
-                raise CaseSolverError(f"row with h1={sq[0][hit][0]!r}")
-            return real(scheme, sq, l1, l2)
-        return stub
+    def failing(scheme, sq, l1, l2):
+        raise err
 
-    for bad in ([700, 1150], [5, 1100], [1199]):
-        monkeypatch.setattr(powerctl, "_dual_powers", failing(bad))
-        monkeypatch.setenv("MACWT_WORKERS", "1")
-        with pytest.raises(CaseSolverError) as serial:
-            dual_search(PARAMS, PowerBudget(10.0, 10.0), "esa", n, seed)
-        assert repr(h1[bad[0]]) in str(serial.value)
-        for workers in (2, 3, 5):
-            monkeypatch.setenv("MACWT_WORKERS", str(workers))
-            with pytest.raises(CaseSolverError) as pooled:
-                dual_search(PARAMS, PowerBudget(10.0, 10.0), "esa", n, seed)
-            assert str(pooled.value) == str(serial.value)
+    monkeypatch.setattr(powerctl, "_dual_powers", failing)
+    for workers in ("1", "2"):
+        monkeypatch.setenv("MACWT_WORKERS", workers)
+        with pytest.raises(CaseSolverError) as info:
+            dual_search(PARAMS, PowerBudget(10.0, 10.0), "esa", 1200, seed=33)
+        assert info.value is err
 
 
 def test_dual_search_monotone_in_lambda(rng):
@@ -1159,8 +1136,12 @@ def test_dual_search_monotone_in_lambda(rng):
 
 
 def test_dual_search_rejects_zero_budget():
+    # and a batch too small for a standard error, before it draws a state
     with pytest.raises(ValueError):
         dual_search(PARAMS, PowerBudget(0.0, 1.0), "esa", 100, seed=1)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            dual_search(PARAMS, PowerBudget(1.0, 1.0), "esa", n, seed=1)
 
 
 def _complementary(res, budget, tol):
@@ -1220,7 +1201,8 @@ def test_dual_search_stops_on_a_cycle(monkeypatch, ratio, seed):
 
 
 def test_dual_search_evaluation_count(monkeypatch):
-    # the figure2 grid of the benchmark: 0/30/60 dB on a 2000-state batch
+    # the figure2 grid of the benchmark: 0/30/60 dB on a 2000-state batch,
+    # one policy call per evaluation at one worker and at two
     calls = []
     tree = powerctl._dual_powers
 
@@ -1229,16 +1211,19 @@ def test_dual_search_evaluation_count(monkeypatch):
         return tree(*args)
 
     monkeypatch.setattr(powerctl, "_dual_powers", counted)
-    for var_g in (0.75, 0.25):
-        params = FadingParams.symmetric(1.0, var_g)
-        for scheme in ("esa", "esa_cj", "gs_cj"):
-            for db in (0.0, 30.0, 60.0):
-                p = 10.0 ** (db / 10.0)
-                calls.clear()
-                res = dual_search(params, PowerBudget(p, p), scheme, 2000,
-                                  seed=47, tol=0.02)
-                assert res.converged
-                assert len(calls) == res.sweeps <= 8, (var_g, scheme, db)
+    for workers in ("1", "2"):
+        monkeypatch.setenv("MACWT_WORKERS", workers)
+        for var_g in (0.75, 0.25):
+            params = FadingParams.symmetric(1.0, var_g)
+            for scheme in ("esa", "esa_cj", "gs_cj"):
+                for db in (0.0, 30.0, 60.0):
+                    p = 10.0 ** (db / 10.0)
+                    calls.clear()
+                    res = dual_search(params, PowerBudget(p, p), scheme,
+                                      2000, seed=47, tol=0.02)
+                    assert res.converged
+                    assert len(calls) == res.sweeps <= 8, (
+                        workers, var_g, scheme, db)
 
 
 def test_dual_search_non_finite_power_raises(monkeypatch):
