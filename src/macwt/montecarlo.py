@@ -159,9 +159,10 @@ def ergodic_region(scheme: str, policy, params: FadingParams, n: int,
     run of shards as one batch: one ``decide_batch`` call and one pass of
     each rate kernel, which keeps both cores busy in numpy rather than in
     per-call overhead under the GIL.  The runs go to the process's shared
-    pool (:func:`macwt.pool.run_all`) while the caller waits.  The serial path keeps one call per shard: a
-    run of all 16 shards would hold the KKT root solver's scratch (about
-    1 KB per state) for every state at once.
+    pool (:func:`macwt.pool.run_all`) while the caller waits.  The serial
+    path keeps one call per shard: a run of all 16 shards would hold the
+    KKT root solver's scratch (about 1 KB per state) for every state at
+    once.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
