@@ -1095,20 +1095,20 @@ def test_pooled_dual_search_is_byte_identical(scheme, monkeypatch):
         return real(scheme, sq, l1, l2)
 
     monkeypatch.setattr(powerctl, "_dual_powers", counted)
-    ref = None
+    results = set()
     for workers in (1, 2, 5):
         calls.clear()
         monkeypatch.setenv("MACWT_WORKERS", str(workers))
         res = dual_search(PARAMS, budget, scheme, 3001, seed=32)
-        ref = res if ref is None else ref
-        assert repr(res) == repr(ref)
+        results.add(repr(res))
         assert calls == [(3001, main)] * res.sweeps
+    assert len(results) == 1
 
 
 def test_pooled_dual_search_raises_the_serial_error(monkeypatch):
     # a failing policy's error surfaces unchanged at two workers, as it
     # does at one
-    err = CaseSolverError("row 700")
+    err = CaseSolverError("stubbed policy failure")
 
     def failing(scheme, sq, l1, l2):
         raise err
