@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import ChannelState, FadingParams, StateBatch, sba_block_gains
 from .config import ConfigError, ExperimentConfig, load_config
-from .dof import DOF_KINDS, estimate_dof, sum_rate_curve
+from .dof import DOF_KINDS, estimate_dof, gs_cj_upper_bound, sum_rate_curve
 from .montecarlo import (CONSTANT, DUAL, ESA, ESA_CJ, GS_CJ, RUDIMENTARY, SBA,
                          _point_seed, ergodic_region, grid_point, scheme_rates)
 from .powerctl import (CaseSolverError, DualVars, EffectiveState, _dual_powers,
@@ -173,7 +173,8 @@ def figure2(**opts):
 @click.option("--powers", default="1e3,1e4,1e5,1e6",
               help="comma-separated linear power grid")
 def dof(config, seed, samples, out, schemes, powers):
-    """Sum-rate scaling: slope of rsum vs log2 P per scheme.
+    """Sum-rate scaling: slope of rsum vs log2 P per scheme, and the
+    baseline's finite ceiling (value and stderr) when it runs.
 
     Always runs with unit-variance gains (the scaling setup)."""
     grid = _parse_grid(powers, "--powers")
@@ -194,6 +195,10 @@ def dof(config, seed, samples, out, schemes, powers):
         rows += [[scheme, *point] for point in zip(
             curve.powers, curve.rsum, curve.stderr, curve.n, curve.status)]
         click.echo(f"eta {scheme} {_fmt(eta)}")
+        if scheme == GS_CJ:  # tag 4: apart from the curves' (3, si) seeds
+            bound = gs_cj_upper_bound(params, cfg.samples,
+                                      _point_seed(cfg.seed, 4))
+            click.echo(f"ceiling {scheme} {' '.join(map(_fmt, bound))}")
     path = cfg.out or "dof.csv"
     _write_csv(path, ["scheme", "power", "rsum_bits", "stderr", "n",
                       "status"], rows)
@@ -229,7 +234,7 @@ def _finite(what, values):
 @click.option("--state", default=None,
               help="complex gains h1,h2,g1,g2 (e.g. '1+0j,1j,0.5,0.5j')")
 @click.option("--even", default=None,
-              help="even-slot complex gains for the two-slot scaled scheme")
+              help="even-slot complex gains (two-slot scaled scheme rates)")
 @click.option("--effective", default=None,
               help="effective gains 2|h1|^2,2|h2|^2,2|g1|^2,2|g2|^2")
 @click.option("--powers", default=None, help="p1,p2 or p1,p2,q1,q2")
@@ -241,6 +246,10 @@ def query(scheme, state, even, effective, powers, duals):
         raise click.ClickException("provide exactly one of --state / --effective")
     if (powers is None) == (duals is None):
         raise click.ClickException("provide exactly one of --powers / --duals")
+    if even is not None and (scheme != SBA or powers is None):
+        raise click.BadOptionUsage(
+            "even", f"--even: only --scheme {SBA} with --powers takes "
+            "even-slot gains")
     if state is not None:
         st = ChannelState(*_parse_values(state, complex, "--state", {4}))
         try:

@@ -46,6 +46,9 @@ def run_all(fn, items) -> list:
     the error of the lowest-numbered one is raised, the one a serial
     loop would meet first.  At one worker or item, and in a pool thread
     (where waiting on the pool could deadlock it), the items run inline.
+    No caller runs on a pool thread today; the inline branch is kept for
+    figure grid points run on the pool, whose ``ergodic_region`` calls
+    would then run their shard runs on their own thread.
     """
     items = list(items)
     if (worker_count() <= 1 or len(items) <= 1

@@ -113,6 +113,21 @@ def test_query_sba_needs_even_slot():
     assert "rsum  = 1 bits" in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ("--scheme", "esa", "--state", "1,1,0.5,0.5", "--powers", "1,1"),
+    ("--scheme", "esa_cj", "--state", "1,1,0.5,0.5", "--duals", "0.1,0.1"),
+    ("--scheme", "esa", "--effective", "2,2,1,1", "--duals", "0.1,0.1"),
+    ("--scheme", "sba", "--state", "1,2,1,1", "--duals", "0.1,0.1"),
+], ids=["esa-powers", "esa_cj-duals", "effective", "sba-duals"])
+def test_query_refuses_an_unused_even_slot(args):
+    # only the two-slot scaled scheme's rates read the even slot; a flag
+    # that changes nothing is refused, as dof refuses --snr-db
+    res = _run("query", *args, "--even", "1,1,1,1")
+    assert res.exit_code == 2
+    assert "Error: --even:" in res.output
+    assert "=" not in res.output  # no report
+
+
 def test_query_malformed_literal_fails_cleanly():
     res = _run("query", "--scheme", "esa", "--state", "1,zzz,1,1",
                "--powers", "1,1")
@@ -221,6 +236,62 @@ def test_dof_reports_slopes(tmp_path):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "scheme,power,rsum_bits,stderr,n,status"
     assert len(lines) == 4
+
+
+def _dof_run(tmp_path, schemes, *extra):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("dual_samples = 2000\n")
+    out = tmp_path / f"dof-{schemes}.csv"
+    res = _run("dof", "--config", str(cfg), "--scheme", schemes,
+               "--samples", "2000", "--powers", "1e2,1e3,1e4",
+               "--out", str(out), *extra)
+    assert res.exit_code == 0, res.output
+    return res.output.splitlines(), out.read_bytes().splitlines(True)
+
+
+def test_dof_reports_the_gs_cj_ceiling(tmp_path, monkeypatch):
+    seeds = {"curve": [], "ceiling": []}
+    curve, bound = macwt.cli.sum_rate_curve, macwt.cli.gs_cj_upper_bound
+
+    def curve_spy(scheme, params, powers, n, seed, **kwargs):
+        seeds["curve"].append(seed)
+        return curve(scheme, params, powers, n, seed, **kwargs)
+
+    def bound_spy(params, n, seed):
+        seeds["ceiling"].append(seed)
+        return bound(params, n, seed)
+
+    monkeypatch.setattr(macwt.cli, "sum_rate_curve", curve_spy)
+    monkeypatch.setattr(macwt.cli, "gs_cj_upper_bound", bound_spy)
+    out, csv_all = _dof_run(tmp_path, "sba,esa,gs_cj")
+    ceiling = [ln for ln in out if ln.startswith("ceiling")]
+    assert len(ceiling) == 1
+    assert out.index(ceiling[0]) == out.index(
+        [ln for ln in out if ln.startswith("eta gs_cj")][0]) + 1
+    _, scheme, value, stderr = ceiling[0].split()
+    assert scheme == "gs_cj"
+    assert math.isfinite(float(value)) and math.isfinite(float(stderr))
+    assert 0 < float(stderr) < float(value)
+    # the ceiling's states come from a seed of their own
+    assert len(seeds["curve"]) == 3 and len(seeds["ceiling"]) == 1
+    assert seeds["ceiling"][0] not in seeds["curve"]
+    # the ceiling changes no CSV byte and no other line: not with its
+    # computation stubbed out, and not without gs_cj
+    monkeypatch.setattr(macwt.cli, "gs_cj_upper_bound",
+                        lambda *args: (0.0, 0.0))
+    out_stub, csv_stub = _dof_run(tmp_path, "sba,esa,gs_cj")
+    assert csv_stub == csv_all
+    assert [ln for ln in out_stub if not ln.startswith("ceiling")] == [
+        ln for ln in out if not ln.startswith("ceiling")]
+    out_se, csv_se = _dof_run(tmp_path, "sba,esa")
+    assert not any(ln.startswith("ceiling") for ln in out_se)
+    assert csv_se == csv_all[:len(csv_se)]
+    assert out_se[:2] == out[:2]
+    # and it follows --seed
+    monkeypatch.undo()
+    out_seed, _ = _dof_run(tmp_path, "gs_cj", "--seed", "7")
+    assert out_seed[1].startswith("ceiling gs_cj ")
+    assert out_seed[1] != ceiling[0]
 
 
 def test_figure2_small_run(tmp_path):

@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from macwt import pool
+from macwt.channel import FadingParams
+from macwt.montecarlo import ESA, ergodic_region
+from macwt.rates import ConstantPolicy
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -61,6 +64,38 @@ def test_run_all_in_a_pool_thread_runs_inline(monkeypatch):
     assert not caller.is_alive() and len(out) == 4
     for (_, a), (_, b) in out:
         assert a == b and a.startswith("macwt")
+
+
+class _ThreadLog:
+    """A constant-power policy that logs the thread of each call."""
+
+    def __init__(self):
+        self.policy = ConstantPolicy(1.0, 1.0)
+        self.threads = []
+
+    def decide_batch(self, batch):
+        self.threads.append(threading.current_thread().name)
+        return self.policy.decide_batch(batch)
+
+
+def test_ergodic_region_in_a_pool_thread_runs_inline(monkeypatch):
+    # figure grid points run on the pool would call ergodic_region from
+    # pool threads: their shard runs stay on that thread, same bits
+    monkeypatch.setenv("MACWT_WORKERS", "2")
+    params = FadingParams.symmetric(1.0, 0.75)
+
+    def estimate(seed):
+        log = _ThreadLog()
+        est = ergodic_region(ESA, log, params, 3000, seed)
+        return est, log.threads, threading.current_thread().name
+
+    pooled = pool.run_all(estimate, [1, 2])
+    for seed, (est, threads, name) in zip([1, 2], pooled):
+        assert name.startswith("macwt")
+        assert threads == [name] * 2  # two runs of 8 shards, both inline
+        direct, direct_threads, _ = estimate(seed)
+        assert all(t.startswith("macwt") for t in direct_threads)
+        assert repr(est) == repr(direct)
 
 
 # a fresh process, so that the pool starts with no threads

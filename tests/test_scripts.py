@@ -5,54 +5,25 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 # one SNR point on a few hundred states: every command runs in seconds
 TINY_CONFIG = ("samples = 200\ndual_samples = 200\ninner_samples = 10\n"
                "snr_db = 0\n")
 
 
-def _run(argv, env=(), cwd=None):
-    full = dict(os.environ)
-    full["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), full.get("PYTHONPATH")) if p)
-    full.update(env)
-    return subprocess.run(argv, capture_output=True, text=True, env=full,
-                          cwd=cwd, timeout=120)
+def _run(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run(argv, capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
-@pytest.mark.parametrize("name, args, expect", [
-    ("dof_experiment.py", ("--samples", "400", "--powers", "1e2,1e3,1e4"),
-     ("sba     eta =", "esa     eta =", "gs_cj   eta =",
-      "single-slot ceiling:")),
-    ("pairing_demo.py", ("--instants", "2000"), ("bins (M=B)",)),
-])
-def test_script_runs(name, args, expect):
-    proc = _run([sys.executable, str(ROOT / "scripts" / name), *args])
+def test_pairing_demo_runs():
+    proc = _run([sys.executable, str(ROOT / "scripts" / "pairing_demo.py"),
+                 "--instants", "2000"])
     assert proc.returncode == 0, proc.stderr
-    for text in expect:
-        assert text in proc.stdout
-
-
-def test_run_figures_script(tmp_path):
-    # a `macwt` command on PATH that runs the package in src/
-    bin_dir = tmp_path / "bin"
-    bin_dir.mkdir()
-    shim = bin_dir / "macwt"
-    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m macwt.cli "$@"\n')
-    shim.chmod(0o755)
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(TINY_CONFIG)
-    path = os.pathsep.join((str(bin_dir), os.environ["PATH"]))
-    proc = _run(["bash", str(ROOT / "scripts" / "run_figures.sh"),
-                 "--config", str(cfg)], cwd=tmp_path,
-                env={"PATH": path, "MACWT_WORKERS": "1"})
-    assert proc.returncode == 0, proc.stderr
-    # 2 var_g values x 3 (figure1) or 4 (figure2) variants x 1 SNR point
-    for name, rows in (("figure1.csv", 6), ("figure2.csv", 8)):
-        lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 1 + rows
+    assert "bins (M=B)" in proc.stdout
 
 
 def test_output_digests_script(tmp_path):
