@@ -10,10 +10,10 @@ A shard owns its generator, its rows and its partial sums.  A worker
 thread evaluates one contiguous run of shards as one batch: the shards
 draw into their rows of the run's arrays, one policy call and one pass of
 the rate kernels cover the run, and each shard's sums are taken over its
-own rows.  The runs go to the process's one worker pool
-(:mod:`macwt.pool`), its only user.  The serial path
-evaluates one shard per call, which bounds the memory the KKT root
-solver's scratch holds at any time.
+own rows.  The calling thread evaluates the first run and the process's
+one worker pool (:mod:`macwt.pool`), its only user, the others.  The
+serial path evaluates one shard per call, which bounds the memory the KKT
+root solver's scratch holds at any time.
 :func:`grid_point` evaluates one experiment point.
 """
 
@@ -158,11 +158,13 @@ def ergodic_region(scheme: str, policy, params: FadingParams, n: int,
     (:func:`~macwt.pool.worker_count`), each evaluates one contiguous
     run of shards as one batch: one ``decide_batch`` call and one pass of
     each rate kernel, which keeps both cores busy in numpy rather than in
-    per-call overhead under the GIL.  The runs go to the process's shared
-    pool (:func:`macwt.pool.run_all`) while the caller waits.  The serial
-    path keeps one call per shard: a run of all 16 shards would hold the
-    KKT root solver's scratch (about 1 KB per state) for every state at
-    once.
+    per-call overhead under the GIL.  W workers are W threads: the caller
+    evaluates the first run and W - 1 threads of the process's shared pool
+    (:func:`macwt.pool.run_all`) the others, which keeps one fewer
+    thread's malloc arena resident than a caller that only waits.  The
+    serial path keeps one call per shard: a run of all 16 shards would
+    hold the KKT root solver's scratch (about 1 KB per state) for every
+    state at once.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
