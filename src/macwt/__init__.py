@@ -2,13 +2,11 @@
 channel: alignment-based transmission schemes, KKT power control and
 high-SNR scaling experiments."""
 
-from .channel import (ChannelState, FadingParams, PairingReport,
-                      QuantizedState, StateBatch, ergodic_pairing_demo,
-                      esa_partner, quantize, sample_batch, sba_block_gains,
-                      simulate_repetition)
+from .channel import (ChannelState, FadingParams, StateBatch, sample_batch,
+                      sba_block_gains)
 from .config import ConfigError, ExperimentConfig, load_config
-from .dof import (SumRateCurve, dominated_bound_esa, dominated_bound_sba,
-                  estimate_dof, gs_cj_upper_bound, sum_rate_curve)
+from .dof import (SumRateCurve, estimate_dof, gs_cj_upper_bound,
+                  sum_rate_curve)
 from .montecarlo import (CONSTANT, DUAL, ESA, ESA_CJ, GS_CJ, RUDIMENTARY,
                          SBA, SCHEMES, MonteCarloEstimate, ergodic_region,
                          grid_point, scheme_rates, spawn_rngs, worker_count)

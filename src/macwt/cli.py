@@ -130,11 +130,13 @@ def _figure(tag, variants, default_out, config, seed, samples, out, snr_db,
                 schemes=_parse_schemes(schemes))
     chosen = _select(f"figure{tag}", list(dict.fromkeys(
         scheme for _, scheme, _ in variants)), cfg.schemes)
-    variants = [v for v in variants if v[1] in chosen]
     rows = []
     for vi, var_g in enumerate((cfg.var_g, cfg.var_g_alt)):
         params = FadingParams.symmetric(cfg.var_h, var_g)
+        # si counts every variant, so a --scheme subset keeps its rows' seeds
         for si, (name, scheme, kind) in enumerate(variants):
+            if scheme not in chosen:
+                continue
             for pi, db in enumerate(cfg.snr_db):
                 p = 10.0 ** (db / 10.0)
                 point = (cfg.seed, tag, vi, si, pi)
@@ -187,7 +189,10 @@ def dof(config, seed, samples, out, schemes, powers):
                 schemes=_parse_schemes(schemes), var_h=1.0, var_g=1.0)
     params = FadingParams.symmetric(cfg.var_h, cfg.var_g)
     rows = []
-    for si, scheme in enumerate(_select("dof", list(DOF_KINDS), cfg.schemes)):
+    chosen = _select("dof", list(DOF_KINDS), cfg.schemes)
+    for si, scheme in enumerate(DOF_KINDS):  # seeded by place, as in _figure
+        if scheme not in chosen:
+            continue
         curve = sum_rate_curve(scheme, params, grid, cfg.samples,
                                _point_seed(cfg.seed, 3, si),
                                dual_n=cfg.dual_samples)

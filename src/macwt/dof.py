@@ -1,5 +1,5 @@
 """High-SNR scaling experiments: sum-rate curves, slope estimation and
-the dominated-convergence majorants.
+the single-slot baseline's finite ceiling.
 
 The scaling exponent of interest is the limit of the ergodic secrecy sum
 rate divided by log P.  Both two-slot aligned schemes reach slope 1/2
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelState, FadingParams, sample_batch
+from .channel import FadingParams, sample_batch
 from .montecarlo import (CONSTANT, DUAL, ESA, GS_CJ, SBA, _point_seed,
                          grid_point)
 from .rates import PowerBudget, _log2p1 as _l2
@@ -97,27 +97,6 @@ def estimate_dof(curve: SumRateCurve, window: slice | None = None) -> float:
         return math.nan
     slope, _ = np.polyfit(x, y, 1)
     return float(slope)
-
-
-# ---------------------------------------------------------------------------
-# Dominated-convergence majorants (base-2; looser than natural-log forms)
-# ---------------------------------------------------------------------------
-
-def dominated_bound_sba(o: ChannelState, e: ChannelState,
-                        params: FadingParams) -> float:
-    """Majorant of f_P / log2 P for the scaled two-slot scheme on the odd
-    and even slot states ``o`` and ``e``."""
-    const = 4.0 + 2.0 * (_l2(1.0 / params.var_g1) + _l2(1.0 / params.var_g2)) \
-        + _l2((params.var_g1 + params.var_g2) / (params.var_g1 * params.var_g2))
-    hsum = sum(_l2(abs(z) ** 2) for z in (o.h1, o.h2, e.h1, e.h2))
-    gsum = sum(_l2(abs(z) ** 2) for z in (o.g1, o.g2, e.g1, e.g2))
-    return float(const + 3.0 * hsum + 4.0 * gsum)
-
-
-def dominated_bound_esa(state: ChannelState, params: FadingParams) -> float:
-    """Majorant of the repetition scheme's f_P / log2 P."""
-    h1, h2, g1, g2 = state.sq()
-    return float(6.0 + _l2(2.0 * h1) + _l2(2.0 * h2) + _l2(2.0 * (g1 + g2)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ prefactor from code repetition is included for the two-slot schemes but
 not for single-slot Gaussian signaling with jamming.  All rates are in
 bits per channel use (base-2 logs); integrands may be negative.
 
-The ``*_triple`` functions are the vectorized kernels operating on squared
-magnitudes; :func:`macwt.montecarlo.scheme_rates` picks the kernel of a
-scheme.  The policy classes map a batch of states to per-state powers; the
-two-slot on/off rule takes its inner expectation in separable form.
+The ``*_triple`` functions, one per scheme, are the vectorized kernels
+operating on squared magnitudes; :func:`macwt.montecarlo.scheme_rates`
+picks the kernel of a scheme.  The policy classes map a batch of states
+to per-state powers; the two-slot on/off rule takes its inner
+expectation in separable form.
 """
 
 from __future__ import annotations
@@ -130,20 +131,6 @@ def esa_triple(h1, h2, g1, g2, p1, p2):
     r1 = 0.5 * (x1 - _log2p1(2.0 * g1 * p1 / (1.0 + 2.0 * g2 * p2)))
     r2 = 0.5 * (x2 - _log2p1(2.0 * g2 * p2 / (1.0 + 2.0 * g1 * p1)))
     rsum = 0.5 * (x1 + x2 - _log2p1(2.0 * (g1 * p1 + g2 * p2)))
-    return r1, r2, rsum
-
-
-def esa_general_triple(h1, h2, g1, g2, theta, omega, p1, p2):
-    """General rotated repetition; reduces to :func:`esa_triple` at
-    theta=pi, omega=0."""
-    ct = 2.0 * (1.0 - np.cos(theta)) * h1 * h2 * p1 * p2
-    cw = 2.0 * (1.0 - np.cos(omega)) * g1 * g2 * p1 * p2
-    r1 = 0.5 * (_log2p1(2.0 * h1 * p1)
-                - _log2p1((2.0 * g1 * p1 + cw) / (1.0 + 2.0 * g2 * p2)))
-    r2 = 0.5 * (_log2p1(2.0 * h2 * p2)
-                - _log2p1((2.0 * g2 * p2 + cw) / (1.0 + 2.0 * g1 * p1)))
-    rsum = 0.5 * (_log2p1(2.0 * h1 * p1 + 2.0 * h2 * p2 + ct)
-                  - _log2p1(2.0 * g1 * p1 + 2.0 * g2 * p2 + cw))
     return r1, r2, rsum
 
 

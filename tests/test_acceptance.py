@@ -22,8 +22,8 @@ from macwt.montecarlo import ESA, ESA_CJ, GS_CJ, SBA
 from macwt.powerctl import (DualPolicy, DualVars, EffectiveState,
                             dual_search, esa_cj_policy_batch,
                             esa_policy_batch)
-from macwt.rates import (PowerBudget, PowerDecision, esa_general_triple,
-                         esa_triple)
+from macwt.rates import PowerBudget, PowerDecision, esa_triple
+from rate_reference import esa_general_triple, simulate_repetition
 
 
 def _record(num, ok, detail):
@@ -96,7 +96,6 @@ def test_criterion_3_rotation_argmax():
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_repetition_identities():
-    from macwt.channel import simulate_repetition
     rng = np.random.default_rng(np.random.SeedSequence(1005))
     worst = 0.0
     for _ in range(10_000):

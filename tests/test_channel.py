@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macwt.channel import (ChannelState, FadingParams, StateBatch,
-                           ergodic_pairing_demo, esa_partner, quantize,
-                           sample_batch, sba_block_gains, simulate_repetition)
+                           sample_batch, sba_block_gains)
+from rate_reference import esa_partner, simulate_repetition
 
 finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False,
                                     max_magnitude=1e6)
@@ -183,72 +183,3 @@ def test_repetition_identities_random(rng):
         # both slots), visible with the noise removed
         _, _, _, z2c = simulate_repetition(s, x1, x2, (0, 0, 0, 0))
         assert z2c == 0
-
-
-# ---------------------------------------------------------------------------
-# quantization and the pairing demonstration
-# ---------------------------------------------------------------------------
-
-def test_quantize_phase_bins():
-    def q(z):
-        return quantize(ChannelState(z, 1, 1, 1), 4, 4, 2.0).h1[1]
-
-    assert q(1.0) == 0            # phase 0
-    assert q(-1.0) == 2           # phase pi
-    assert q(1j) == 1
-    eps = 1e-9
-    assert q(complex(math.cos(-eps), math.sin(-eps))) == 3  # 2*pi - eps
-
-
-def test_quantize_magnitude_clamp():
-    q = quantize(ChannelState(5.0, 1, 1, 1), 4, 4, 2.0)
-    assert q.h1[0] == 3  # overflow -> top bin
-    with pytest.raises(ValueError):
-        quantize(ChannelState(1, 1, 1, 1), 0, 4, 2.0)
-    with pytest.raises(ValueError):
-        quantize(ChannelState(1, 1, 1, 1), 4, 4, -1.0)
-
-
-@given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=50, deadline=None)
-def test_quantize_bins_in_range(mag_bins, phase_bins, seed):
-    g = np.random.default_rng(seed)
-    s = sample_batch(FadingParams.symmetric(1.0, 1.0), 1, g).state(0)
-    q = quantize(s, mag_bins, phase_bins, 2.5)
-    for mb, pb in (q.h1, q.h2, q.g1, q.g2):
-        assert 0 <= mb < mag_bins
-        assert 0 <= pb < phase_bins
-
-
-def test_pairing_single_bin_matches_consecutively(rng):
-    params = FadingParams.symmetric(1.0, 1.0)
-    rep = ergodic_pairing_demo(1000, params, mag_bins=1, phase_bins=1, rng=rng)
-    assert rep.fraction == 1.0
-    assert rep.mean_wait == 1.0
-
-
-def test_pairing_trivial_and_error_cases(rng):
-    params = FadingParams.symmetric(1.0, 1.0)
-    rep = ergodic_pairing_demo(1, params, mag_bins=1, phase_bins=1, rng=rng)
-    assert rep.fraction == 0.0 and rep.unmatched == 1
-    with pytest.raises(ValueError):
-        ergodic_pairing_demo(0, params, rng=rng)
-    with pytest.raises(ValueError):
-        ergodic_pairing_demo(10, params)  # rng must be explicit
-
-
-def test_pairing_small_alphabet_high_match_fraction(rng):
-    params = FadingParams.symmetric(1.0, 1.0)
-    rep = ergodic_pairing_demo(100_000, params, mag_bins=2, phase_bins=2,
-                               rng=rng)
-    assert rep.fraction >= 0.9
-    assert rep.matched + rep.unmatched == rep.n
-
-
-def test_pairing_deterministic_given_seed():
-    params = FadingParams.symmetric(1.0, 0.75)
-    r1 = ergodic_pairing_demo(5000, params,
-                              rng=np.random.default_rng(42))
-    r2 = ergodic_pairing_demo(5000, params,
-                              rng=np.random.default_rng(42))
-    assert r1 == r2

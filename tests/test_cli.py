@@ -9,11 +9,14 @@ from click.testing import CliRunner
 
 import macwt.cli
 import macwt.montecarlo
+from macwt.channel import FadingParams
 from macwt.cli import main
-from macwt.montecarlo import MonteCarloEstimate
+from macwt.montecarlo import (CONSTANT, ESA, MonteCarloEstimate, _point_seed,
+                              grid_point)
 from macwt.powerctl import LAM_MIN, DualVars, RootSolveError
-from macwt.rates import RateTriple
+from macwt.rates import PowerBudget, RateTriple
 from macwt.config import ConfigError, ExperimentConfig, load_config, parse_config_text
+from rate_reference import e1, esa_const_rsum
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +319,75 @@ def test_csv_determinism_same_seed(tmp_path):
         assert res.exit_code == 0, res.output
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("cmd, subset, grid", [
+    ("figure2", "gs_cj", ("--snr-db", "0")),
+    ("dof", "esa", ("--powers", "1e2,1e3,1e4"))], ids=["figure2", "dof"])
+def test_scheme_subset_keeps_the_full_runs_rows(tmp_path, cmd, subset, grid):
+    # a row's seed is its variant's place in the full command: a --scheme
+    # subset drops rows and moves none
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("samples = 2000\ndual_samples = 2000\n")
+    runs = {}
+    for schemes in ((), ("--scheme", subset)):
+        out = tmp_path / f"{cmd}{len(schemes)}.csv"
+        res = _run(cmd, "--config", str(cfg), *grid, *schemes,
+                   "--out", str(out))
+        assert res.exit_code == 0, res.output
+        runs[schemes] = (res.output.splitlines(),
+                         out.read_text(encoding="utf-8").splitlines())
+    (out_all, csv_all), (out_sub, csv_sub) = runs.values()
+    col = 2 if cmd == "figure2" else 0
+    kept = [ln for ln in csv_all[1:] if ln.split(",")[col] == subset]
+    assert kept and csv_sub == csv_all[:1] + kept
+    # and dof prints the kept scheme's slope line as the full run does
+    eta = [ln for ln in out_sub if ln.startswith("eta ")]
+    assert set(eta) <= set(out_all) and len(eta) == (cmd == "dof")
+
+
+@pytest.mark.parametrize("s, value", [
+    (0.1, 1.8229239584193906), (1.0, 0.2193839343955205),
+    (2.0, 0.048900510708061125), (10.0, 4.156968929685325e-06)])
+def test_e1_reference_values(s, value):
+    # the series (s <= 1) and the continued fraction (s > 1) behind the
+    # closed form below
+    assert e1(s) == pytest.approx(value, rel=1e-12, abs=0)
+
+
+def test_figure2_esa_const_rows_match_the_closed_form(tmp_path):
+    # constant-power repetition under Rayleigh fading has a closed form;
+    # every default figure2 esa_const row lies within 3 stderr of it
+    cfg = ExperimentConfig()
+    si = macwt.cli._FIG2_VARIANTS.index(("esa_const", ESA, CONSTANT))
+    rows = {}
+    for vi, var_g in enumerate((cfg.var_g, cfg.var_g_alt)):
+        params = FadingParams.symmetric(cfg.var_h, var_g)
+        for pi, db in enumerate(cfg.snr_db):
+            p = 10.0 ** (db / 10.0)
+            point = (cfg.seed, 2, vi, si, pi)  # the CLI's point seeds
+            est, status = grid_point(
+                ESA, CONSTANT, params, PowerBudget(p, p), cfg.samples,
+                _point_seed(*point), cfg.dual_samples, _point_seed(*point, 9))
+            exact = esa_const_rsum(p, cfg.var_h, var_g)
+            assert status == "ok"
+            assert abs(est.mean.rsum - exact) <= 3 * est.stderr.rsum, (
+                db, var_g, est.mean.rsum, exact, est.stderr.rsum)
+            rows[var_g, db] = est.mean.rsum
+    # the same seeds as the command: its first SNR's rows are the ones
+    # above (they do not depend on the dual search's batch size)
+    out = tmp_path / "fig2.csv"
+    small = tmp_path / "small.cfg"
+    small.write_text("dual_samples = 2000\n")
+    db = cfg.snr_db[0]
+    res = _run("figure2", "--config", str(small), "--snr-db", str(db),
+               "--scheme", "esa", "--out", str(out))
+    assert res.exit_code == 0, res.output
+    with open(out, encoding="utf-8", newline="") as fh:
+        got = [r for r in csv.DictReader(fh) if r["scheme"] == "esa_const"]
+    assert [(r["var_g"], r["rsum_bits"]) for r in got] == [
+        (format(var_g, ".12g"), format(rows[var_g, db], ".12g"))
+        for var_g in (cfg.var_g, cfg.var_g_alt)]
 
 
 @pytest.mark.parametrize("cmd", ["figure1", "figure2"])

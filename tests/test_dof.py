@@ -6,10 +6,11 @@ import pytest
 from macwt import dof
 from macwt.channel import (ChannelState, FadingParams, sample_batch,
                            sba_block_gains)
-from macwt.dof import (SumRateCurve, dominated_bound_esa, dominated_bound_sba,
-                       estimate_dof, gs_cj_upper_bound, sum_rate_curve)
+from macwt.dof import (SumRateCurve, estimate_dof, gs_cj_upper_bound,
+                       sum_rate_curve)
 from macwt.montecarlo import ESA, SBA, ergodic_region, scheme_rates
 from macwt.rates import ConstantPolicy
+from rate_reference import dominated_bound_esa, dominated_bound_sba
 
 UNIT_PARAMS = FadingParams.symmetric(1.0, 1.0)
 

@@ -18,7 +18,8 @@ from macwt.montecarlo import (CONSTANT, DUAL, ESA, ESA_CJ, GS_CJ,
 from macwt.powerctl import DualPolicy, DualVars
 from macwt.rates import (ConstantPolicy, PowerBudget, PowerDecision,
                          RudimentaryEsaPolicy, RudimentarySbaPolicy,
-                         esa_general_triple, sba_powers, sba_triple)
+                         sba_powers, sba_triple)
+from rate_reference import esa_general_triple
 
 UNIT = ChannelState(1, 1, 1, 1)
 PARAMS = FadingParams.symmetric(1.0, 0.75)

@@ -19,13 +19,6 @@ def _run(argv):
                           timeout=120)
 
 
-def test_pairing_demo_runs():
-    proc = _run([sys.executable, str(ROOT / "scripts" / "pairing_demo.py"),
-                 "--instants", "2000"])
-    assert proc.returncode == 0, proc.stderr
-    assert "bins (M=B)" in proc.stdout
-
-
 def test_output_digests_script(tmp_path):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY_CONFIG)
