@@ -14,7 +14,7 @@ from .powerctl import (CaseSolverError, DualPolicy, DualSearchResult,
                        DualVars, EffectiveState, RootSolveError,
                        cj_case_label, dual_search, effective_state,
                        esa_cj_kkt_residual)
-from .rates import (ConstantPolicy, PowerBudget, PowerDecision, RateTriple,
+from .rates import (ConstantPolicy, PowerBudget, PowerDecision,
                     RudimentaryEsaPolicy, RudimentarySbaPolicy)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import csv
+import os
 import sys
 
 import click
@@ -33,12 +34,26 @@ def _fmt(v):
     return str(v)
 
 
+def _check_out(path: str) -> None:
+    """A usage error if ``path`` is a directory or lies in a missing one,
+    before any grid point runs; the file is neither created nor
+    truncated here."""
+    if os.path.isdir(path):
+        raise click.ClickException(f"output CSV {path}: is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise click.ClickException(f"output CSV {path}: no directory {parent}")
+
+
 def _write_csv(path: str, header: list, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+    except OSError as exc:
+        raise click.ClickException(f"output CSV {path}: {exc.strerror}")
 
 
 def _load(config, **overrides) -> ExperimentConfig:
@@ -130,6 +145,8 @@ def _figure(tag, variants, default_out, config, seed, samples, out, snr_db,
                 schemes=_parse_schemes(schemes))
     chosen = _select(f"figure{tag}", list(dict.fromkeys(
         scheme for _, scheme, _ in variants)), cfg.schemes)
+    path = cfg.out or default_out
+    _check_out(path)
     rows = []
     for vi, var_g in enumerate((cfg.var_g, cfg.var_g_alt)):
         params = FadingParams.symmetric(cfg.var_h, var_g)
@@ -146,9 +163,8 @@ def _figure(tag, variants, default_out, config, seed, samples, out, snr_db,
                     _point_seed(*point, 9), cfg.inner_samples,
                     _point_seed(*point, 7), search=dual_search,
                     estimate=ergodic_region)
-                rows.append([db, var_g, name, est.mean.rsum,
-                             est.stderr.rsum, est.n, status])
-    path = cfg.out or default_out
+                rows.append([db, var_g, name, est.rsum, est.rsum_stderr,
+                             est.n, status])
     _write_csv(path, ["snr_db", "var_g", "scheme", "rsum_bits", "stderr",
                       "n", "status"], rows)
     click.echo(f"wrote {len(rows)} rows to {path}")
@@ -190,6 +206,8 @@ def dof(config, seed, samples, out, schemes, powers):
     params = FadingParams.symmetric(cfg.var_h, cfg.var_g)
     rows = []
     chosen = _select("dof", list(DOF_KINDS), cfg.schemes)
+    path = cfg.out or "dof.csv"
+    _check_out(path)
     for si, scheme in enumerate(DOF_KINDS):  # seeded by place, as in _figure
         if scheme not in chosen:
             continue
@@ -204,7 +222,6 @@ def dof(config, seed, samples, out, schemes, powers):
             bound = gs_cj_upper_bound(params, cfg.samples,
                                       _point_seed(cfg.seed, 4))
             click.echo(f"ceiling {scheme} {' '.join(map(_fmt, bound))}")
-    path = cfg.out or "dof.csv"
     _write_csv(path, ["scheme", "power", "rsum_bits", "stderr", "n",
                       "status"], rows)
     click.echo(f"wrote {len(rows)} rows to {path}")

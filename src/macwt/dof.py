@@ -75,8 +75,8 @@ def sum_rate_curve(scheme: str, params: FadingParams, powers, n: int,
                                  PowerBudget(p, p), n, point_seed, dual_n,
                                  point_seed ^ 0x5F5F))
     return SumRateCurve(scheme=scheme, params=params, powers=powers,
-                        rsum=tuple(est.mean.rsum for est, _ in points),
-                        stderr=tuple(est.stderr.rsum for est, _ in points),
+                        rsum=tuple(est.rsum for est, _ in points),
+                        stderr=tuple(est.rsum_stderr for est, _ in points),
                         status=tuple(status for _, status in points),
                         n=tuple(est.n for est, _ in points))
 

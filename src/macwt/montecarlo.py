@@ -1,4 +1,8 @@
-"""Deterministic sharded Monte Carlo estimation of ergodic rate regions.
+"""Deterministic sharded Monte Carlo estimation of the ergodic secrecy sum
+rate and the realized powers.
+
+An estimate holds only what a command reads: the sum rate and the realized
+powers.  The rate kernels' per-user terms are read by ``macwt query`` alone.
 
 Sampling is split into a fixed number of logical shards regardless of how
 many workers execute them; per-shard generators are spawned from the
@@ -28,9 +32,9 @@ from .channel import FadingParams, StateBatch, sample_batch, sba_block_gains
 from .pool import run_all, worker_count
 from .powerctl import DualPolicy, RootSolveError, dual_search
 from .rates import (ESA, ESA_CJ, GS_CJ, SBA, SCHEMES, ConstantPolicy,
-                    PowerBudget, RateTriple, RudimentaryEsaPolicy,
-                    RudimentarySbaPolicy, esa_cj_triple, esa_triple,
-                    gs_cj_triple, sba_powers, sba_triple)
+                    PowerBudget, RudimentaryEsaPolicy, RudimentarySbaPolicy,
+                    esa_cj_triple, esa_triple, gs_cj_triple, sba_powers,
+                    sba_triple)
 
 SHARDS = 16
 # moment unit of columns whose sum of squares overflows (an exact power of 2)
@@ -44,19 +48,14 @@ def spawn_rngs(seed: int, n: int):
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
-    """Sample mean / standard error of a rate triple plus realized powers."""
+    """Sample mean and standard error of the per-state secrecy sum rate
+    (signed, in bits) and of the realized powers, over ``n`` states."""
 
-    mean: RateTriple
-    stderr: RateTriple
+    rsum: float
+    rsum_stderr: float
     n: int
     avg_power: tuple  # realized (E[P1+Q1], E[P2+Q2])
     avg_power_stderr: tuple
-
-    @property
-    def region(self) -> RateTriple:
-        """Region point: negative ergodic means clamped to zero."""
-        return RateTriple(max(self.mean.r1, 0.0), max(self.mean.r2, 0.0),
-                          max(self.mean.rsum, 0.0))
 
 
 def _shard_sizes(n: int) -> list[int]:
@@ -104,16 +103,17 @@ def _draw(params: FadingParams, bounds, rngs) -> StateBatch:
 
 
 def _eval_run(scheme: str, policy, params: FadingParams, sizes, rngs) -> np.ndarray:
-    """Per-shard moments of (r1, r2, rsum, p1+q1, p2+q2) over a run of
-    shards with ``sizes`` states, as a (shards, 3, 5) array.
+    """Per-shard moments of (rsum, p1+q1, p2+q2) over a run of shards
+    with ``sizes`` states, as a (shards, 3, 3) array.
 
     Row 0 is the shard's sum and row 1 its sum of squares, each over the
     shard's own rows.  Row 2 is the sum of squares in units of
     ``_BIG**2``: ``Σ(x / _BIG)**2`` where row 1 overflowed, else row 1
-    rescaled.  The run's states go through one ``decide_batch`` call.
+    rescaled.  The run's states go through one ``decide_batch`` call;
+    of the kernel's rate triple only the sum rate is kept.
     """
     bounds = np.cumsum([0, *sizes])
-    parts = np.zeros((len(sizes), 3, 5))
+    parts = np.zeros((len(sizes), 3, 3))
     if bounds[-1] == 0:
         return parts
     batch = _draw(params, bounds, rngs)
@@ -126,8 +126,8 @@ def _eval_run(scheme: str, policy, params: FadingParams, sizes, rngs) -> np.ndar
     else:
         gains = batch.sq()
     del batch  # a worker's run is large: free its complex gains early
-    r1, r2, rsum = scheme_rates(scheme, gains, p1, p2, q1, q2)
-    cols = np.stack([r1, r2, rsum, p1 + q1, p2 + q2], axis=1)
+    vals = (scheme_rates(scheme, gains, p1, p2, q1, q2)[2], p1 + q1, p2 + q2)
+    cols = np.stack(vals, axis=1)
     rows = [slice(bounds[k], bounds[k + 1]) for k in range(len(sizes))]
     for k, r in enumerate(rows):
         parts[k, 0] = cols[r].sum(axis=0)
@@ -137,19 +137,18 @@ def _eval_run(scheme: str, policy, params: FadingParams, sizes, rngs) -> np.ndar
         parts[k, 1] = sq[r].sum(axis=0)
     parts[:, 2] = parts[:, 1] / _BIG / _BIG
     for k, j in zip(*np.nonzero(np.isinf(parts[:, 1]) & np.isfinite(parts[:, 0]))):
-        x = (r1, r2, rsum, p1 + q1, p2 + q2)[j][rows[k]]
-        parts[k, 2, j] = np.square(x / _BIG).sum()
+        parts[k, 2, j] = np.square(vals[j][rows[k]] / _BIG).sum()
     return parts
 
 
 def ergodic_region(scheme: str, policy, params: FadingParams, n: int,
                    seed: int) -> MonteCarloEstimate:
-    """Monte Carlo mean and standard error of the per-state rate triple.
+    """Monte Carlo mean and standard error of the per-state secrecy sum
+    rate and of the realized powers ``P1 + Q1`` and ``P2 + Q2``.
 
     ``policy`` must provide ``decide_batch(StateBatch)``; for the two-slot
-    scaled scheme it sees the odd-slot states only.  Raw (signed) means
-    are reported; the clamped region view is
-    :attr:`MonteCarloEstimate.region`.
+    scaled scheme it sees the odd-slot states only.  The sum rate's mean
+    is signed (an eavesdropper stronger on average gives a negative one).
 
     The ``n`` states always fall into ``SHARDS`` shards.  A shard owns
     its generator, its rows and its ``[sum, sumsq]``, and the shards'
@@ -178,7 +177,7 @@ def ergodic_region(scheme: str, policy, params: FadingParams, n: int,
 
     # inline at one worker: a 1-thread pool made figure2 ~20 % slower
     parts = np.concatenate(run_all(run, _shard_runs(worker_count())))
-    total = np.zeros((3, 5))
+    total = np.zeros((3, 3))
     for part in parts:  # fixed-order reduction
         total = total + part
     s, ss, ss_big = total
@@ -190,13 +189,9 @@ def ergodic_region(scheme: str, policy, params: FadingParams, n: int,
     with np.errstate(invalid="ignore"):  # inf - inf: a non-finite row
         var = np.maximum(ss / n - m * m, 0.0)
     stderr = np.sqrt(var / n) * np.where(big, _BIG, 1.0)
-    return MonteCarloEstimate(
-        mean=RateTriple(*mean[:3]),
-        stderr=RateTriple(*stderr[:3]),
-        n=n,
-        avg_power=(mean[3], mean[4]),
-        avg_power_stderr=(stderr[3], stderr[4]),
-    )
+    return MonteCarloEstimate(rsum=mean[0], rsum_stderr=stderr[0], n=n,
+                              avg_power=(mean[1], mean[2]),
+                              avg_power_stderr=(stderr[1], stderr[2]))
 
 
 # Power-control rules of a grid point and the schemes each has a policy for
@@ -245,8 +240,7 @@ def grid_point(scheme: str, kind: str, params: FadingParams,
             res = (search or dual_search)(params, budget, scheme, dual_n,
                                           dual_seed, tol=DUAL_TOL)
         except RootSolveError as exc:
-            nan = RateTriple(math.nan, math.nan, math.nan)
-            return (MonteCarloEstimate(nan, nan, 0, (math.nan,) * 2,
+            return (MonteCarloEstimate(math.nan, math.nan, 0, (math.nan,) * 2,
                                        (math.nan,) * 2), f"dual-failed:{exc}")
         policy = DualPolicy(scheme, res.duals)
     elif kind == RUDIMENTARY and scheme == SBA:
@@ -259,7 +253,7 @@ def grid_point(scheme: str, kind: str, params: FadingParams,
     else:
         policy = ConstantPolicy(budget.pbar1, budget.pbar2)
     est = (estimate or ergodic_region)(scheme, policy, params, n, seed)
-    if not (math.isfinite(est.mean.rsum) and math.isfinite(est.stderr.rsum)):
+    if not (math.isfinite(est.rsum) and math.isfinite(est.rsum_stderr)):
         return est, "non-finite"
     if res is None:
         return est, "ok"

@@ -60,15 +60,6 @@ class PowerDecision:
 
 
 @dataclass(frozen=True)
-class RateTriple:
-    """Instantaneous bounds on R1, R2 and R1+R2 (bits/channel use)."""
-
-    r1: float
-    r2: float
-    rsum: float
-
-
-@dataclass(frozen=True)
 class PowerBudget:
     """Average power constraints (pbar1, pbar2)."""
 

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import warnings
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -14,7 +15,7 @@ from macwt.cli import main
 from macwt.montecarlo import (CONSTANT, ESA, MonteCarloEstimate, _point_seed,
                               grid_point)
 from macwt.powerctl import LAM_MIN, DualVars, RootSolveError
-from macwt.rates import PowerBudget, RateTriple
+from macwt.rates import PowerBudget
 from macwt.config import ConfigError, ExperimentConfig, load_config, parse_config_text
 from rate_reference import e1, esa_const_rsum
 
@@ -191,6 +192,37 @@ def test_malformed_input_fails_cleanly(tmp_path, args):
     assert isinstance(res.exception, SystemExit), res.exception
     assert res.output.startswith("Error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, where, config", [
+    ("figure1", "missing/x.csv", False), ("figure2", "missing/x.csv", False),
+    ("dof", "missing/y.csv", False), ("figure2", ".", False),
+    ("dof", "missing/y.csv", True)],
+    ids=["figure1-missing", "figure2-missing", "dof-missing",
+         "figure2-directory", "dof-config-missing"])
+def test_unusable_out_fails_before_any_grid_point(tmp_path, monkeypatch, cmd,
+                                                  where, config):
+    def spy(*args, **kwargs):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr(macwt.cli, "grid_point", spy)
+    monkeypatch.setattr(macwt.cli, "sum_rate_curve", spy)
+    path = str(tmp_path / where)
+    if config:  # the config file's `out =` gets the same check as --out
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(f"out = {path}\n")
+        res = _run(cmd, "--config", str(cfg))
+    else:
+        res = _run(cmd, "--out", path)
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.output.startswith("Error: output CSV ")
+    assert path in res.output and len(res.output.splitlines()) == 1
+
+
+def test_write_csv_failure_is_a_usage_error(tmp_path):
+    with pytest.raises(click.ClickException, match=str(tmp_path)):
+        macwt.cli._write_csv(str(tmp_path), ["a"], [[1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +403,9 @@ def test_figure2_esa_const_rows_match_the_closed_form(tmp_path):
                 _point_seed(*point), cfg.dual_samples, _point_seed(*point, 9))
             exact = esa_const_rsum(p, cfg.var_h, var_g)
             assert status == "ok"
-            assert abs(est.mean.rsum - exact) <= 3 * est.stderr.rsum, (
-                db, var_g, est.mean.rsum, exact, est.stderr.rsum)
-            rows[var_g, db] = est.mean.rsum
+            assert abs(est.rsum - exact) <= 3 * est.rsum_stderr, (
+                db, var_g, est.rsum, exact, est.rsum_stderr)
+            rows[var_g, db] = est.rsum
     # the same seeds as the command: its first SNR's rows are the ones
     # above (they do not depend on the dual search's batch size)
     out = tmp_path / "fig2.csv"
@@ -393,8 +425,7 @@ def test_figure2_esa_const_rows_match_the_closed_form(tmp_path):
 @pytest.mark.parametrize("cmd", ["figure1", "figure2"])
 def test_figure_non_finite_row_is_not_ok(tmp_path, monkeypatch, cmd):
     nan = float("nan")
-    est = MonteCarloEstimate(mean=RateTriple(nan, nan, nan),
-                             stderr=RateTriple(nan, nan, nan), n=2000,
+    est = MonteCarloEstimate(rsum=nan, rsum_stderr=nan, n=2000,
                              avg_power=(nan, nan), avg_power_stderr=(nan, nan))
     monkeypatch.setattr(macwt.cli, "ergodic_region", lambda *a, **kw: est)
     cfg = tmp_path / "small.cfg"

@@ -88,8 +88,7 @@ def test_esa_single_point_matches_quadrature():
     expected = main - 0.5 * eve
     est = ergodic_region(ESA, ConstantPolicy(1.0, 1.0), UNIT_PARAMS,
                          200_000, seed=77)
-    assert est.mean.rsum == pytest.approx(expected,
-                                          abs=3 * est.stderr.rsum + 1e-3)
+    assert est.rsum == pytest.approx(expected, abs=3 * est.rsum_stderr + 1e-3)
 
 
 # ---------------------------------------------------------------------------

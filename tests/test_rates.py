@@ -508,17 +508,15 @@ def test_sba_policy_decision_stable_across_inner_seeds():
 
 def test_ergodic_region_zero_policy():
     est = ergodic_region(ESA, ConstantPolicy(0.0, 0.0), PARAMS, 1000, seed=1)
-    assert (est.mean.r1, est.mean.r2, est.mean.rsum) == pytest.approx((0.0, 0.0, 0.0))
-    assert (est.stderr.r1, est.stderr.r2, est.stderr.rsum) == pytest.approx((0.0, 0.0, 0.0))
+    assert (est.rsum, est.rsum_stderr) == pytest.approx((0.0, 0.0))
     assert est.avg_power == pytest.approx((0.0, 0.0))
 
 
-def test_ergodic_region_clamps_region_view():
+def test_ergodic_region_keeps_a_negative_signed_mean():
     # eavesdropper much stronger than receiver -> negative raw mean
     params = FadingParams(0.05, 0.05, 5.0, 5.0)
     est = ergodic_region(ESA, ConstantPolicy(5.0, 5.0), params, 20_000, seed=3)
-    assert est.mean.rsum < 0
-    assert est.region.rsum == 0.0
+    assert est.rsum < 0
 
 
 def test_ergodic_region_rejects_negative_powers():
@@ -545,7 +543,7 @@ def test_ergodic_region_stderr_scaling():
     policy = ConstantPolicy(2.0, 2.0)
     a = ergodic_region(ESA, policy, PARAMS, 20_000, seed=11)
     b = ergodic_region(ESA, policy, PARAMS, 80_000, seed=11)
-    ratio = a.stderr.rsum / b.stderr.rsum
+    ratio = a.rsum_stderr / b.rsum_stderr
     assert ratio == pytest.approx(2.0, rel=0.2)  # 4x samples -> half stderr
 
 
@@ -590,7 +588,7 @@ def test_ergodic_region_policy_worker_invariance(scheme, policy,
     # a shard of its own
     monkeypatch.setenv("MACWT_WORKERS", "1")
     base = ergodic_region(scheme, policy, PARAMS, 5000, seed=21)
-    assert math.isfinite(base.mean.rsum)
+    assert math.isfinite(base.rsum)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
     try:
@@ -623,8 +621,38 @@ def test_ergodic_region_sba_uses_two_slots():
     policy = RudimentarySbaPolicy(PowerBudget(2.0, 2.0), PARAMS,
                                   m_inner=64, seed=9)
     est = ergodic_region(SBA, policy, PARAMS, 5000, seed=13)
-    assert math.isfinite(est.mean.rsum)
+    assert math.isfinite(est.rsum)
     assert est.n == 5000
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("scheme, policy", [
+    (ESA, ConstantPolicy(2.0, 3.0)),
+    (GS_CJ, DualPolicy(GS_CJ, DualVars(0.2, 0.3)))],
+    ids=["constant-esa", "dual-gs_cj"])
+def test_ergodic_region_matches_a_plain_recomputation(scheme, policy, workers,
+                                                      monkeypatch):
+    # redraw the 16 shards of 1003 states (63 x 11, 62 x 5) from their own
+    # generators, then a two-pass mean and population stderr of the sum
+    # rate and of the realized powers over all states at once
+    n, seed = 1003, 29
+    rngs = spawn_rngs(seed, 16)
+    parts = [sample_batch(PARAMS, m, rng)
+             for m, rng in zip([63] * 11 + [62] * 5, rngs)]
+    batch = StateBatch(*(np.concatenate([getattr(b, k) for b in parts])
+                         for k in ("h1", "h2", "g1", "g2")))
+    p1, p2, q1, q2 = policy.decide_batch(batch)
+    cols = [scheme_rates(scheme, batch.sq(), p1, p2, q1, q2)[2],
+            p1 + q1, p2 + q2]
+    mean = [float(np.mean(c)) for c in cols]
+    stderr = [float(np.std(c) / math.sqrt(n)) for c in cols]
+    monkeypatch.setenv("MACWT_WORKERS", workers)
+    est = ergodic_region(scheme, policy, PARAMS, n, seed)
+    assert est.n == n
+    got = [est.rsum, *est.avg_power, est.rsum_stderr, *est.avg_power_stderr]
+    assert got == pytest.approx(mean + stderr, rel=1e-12, abs=0)
+    if scheme == GS_CJ:  # the dual policy's powers vary from state to state
+        assert min(stderr[1:]) > 0
 
 
 def test_realized_power_within_budget(rng):
