@@ -2,8 +2,8 @@
 channel: alignment-based transmission schemes, KKT power control and
 high-SNR scaling experiments."""
 
-from .channel import (ChannelState, FadingParams, StateBatch, sample_batch,
-                      sba_block_gains)
+from .channel import (ChannelState, FadingParams, GainBatch, StateBatch,
+                      sample_batch, sample_gains, sba_block_gains)
 from .config import ConfigError, ExperimentConfig, load_config
 from .dof import (SumRateCurve, estimate_dof, gs_cj_upper_bound,
                   sum_rate_curve)

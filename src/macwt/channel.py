@@ -2,8 +2,11 @@
 
 All channel coefficients are circularly symmetric complex Gaussians; the
 squared magnitudes are therefore exponential with mean equal to the
-coefficient variance.  Batched sampling returns plain complex ndarrays so
-that downstream rate evaluations stay vectorized.
+coefficient variance.  :func:`sample_batch` draws complex states, which
+the two-slot scaled scheme's rule needs (it reads phases), and
+:func:`sample_gains` draws only the four squared gains, one exponential
+each, which is all the single-slot schemes read.  Both return plain
+ndarrays so that downstream rate evaluations stay vectorized.
 """
 
 from __future__ import annotations
@@ -77,13 +80,30 @@ class StateBatch:
                      for k in ("h1", "h2", "g1", "g2")))
 
 
+@dataclass
+class GainBatch:
+    """Squared gains of a batch of states: row k of the (4, n) float
+    array ``rows`` holds |h1|^2, |h2|^2, |g1|^2, |g2|^2 for k = 0..3."""
+
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return self.rows.shape[1]
+
+    def sq(self):
+        """The rows (|h1|^2, |h2|^2, |g1|^2, |g2|^2), as views."""
+        return tuple(self.rows)
+
+
 def _complex_gaussian(rng: np.random.Generator, var: float, n: int,
                       x: np.ndarray):
     # real/imag each N(0, var/2) -> circularly symmetric, E|x|^2 = var;
-    # the real part is drawn first, both straight into the complex array x
-    scale = math.sqrt(var / 2.0)
-    x.real = rng.normal(0.0, scale, n)
-    x.imag = rng.normal(0.0, scale, n)
+    # one draw of 2n normals, its first half the real parts: the bits of
+    # a real-part draw followed by an imaginary-part draw
+    z = rng.standard_normal(2 * n)
+    z *= math.sqrt(var / 2.0)
+    x.real = z[:n]
+    x.imag = z[n:]
 
 
 def sample_batch(params: FadingParams, n: int, rng: np.random.Generator,
@@ -95,6 +115,24 @@ def sample_batch(params: FadingParams, n: int, rng: np.random.Generator,
     for x, var in ((out.h1, params.var_h1), (out.h2, params.var_h2),
                    (out.g1, params.var_g1), (out.g2, params.var_g2)):
         _complex_gaussian(rng, var, n, x)
+    return out
+
+
+def sample_gains(params: FadingParams, n: int, rng: np.random.Generator,
+                 out: GainBatch | None = None) -> GainBatch:
+    """Draw the squared gains of ``n`` independent states, into ``out``
+    (a batch of ``n`` states, whose rows may be views into a larger
+    array) if given.
+
+    Under Rayleigh fading |z|^2 is exponential with mean var(z): row k
+    gets ``var_k * rng.standard_exponential``, for h1, h2, g1, g2 in that
+    order.  The same law as ``sample_batch(...).sq()``, not its bits."""
+    if out is None:
+        out = GainBatch(np.empty((4, n)))
+    for row, var in zip(out.rows, (params.var_h1, params.var_h2,
+                                   params.var_g1, params.var_g2)):
+        rng.standard_exponential(out=row)
+        row *= var
     return out
 
 

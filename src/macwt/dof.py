@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FadingParams, sample_batch
+from .channel import FadingParams, sample_gains
 from .montecarlo import (CONSTANT, DUAL, ESA, GS_CJ, SBA, _point_seed,
                          grid_point)
 from .rates import PowerBudget, _log2p1 as _l2
@@ -113,7 +113,7 @@ def gs_cj_upper_bound(params: FadingParams, n: int, seed: int) -> tuple:
     if n < 2:
         raise ValueError("n must be >= 2")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    h1, h2, g1, g2 = sample_batch(params, n, rng).sq()
+    h1, h2, g1, g2 = sample_gains(params, n, rng).sq()
     s1 = h1 > g1
     s2 = h2 > g2
     t1, t2, u1, u2 = _l2(h1 / g1), _l2(h2 / g2), _l2(g1 / h1), _l2(g2 / h2)

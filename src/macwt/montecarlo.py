@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FadingParams, StateBatch, sample_batch, sba_block_gains
+from .channel import (FadingParams, GainBatch, StateBatch, sample_batch,
+                      sample_gains, sba_block_gains)
 from .pool import run_all, worker_count
 from .powerctl import DualPolicy, RootSolveError, dual_search
 from .rates import (ESA, ESA_CJ, GS_CJ, SBA, SCHEMES, ConstantPolicy,
@@ -90,15 +91,27 @@ def scheme_rates(scheme: str, gains, p1, p2, q1, q2):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _draw(params: FadingParams, bounds, rngs) -> StateBatch:
+def _draw(params: FadingParams, bounds, rngs, complex_states: bool):
     """One batch of a run's states: shard ``k`` draws rows
-    ``bounds[k]:bounds[k + 1]`` from its own generator, in place."""
-    run = StateBatch(*(np.empty(bounds[-1], dtype=complex) for _ in range(4)))
+    ``bounds[k]:bounds[k + 1]`` from its own generator, in place.
+
+    Complex states (a :class:`StateBatch`) if ``complex_states``, else
+    only the squared gains (a :class:`GainBatch`, one (4, m) array)."""
+    m = bounds[-1]
+    if complex_states:
+        run = StateBatch(*(np.empty(m, dtype=complex) for _ in range(4)))
+    else:
+        run = GainBatch(np.empty((4, m)))
     for k, rng in enumerate(rngs):
         lo, hi = bounds[k], bounds[k + 1]
-        if hi > lo:
+        if hi == lo:
+            continue
+        if complex_states:
             sample_batch(params, hi - lo, rng, out=StateBatch(
                 run.h1[lo:hi], run.h2[lo:hi], run.g1[lo:hi], run.g2[lo:hi]))
+        else:
+            sample_gains(params, hi - lo, rng,
+                         out=GainBatch(run.rows[:, lo:hi]))
     return run
 
 
@@ -110,22 +123,25 @@ def _eval_run(scheme: str, policy, params: FadingParams, sizes, rngs) -> np.ndar
     shard's own rows.  Row 2 is the sum of squares in units of
     ``_BIG**2``: ``Σ(x / _BIG)**2`` where row 1 overflowed, else row 1
     rescaled.  The run's states go through one ``decide_batch`` call;
-    of the kernel's rate triple only the sum rate is kept.
+    of the kernel's rate triple only the sum rate is kept.  The two-slot
+    scheme draws complex odd and even states, since its rule reads
+    phases; the single-slot schemes read only the squared gains and draw
+    just those.
     """
     bounds = np.cumsum([0, *sizes])
     parts = np.zeros((len(sizes), 3, 3))
     if bounds[-1] == 0:
         return parts
-    batch = _draw(params, bounds, rngs)
+    batch = _draw(params, bounds, rngs, complex_states=scheme == SBA)
     p1, p2, q1, q2 = policy.decide_batch(batch)
     for arr, name in ((p1, "p1"), (p2, "p2"), (q1, "q1"), (q2, "q2")):
         if not np.all(arr >= 0):  # also rejects NaN
             raise ValueError(f"policy returned negative or NaN {name}")
     if scheme == SBA:  # the even slot is drawn after the policy has decided
-        gains = sba_block_gains(batch, _draw(params, bounds, rngs))
+        gains = sba_block_gains(batch, _draw(params, bounds, rngs, True))
     else:
         gains = batch.sq()
-    del batch  # a worker's run is large: free its complex gains early
+    del batch  # a worker's run is large: free the two-slot states early
     vals = (scheme_rates(scheme, gains, p1, p2, q1, q2)[2], p1 + q1, p2 + q2)
     cols = np.stack(vals, axis=1)
     rows = [slice(bounds[k], bounds[k + 1]) for k in range(len(sizes))]
@@ -146,8 +162,10 @@ def ergodic_region(scheme: str, policy, params: FadingParams, n: int,
     """Monte Carlo mean and standard error of the per-state secrecy sum
     rate and of the realized powers ``P1 + Q1`` and ``P2 + Q2``.
 
-    ``policy`` must provide ``decide_batch(StateBatch)``; for the two-slot
-    scaled scheme it sees the odd-slot states only.  The sum rate's mean
+    ``policy`` must provide ``decide_batch(batch)``.  For the two-slot
+    scaled scheme it sees a :class:`~macwt.channel.StateBatch` of the
+    odd-slot states only; for the others a
+    :class:`~macwt.channel.GainBatch` of squared gains.  The sum rate's mean
     is signed (an eavesdropper stronger on average gives a negative one).
 
     The ``n`` states always fall into ``SHARDS`` shards.  A shard owns

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelState, FadingParams, sample_batch
+from .channel import ChannelState, FadingParams, sample_gains
 from .rates import ESA, ESA_CJ, GS_CJ, PowerBudget, PowerDecision
 
 RESIDUAL_TOL = 1e-9   # relative residual for accepting a common root
@@ -715,8 +715,9 @@ def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
 
     Solves ``r(u) = log E[P(e^u)] - log pbar = 0`` jointly in
     ``u = log(lambda)`` by Broyden's quasi-Newton method on one frozen
-    state batch, from ``lambda_k = max(1/pbar_k, LAM_MIN)`` (which depends
-    only on the budget) and the water-filling slope ``J = -I``.  Steps are
+    batch of squared gains (:func:`~macwt.channel.sample_gains`), from
+    ``lambda_k = max(1/pbar_k, LAM_MIN)`` (which depends only on the
+    budget) and the water-filling slope ``J = -I``.  Steps are
     clipped to ``_MAX_LOG_STEP`` per coordinate and floor lambda at
     ``LAM_MIN``.  A step is taken when the largest residual falls, or
     without that test while some user realizes zero power; otherwise it
@@ -741,7 +742,7 @@ def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
     if n < 2:
         raise ValueError("n must be >= 2")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    sq = sample_batch(params, n, rng).sq()
+    sq = sample_gains(params, n, rng).sq()
     pbar = np.array([budget.pbar1, budget.pbar2])
     evals = 0
 
@@ -818,7 +819,8 @@ def dual_search(params: FadingParams, budget: PowerBudget, scheme: str,
 class DualPolicy:
     """Batched dual policy of ``scheme`` at fixed multipliers, for the
     Monte Carlo engine: the KKT case tree (``esa``, ``esa_cj``) or the
-    structural single-slot baseline (``gs_cj``)."""
+    structural single-slot baseline (``gs_cj``).  It reads only the
+    squared gains of a batch (a ``StateBatch`` or a ``GainBatch``)."""
 
     def __init__(self, scheme: str, duals: DualVars):
         self.scheme = scheme

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FadingParams, StateBatch, sample_batch
+from .channel import FadingParams, GainBatch, StateBatch, sample_batch
 
 # the scheme names every module dispatches on
 GS_CJ, SBA, ESA, ESA_CJ = SCHEMES = ("gs_cj", "sba", "esa", "esa_cj")
@@ -143,12 +143,13 @@ def esa_cj_triple(h1, h2, g1, g2, p1, p2, q1, q2):
 # their construction arguments, so sharded evaluation stays reproducible.
 
 class ConstantPolicy:
-    """Fixed powers for every state."""
+    """Fixed powers for every state of a batch (a :class:`StateBatch` or
+    a :class:`GainBatch`)."""
 
     def __init__(self, p1: float, p2: float, q1: float = 0.0, q2: float = 0.0):
         self.decision = PowerDecision(p1, p2, q1, q2)
 
-    def decide_batch(self, batch: StateBatch):
+    def decide_batch(self, batch: StateBatch | GainBatch):
         n = len(batch)
         d = self.decision
         return (np.full(n, d.p1), np.full(n, d.p2),
@@ -156,12 +157,14 @@ class ConstantPolicy:
 
 
 class RudimentaryEsaPolicy:
-    """On/off at full budget based on the sign of the sum-rate integrand."""
+    """On/off at full budget based on the sign of the sum-rate integrand;
+    it reads only the squared gains of a :class:`StateBatch` or a
+    :class:`GainBatch`."""
 
     def __init__(self, budget: PowerBudget):
         self.budget = budget
 
-    def decide_batch(self, batch: StateBatch):
+    def decide_batch(self, batch: StateBatch | GainBatch):
         h1, h2, g1, g2 = batch.sq()
         _, _, rsum = esa_triple(h1, h2, g1, g2, self.budget.pbar1, self.budget.pbar2)
         on = rsum >= 0.0

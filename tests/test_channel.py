@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macwt.channel import (ChannelState, FadingParams, StateBatch,
-                           sample_batch, sba_block_gains)
+from macwt.channel import (ChannelState, FadingParams, GainBatch,
+                           StateBatch, sample_batch, sample_gains,
+                           sba_block_gains)
 from rate_reference import esa_partner, simulate_repetition
 
 finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False,
@@ -73,6 +74,48 @@ def test_sample_batch_into_views_matches_a_fresh_draw():
         got = getattr(run, name)
         assert got[3:7].tobytes() == getattr(ref, name).tobytes()
         assert np.isnan(np.delete(got, np.s_[3:7])).all()
+
+
+def test_sample_gains_is_one_scaled_exponential_per_gain():
+    # each gain is var * standard_exponential, in the order h1, h2, g1, g2:
+    # every single-slot figure row depends on these bytes
+    params = FadingParams(1.0, 2.0, 0.75, 0.25)
+    batch = sample_gains(params, 1250, np.random.default_rng(42))
+    assert batch.rows.shape == (4, 1250) and len(batch) == 1250
+    rng = np.random.default_rng(42)
+    for row, name in zip(batch.sq(), ("h1", "h2", "g1", "g2")):
+        ref = getattr(params, "var_" + name) * rng.standard_exponential(1250)
+        assert row.tobytes() == ref.tobytes()
+
+
+def test_sample_gains_law():
+    # squared Rayleigh gains: exponential with mean var, so each row's mean
+    # is its variance, P(X > t var) = e^-t, and the four rows are independent
+    params = FadingParams(1.0, 2.0, 0.75, 0.25)
+    n = 200_000
+    rows = sample_gains(params, n, np.random.default_rng(11)).sq()
+    for x, var in zip(rows, (1.0, 2.0, 0.75, 0.25)):
+        assert abs(x.mean() - var) < 4 * x.std() / math.sqrt(n)
+        for t in (1.0, 3.0):
+            q = math.exp(-t)
+            tail = np.count_nonzero(x > t * var) / n
+            assert abs(tail - q) < 4 * math.sqrt(q * (1 - q) / n)
+    corr = np.corrcoef(np.stack(rows))
+    off = corr[~np.eye(4, dtype=bool)]
+    assert np.all(np.abs(off) < 4 / math.sqrt(n))
+
+
+def test_sample_gains_into_views_matches_a_fresh_draw():
+    # the Monte Carlo engine draws each shard into its columns of a run's
+    # (4, m) array: the bytes are those of a batch of its own, and no other
+    # column is written
+    params = FadingParams(1.0, 2.0, 0.75, 0.25)
+    run = GainBatch(np.full((4, 10), np.nan))
+    view = GainBatch(run.rows[:, 3:7])
+    assert sample_gains(params, 4, np.random.default_rng(5), out=view) is view
+    ref = sample_gains(params, 4, np.random.default_rng(5))
+    assert run.rows[:, 3:7].tobytes() == ref.rows.tobytes()
+    assert np.isnan(np.delete(run.rows, np.s_[3:7], axis=1)).all()
 
 
 def test_tiny_variance_degenerates_to_zero(rng):

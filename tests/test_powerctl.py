@@ -12,7 +12,8 @@ from kkt_reference import (best_common_root, closed_form, cj_modes,
                            lagrangian_esa, lagrangian_esa_cj,
                            stationary_candidates)
 from macwt import powerctl
-from macwt.channel import ChannelState, FadingParams, StateBatch, sample_batch
+from macwt.channel import (ChannelState, FadingParams, GainBatch, StateBatch,
+                           sample_batch)
 from macwt.powerctl import (LAM_MIN, RESIDUAL_TOL, CaseSolverError,
                             DualPolicy,
                             DualSearchResult, DualVars, EffectiveState,
@@ -1185,8 +1186,13 @@ def test_dual_search_stops_on_a_cycle(monkeypatch, ratio, seed):
     # at -20 dB with var_h = 0.01 only a handful of the 2000 states
     # transmit, so one state switching off moves a user's realized power
     # far more than the 2 % band: the search comes back to a point it has
-    # already rebuilt its Jacobian at, and stops instead of repeating
+    # already rebuilt its Jacobian at, and stops instead of repeating.
+    # The seeds were found on the squared gains of sample_batch's complex
+    # states, so the search's batch is drawn that way here: the same 2000
+    # states it cycles on
     budget = PowerBudget(0.01, ratio * 0.01)
+    monkeypatch.setattr(powerctl, "sample_gains", lambda params, n, rng:
+                        GainBatch(np.array(sample_batch(params, n, rng).sq())))
 
     def search():
         return dual_search(FadingParams.symmetric(0.01, 1.0), budget,

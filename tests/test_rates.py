@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macwt import rates
-from macwt.channel import (ChannelState, FadingParams, StateBatch,
-                           sample_batch, sba_block_gains)
+from macwt.channel import (ChannelState, FadingParams, GainBatch,
+                           StateBatch, sample_batch, sample_gains,
+                           sba_block_gains)
 from macwt.montecarlo import (CONSTANT, DUAL, ESA, ESA_CJ, GS_CJ,
                               RUDIMENTARY, SBA, ergodic_region, grid_point,
                               scheme_rates, spawn_rngs, worker_count)
@@ -19,7 +20,7 @@ from macwt.powerctl import DualPolicy, DualVars
 from macwt.rates import (ConstantPolicy, PowerBudget, PowerDecision,
                          RudimentaryEsaPolicy, RudimentarySbaPolicy,
                          sba_powers, sba_triple)
-from rate_reference import esa_general_triple
+from rate_reference import esa_const_rsum, esa_general_triple
 
 UNIT = ChannelState(1, 1, 1, 1)
 PARAMS = FadingParams.symmetric(1.0, 0.75)
@@ -633,14 +634,14 @@ def test_ergodic_region_sba_uses_two_slots():
 def test_ergodic_region_matches_a_plain_recomputation(scheme, policy, workers,
                                                       monkeypatch):
     # redraw the 16 shards of 1003 states (63 x 11, 62 x 5) from their own
-    # generators, then a two-pass mean and population stderr of the sum
-    # rate and of the realized powers over all states at once
+    # generators (single-slot schemes draw squared gains), then a two-pass
+    # mean and population stderr of the sum rate and of the realized
+    # powers over all states at once
     n, seed = 1003, 29
     rngs = spawn_rngs(seed, 16)
-    parts = [sample_batch(PARAMS, m, rng)
+    parts = [sample_gains(PARAMS, m, rng)
              for m, rng in zip([63] * 11 + [62] * 5, rngs)]
-    batch = StateBatch(*(np.concatenate([getattr(b, k) for b in parts])
-                         for k in ("h1", "h2", "g1", "g2")))
+    batch = GainBatch(np.concatenate([b.rows for b in parts], axis=1))
     p1, p2, q1, q2 = policy.decide_batch(batch)
     cols = [scheme_rates(scheme, batch.sq(), p1, p2, q1, q2)[2],
             p1 + q1, p2 + q2]
@@ -653,6 +654,27 @@ def test_ergodic_region_matches_a_plain_recomputation(scheme, policy, workers,
     assert got == pytest.approx(mean + stderr, rel=1e-12, abs=0)
     if scheme == GS_CJ:  # the dual policy's powers vary from state to state
         assert min(stderr[1:]) > 0
+
+
+def test_ergodic_region_is_unbiased_against_the_closed_form():
+    # constant-power repetition has a closed form; the estimate's
+    # z-scores against it, over 20 seeds in each of the 6 cells (0/30/60 dB
+    # x var_g 0.75/0.25; seeds 20 * cell + k, none shared between cells),
+    # must have mean within +-0.5 and standard deviation in [0.8, 1.25].
+    # The bounds were fixed before the first run.
+    z = []
+    for cell, (var_g, db) in enumerate(itertools.product((0.75, 0.25),
+                                                         (0.0, 30.0, 60.0))):
+        p = 10.0 ** (db / 10.0)
+        exact = esa_const_rsum(p, 1.0, var_g)
+        for k in range(20):
+            est = ergodic_region(ESA, ConstantPolicy(p, p),
+                                 FadingParams.symmetric(1.0, var_g), 4000,
+                                 seed=20 * cell + k)
+            z.append((est.rsum - exact) / est.rsum_stderr)
+    z = np.array(z)
+    assert abs(z.mean()) <= 0.5, z.mean()
+    assert 0.8 <= z.std(ddof=1) <= 1.25, z.std(ddof=1)
 
 
 def test_realized_power_within_budget(rng):
